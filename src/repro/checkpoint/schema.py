@@ -434,7 +434,6 @@ def _restore_soa_swarm(document: dict, swarm_cls=None, **swarm_kwargs):
 
     swarm = swarm_cls(
         config,
-        backend="soa",
         instrumented_start_empty=bool(sw["instrumented_start_empty"]),
         rarity_view=str(sw["rarity_view"]),
         metrics=metrics,
@@ -537,17 +536,15 @@ def restore_swarm(document: dict, **swarm_kwargs) -> "Swarm":
             f"snapshot schema version {version!r} is not supported "
             f"(this build reads version {SCHEMA_VERSION})"
         )
-    if document.get("backend") == "soa":
+    backend = document.get("backend")
+    if backend in ("soa", "sharded"):
         try:
-            return _restore_soa_swarm(document, **swarm_kwargs)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"snapshot document is structurally invalid: {exc!r}"
-            )
-    if document.get("backend") == "sharded":
-        from repro.sim.sharded import restore_sharded_swarm
+            if backend == "soa" and "shards" not in swarm_kwargs:
+                return _restore_soa_swarm(document, **swarm_kwargs)
+            # Sharded documents, and soa documents resumed at a shard
+            # count (a soa run is the one-shard sharded run).
+            from repro.sim.sharded import restore_sharded_swarm
 
-        try:
             return restore_sharded_swarm(document, **swarm_kwargs)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(

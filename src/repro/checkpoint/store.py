@@ -106,13 +106,13 @@ def run_swarm_with_checkpoints(
         # simulation-defining (metrics, faults, instrumentation) comes
         # from the snapshot — a resumed run must continue the original
         # trajectory, not a freshly-parameterised one.  A sharded
-        # snapshot additionally honours ``shards`` (elastic re-sharding
+        # snapshot, or any snapshot resumed with ``backend="sharded"``,
+        # additionally honours ``shards`` (elastic re-sharding
         # repartitions the checkpoint onto the new worker count).
-        allowed = (
-            ("profile", "shards")
-            if document.get("backend") == "sharded"
-            else ("profile",)
+        sharded = "sharded" in (
+            document.get("backend"), swarm_kwargs.get("backend")
         )
+        allowed = ("profile", "shards") if sharded else ("profile",)
         control = {
             key: value
             for key, value in swarm_kwargs.items()

@@ -310,7 +310,7 @@ def _parse_backend(backend: str) -> str:
             f"('object' is the per-peer reference engine, 'soa' the "
             f"vectorized array engine, 'sharded' the multiprocess "
             f"array engine; e.g. repro-bt run F3a --backend soa or "
-            f"repro-bt scenario steady --backend sharded --shards 4)"
+            f"repro-bt scenario steady-state --backend sharded --shards 4)"
         )
     return backend
 

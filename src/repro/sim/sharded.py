@@ -24,18 +24,21 @@ Design contract (mirrors ``docs/RUNTIME.md``):
   coordinator's tracker stream is ``derive_seed(seed, SHARD_NS, 0)``.
   Fault injectors derive from the shard seed, so each shard draws an
   independent fault stream (the PR-1 seeding contract).
-* **``shards=1`` is exact.** A single-shard swarm hosts one unmodified
-  in-process :class:`~repro.sim.soa.SoaSwarm`, so its fingerprint is
-  identical to ``backend="soa"`` (the fingerprint excludes the backend
-  label).  ``shards >= 2`` changes the trajectory (per-shard neighbor
-  sets, coordinator-owned arrivals) and is held to the statistical
-  equivalence gates instead.
+* **``shards=1`` is the soa engine.** ``ShardedSwarm(config,
+  shards=1)`` — and so ``Swarm(config, backend="sharded", shards=1)`` —
+  returns a plain in-process :class:`~repro.sim.soa.SoaSwarm`: no
+  coordinator, no fork, the same result (``backend == "soa"``) and soa
+  checkpoints.  ``shards >= 2`` changes the trajectory (per-shard
+  neighbor sets, coordinator-owned arrivals) and is held to the
+  statistical equivalence gates instead.
 * **Checkpoint = shard snapshots + coordinator block.** The sharded
   document embeds one soa-flavored document per shard, so elastic
   re-sharding is checkpoint -> repartition (rows rehashed by
   ``peer_id % M``) -> resume, and a worker death rolls every shard
   back to the last coordinated snapshot and replays — fingerprint
   identical to the uninterrupted run (the PR-2 recovery guarantee).
+  A soa checkpoint (one shard) resumes at ``M >= 2`` the same way,
+  lifted into a one-shard coordinated document first.
 """
 
 from __future__ import annotations
@@ -52,13 +55,12 @@ from repro.errors import CheckpointError, ParameterError, SimulationError
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.runtime.profiler import SHARD_COORD_STAGES, RoundProfiler
 from repro.runtime.seeding import derive_seed
-from repro.runtime.telemetry import Telemetry
 from repro.sim.config import SimConfig
 from repro.sim.engine import Event
 from repro.sim.metrics import MetricsCollector
 from repro.sim.shm import ShardFabric, WorkerFabric
 from repro.sim.soa import SoaSwarm, unpack_rows
-from repro.sim.swarm import ConnectionStats, Swarm, SwarmResult
+from repro.sim.swarm import CheckpointControl, ConnectionStats, SwarmResult
 
 __all__ = ["ShardEngine", "ShardedSwarm", "restore_sharded_swarm", "SHARD_NS"]
 
@@ -321,7 +323,7 @@ class ShardEngine(SoaSwarm):
         return rows
 
     # -- the lockstep entry point --------------------------------------
-    def step_round(
+    def lockstep_round(
         self,
         global_counts: Optional[np.ndarray],
         immigrants: Optional[dict],
@@ -400,7 +402,6 @@ def _shard_worker(conn) -> None:
                 if command == "init":
                     engine = ShardEngine(
                         payload["config"],
-                        backend="soa",
                         metrics=_shard_metrics(
                             payload["config"].max_conns,
                             payload["metrics_opts"],
@@ -427,7 +428,6 @@ def _shard_worker(conn) -> None:
                 elif command == "adopt":
                     engine = ShardEngine(
                         payload["config"],
-                        backend="soa",
                         metrics=_shard_metrics(
                             payload["config"].max_conns,
                             payload["metrics_opts"],
@@ -452,7 +452,7 @@ def _shard_worker(conn) -> None:
                     fabric.apply_updates(payload.get("fabric_updates"))
                     round_index = payload["round"]
                     busy_start = _time.perf_counter()
-                    report = engine.step_round(
+                    report = engine.lockstep_round(
                         fabric.read_broadcast(round_index),
                         fabric.read_inbox(round_index),
                         payload["arrivals"],
@@ -505,14 +505,14 @@ def _shard_worker(conn) -> None:
 # ----------------------------------------------------------------------
 # The coordinator
 # ----------------------------------------------------------------------
-class ShardedSwarm(Swarm):
+class ShardedSwarm(CheckpointControl):
     """Coordinator for a swarm partitioned across shard processes.
 
     Args:
         config: the :class:`SimConfig` (same knobs as every backend).
-        backend: must be ``"sharded"``.
-        shards: worker count.  ``1`` hosts a single in-process
-            :class:`SoaSwarm` (bit-identical to ``backend="soa"``);
+        shards: worker count.  ``1`` is the soa engine: construction
+            returns a plain :class:`SoaSwarm` (``shard_mix`` is still
+            validated, the sharding knobs are otherwise unused);
             ``>= 2`` forks one process per shard.
         shard_mix: per-round probability that an alive peer migrates to
             a uniformly random other shard (coordinator-drawn, batched
@@ -524,11 +524,30 @@ class ShardedSwarm(Swarm):
             as for :class:`~repro.sim.swarm.Swarm`.
     """
 
+    def __new__(
+        cls,
+        config: SimConfig,
+        *,
+        shards: int = 2,
+        shard_mix: float = 0.02,
+        max_worker_restarts: int = 3,
+        **kwargs,
+    ):
+        if shards < 1:
+            raise ParameterError(f"shards must be >= 1, got {shards}")
+        if not 0.0 <= shard_mix <= 1.0:
+            raise ParameterError(
+                f"shard_mix must be in [0, 1], got {shard_mix}"
+            )
+        if shards == 1:
+            # Not a ShardedSwarm, so Python skips __init__ on it.
+            return SoaSwarm(config, **kwargs)
+        return super().__new__(cls)
+
     def __init__(
         self,
         config: SimConfig,
         *,
-        backend: str = "sharded",
         shards: int = 2,
         shard_mix: float = 0.02,
         max_worker_restarts: int = 3,
@@ -542,28 +561,10 @@ class ShardedSwarm(Swarm):
         checkpoint_every: int = 0,
         checkpoint_path: Optional[str] = None,
     ):
-        if backend != "sharded":
-            raise ParameterError(
-                f"ShardedSwarm is the 'sharded' backend, got "
-                f"backend={backend!r}"
-            )
-        if shards < 1:
-            raise ParameterError(f"shards must be >= 1, got {shards}")
-        if not 0.0 <= shard_mix <= 1.0:
-            raise ParameterError(
-                f"shard_mix must be in [0, 1], got {shard_mix}"
-            )
         SoaSwarm._check_supported(
             config, instrument_first, instrumented_avoid_seeds, rarity_view
         )
-        if checkpoint_every < 0:
-            raise ParameterError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        if checkpoint_every > 0 and checkpoint_path is None:
-            raise ParameterError(
-                "checkpoint_every > 0 requires a checkpoint_path"
-            )
+        super().__init__(checkpoint_every, checkpoint_path)
         self.backend = "sharded"
         self.config = config
         self.shards = int(shards)
@@ -574,15 +575,9 @@ class ShardedSwarm(Swarm):
         self.profile = bool(profile)
         self.instrumented_start_empty = instrumented_start_empty
         self.rarity_view = rarity_view
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = checkpoint_path
-        self.checkpoints_written = 0
-        self.resumed_from_round: Optional[int] = None
         self.worker_restarts = 0
-        self.telemetry: Optional[Telemetry] = None
         self.shard_profiles: Optional[Dict[str, Dict[str, float]]] = None
 
-        self._solo: Optional[SoaSwarm] = None
         self._procs: list = []
         self._conns: list = []
         self._started = False
@@ -594,18 +589,6 @@ class ShardedSwarm(Swarm):
         self._bytes_broadcast = 0
         self._bytes_migrated = 0
         self._comms_profiler: Optional[RoundProfiler] = None
-
-        if self.shards == 1:
-            self._solo = SoaSwarm(
-                config,
-                metrics=self.metrics,
-                faults=faults,
-                profile=profile,
-                instrumented_start_empty=instrumented_start_empty,
-                rarity_view=rarity_view,
-            )
-            return
-
         self._init_coordinator_state()
 
     # ------------------------------------------------------------------
@@ -797,14 +780,16 @@ class ShardedSwarm(Swarm):
             migration_rows=64,
         )
 
-    def _ensure_started(self) -> None:
+    def setup(self) -> None:
+        """Fork the workers and start every shard.
+
+        Idempotent: :meth:`step_round`, :meth:`snapshot` and :meth:`run`
+        call it too, so an explicit ``setup()`` only moves the fork
+        earlier.
+        """
         if self._started:
             return
         self._started = True
-        if self._solo is not None:
-            if not self._solo._setup_done:
-                self._solo.setup()
-            return
         self._spawn_processes()
         # The fabric is created *after* the fork so children never
         # inherit coordinator-owned SharedMemory objects; workers
@@ -1036,18 +1021,12 @@ class ShardedSwarm(Swarm):
 
         self._rounds += 1
         self._next_round_time = time + config.piece_time
-        if (
-            self.checkpoint_every > 0
-            and self._rounds % self.checkpoint_every == 0
-        ):
-            self.write_checkpoint()
+        self._maybe_checkpoint()
         return True
 
     def step_round(self) -> bool:
         """Advance one coordinated round; ``False`` when the run ended."""
-        self._ensure_started()
-        if self._solo is not None:
-            return self._solo_step()
+        self.setup()
         while True:
             try:
                 return self._advance_cycle()
@@ -1085,7 +1064,7 @@ class ShardedSwarm(Swarm):
             self._adopt_rows = None
             _reset_metrics_in_place(self.metrics)
         self._started = False
-        self._ensure_started()
+        self.setup()
 
     def _load_coordinator_block(self, document: dict) -> None:
         """Reset coordinator state from a sharded snapshot document."""
@@ -1146,22 +1125,9 @@ class ShardedSwarm(Swarm):
             _sanitize_rng_state,
             _snapshot_metrics,
             _triples,
-            snapshot_soa_swarm,
         )
 
-        if self._solo is not None:
-            return {
-                "schema_version": SCHEMA_VERSION,
-                "backend": "sharded",
-                "shards": 1,
-                "config": self.config.to_dict(),
-                "faults_plan": (
-                    None if self.fault_plan is None
-                    else self.fault_plan.to_dict()
-                ),
-                "solo": snapshot_soa_swarm(self._solo),
-            }
-        self._ensure_started()
+        self.setup()
         for index in range(self.shards):
             self._send(index, ("snapshot", None))
         shard_docs = [self._recv(index) for index in range(self.shards)]
@@ -1209,51 +1175,20 @@ class ShardedSwarm(Swarm):
             "shard_docs": shard_docs,
         }
 
-    def write_checkpoint(self, path: Optional[str] = None) -> None:
-        """Write a coordinated snapshot (atomic container overwrite)."""
-        from repro.checkpoint.format import write_checkpoint
-
-        target = path or self.checkpoint_path
-        if target is None:
-            raise ParameterError(
-                "write_checkpoint() needs a path argument or a "
-                "checkpoint_path configured at construction"
-            )
-        document = self.snapshot()
-        write_checkpoint(document, target)
-        self.checkpoints_written += 1
-        if self._solo is None:
-            self._last_document = document
+    def write_checkpoint(self, path: Optional[str] = None) -> dict:
+        """Write a coordinated snapshot; worker recovery rolls back to it."""
+        self._last_document = super().write_checkpoint(path)
+        return self._last_document
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def _solo_step(self) -> bool:
-        inner = self._solo
-        before = inner._rounds
-        while True:
-            if inner.engine.step() is None:
-                return False
-            if inner._rounds != before:
-                break
-        if (
-            self.checkpoint_every > 0
-            and inner._rounds % self.checkpoint_every == 0
-        ):
-            self.write_checkpoint()
-        return True
-
     def run(self) -> SwarmResult:
         """Run to the horizon; returns the aggregated result bundle."""
         if self._finished:
             raise SimulationError("run() called twice")
         start = _time.perf_counter()
-        self._ensure_started()
-        if self._solo is not None:
-            while self._solo_step():
-                pass
-            self._finished = True
-            return self._solo_result(start)
+        self.setup()
         try:
             while self.step_round():
                 pass
@@ -1262,51 +1197,6 @@ class ShardedSwarm(Swarm):
             self.close()
         self._finished = True
         return result
-
-    def _solo_result(self, start: float) -> SwarmResult:
-        inner = self._solo
-        profile = (
-            inner.profiler.as_dict() if inner.profiler is not None else None
-        )
-        wall_time = _time.perf_counter() - start
-        self.shard_profiles = (
-            {"shard0": dict(profile)} if profile is not None else None
-        )
-        self.telemetry = Telemetry(
-            wall_time=wall_time,
-            workers=1,
-            events=inner.engine.processed_events,
-            backend="sharded",
-            shards=1,
-            round_profile=dict(profile) if profile else {},
-        )
-        return SwarmResult(
-            config=self.config,
-            metrics=inner.metrics,
-            instrumented=[],
-            total_rounds=inner._rounds,
-            final_leechers=inner._n_leech,
-            final_seeds=inner._n_seeds,
-            tracker_population_log=list(inner._population_log),
-            connection_stats=inner.connection_stats,
-            seed_upload_count=inner.seed_upload_count,
-            events_processed=inner.engine.processed_events,
-            wall_time=wall_time,
-            fault_stats=(
-                inner.fault_injector.stats
-                if inner.fault_injector is not None
-                else None
-            ),
-            round_profile=profile,
-            resumed_from_round=(
-                self.resumed_from_round
-                if self.resumed_from_round is not None
-                else inner.resumed_from_round
-            ),
-            checkpoints_written=self.checkpoints_written,
-            backend="sharded",
-            shard_profiles=self.shard_profiles,
-        )
 
     def _finalize(self, start: float) -> SwarmResult:
         for index in range(self.shards):
@@ -1363,17 +1253,6 @@ class ShardedSwarm(Swarm):
         }
         wall_time = _time.perf_counter() - start
         self.shard_profiles = profiles or None
-        self.telemetry = Telemetry(
-            wall_time=wall_time,
-            workers=self.shards,
-            events=events,
-            resumes=self.worker_restarts,
-            backend="sharded",
-            shards=self.shards,
-            round_profile=dict(aggregate),
-            bytes_broadcast=self._bytes_broadcast,
-            bytes_migrated=self._bytes_migrated,
-        )
         return SwarmResult(
             config=self.config,
             metrics=self.metrics,
@@ -1442,8 +1321,8 @@ def restore_sharded_swarm(
     *,
     shards: Optional[int] = None,
     **swarm_kwargs,
-) -> ShardedSwarm:
-    """Rebuild a :class:`ShardedSwarm` from a coordinated snapshot.
+):
+    """Rebuild a sharded swarm from a coordinated snapshot.
 
     ``shards`` resumes at a *different* worker count (elastic
     re-sharding): peer rows from every shard document (plus in-flight
@@ -1452,8 +1331,21 @@ def restore_sharded_swarm(
     fold into the coordinator's carried totals.  Same-count resume is
     exact and fingerprint-preserving; a repartitioned resume is a new
     (deterministic) trajectory.
+
+    A soa document — what ``shards=1`` writes — restores as the soa
+    engine itself, or at ``shards >= 2`` is lifted into a one-shard
+    coordinated document and repartitioned.
     """
     from repro.checkpoint.schema import _restore_soa_swarm
+
+    if "solo" in document:
+        # Older releases wrapped the soa document of a shards=1 run in
+        # a sharded envelope; the embedded document is all it holds.
+        document = document["solo"]
+    if document.get("backend") == "soa":
+        if shards is None or int(shards) == 1:
+            return _restore_soa_swarm(document, **swarm_kwargs)
+        document = _sharded_document_from_soa(document)
 
     config = SimConfig.from_dict(document["config"])
     doc_shards = int(document["shards"])
@@ -1464,26 +1356,6 @@ def restore_sharded_swarm(
         None if document.get("faults_plan") is None
         else FaultPlan.from_dict(document["faults_plan"])
     )
-
-    if doc_shards == 1:
-        inner_kwargs = {
-            key: value for key, value in swarm_kwargs.items()
-            if key in ("profile",)
-        }
-        inner = _restore_soa_swarm(document["solo"], **inner_kwargs)
-        if target == 1:
-            swarm = ShardedSwarm(
-                config, shards=1, metrics=inner.metrics,
-                faults=plan, **swarm_kwargs,
-            )
-            swarm._solo = inner
-            swarm.resumed_from_round = inner._rounds
-            return swarm
-        # Repartition a solo snapshot onto >= 2 workers: synthesize a
-        # one-shard coordinated document and fall through.
-        document = _sharded_document_from_solo(document, inner)
-        doc_shards = 1
-
     if target == doc_shards:
         swarm = ShardedSwarm(
             config, shards=target, faults=plan, **swarm_kwargs,
@@ -1495,38 +1367,42 @@ def restore_sharded_swarm(
     return _repartition(document, config, plan, target, swarm_kwargs)
 
 
-def _sharded_document_from_solo(document: dict, inner: SoaSwarm) -> dict:
-    """Lift a ``shards=1`` (solo) snapshot into coordinator form."""
-    from repro.checkpoint.schema import _snapshot_metrics, _triples
+def _sharded_document_from_soa(document: dict) -> dict:
+    """Lift a soa snapshot into a one-shard coordinated document.
 
-    solo = document["solo"]
-    sw = solo["swarm"]
+    The soa engine's RNG becomes the coordinator's tracker stream and
+    its queued arrival (if any) the coordinator's next arrival.
+    """
+    sw = document["swarm"]
+    stats = sw["connection_stats"]
+    faults = document["faults"]
+    arrivals = [
+        time for time, _seq, kind, _payload in document["engine"]["queue"]
+        if kind == "arrival"
+    ]
+    piece_time = SimConfig.from_dict(document["config"]).piece_time
     return {
         "schema_version": document["schema_version"],
         "backend": "sharded",
         "shards": 1,
         "config": document["config"],
-        "faults_plan": document.get("faults_plan"),
+        "faults_plan": None if faults is None else faults["plan"],
         "coordinator": {
             "generation": 0,
             "rng": sw["rng"],
             "rounds": int(sw["rounds"]),
-            "next_round_time": (
-                (inner._rounds + 1) * inner.config.piece_time
-            ),
-            "population_log": _triples(inner._population_log),
+            "next_round_time": (int(sw["rounds"]) + 1) * piece_time,
+            "population_log": sw["population_log"],
             "global_next_id": int(sw["next_id"]),
-            "next_arrival": None,
+            "next_arrival": min(arrivals) if arrivals else None,
             "pending_rows": [None],
             "shard_state": [{
                 "n_leech": int(sw["n_leech"]),
                 "n_seeds": int(sw["n_seeds"]),
                 "piece_counts": list(sw["piece_counts"]),
                 "stats": [
-                    sw["connection_stats"]["survived"],
-                    sw["connection_stats"]["dropped"],
-                    sw["connection_stats"]["attempts"],
-                    sw["connection_stats"]["formed"],
+                    stats["survived"], stats["dropped"],
+                    stats["attempts"], stats["formed"],
                 ],
                 "seed_uploads": int(sw["seed_upload_count"]),
             }],
@@ -1535,9 +1411,9 @@ def _sharded_document_from_solo(document: dict, inner: SoaSwarm) -> dict:
                 "seed_uploads": 0, "events": 0,
             },
             "carried_faults": None,
-            "metrics": _snapshot_metrics(inner.metrics),
+            "metrics": document["metrics"],
         },
-        "shard_docs": [solo],
+        "shard_docs": [document],
     }
 
 

@@ -25,7 +25,8 @@ the same protocol round as flat numpy arrays:
   leecher accept cap even when a seed is neighbor to the whole swarm).
 
 The backend is selected with ``Swarm(config, backend="soa")`` (see
-:meth:`~repro.sim.swarm.Swarm.__new__`) and is *statistically*
+:meth:`~repro.sim.swarm.Swarm.__new__`; ``backend="sharded", shards=1``
+builds this engine too) and is *statistically*
 equivalent to the object engine — same protocol decisions with the same
 probabilities, different RNG stream consumption — verified by
 ``tests/sim/test_soa_equivalence.py``.  Within the soa backend itself,
@@ -57,6 +58,7 @@ from repro.sim.engine import DiscreteEventEngine, Event
 from repro.sim.metrics import CompletedDownload, MetricsCollector
 from repro.sim.peer import PeerStats
 from repro.sim.piece_selection import RARITY_EXPONENT
+from repro.sim.swarm import CheckpointControl, SwarmResult
 
 __all__ = [
     "PeerStore",
@@ -444,25 +446,22 @@ class ScratchArena:
 # ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
-from repro.sim.swarm import Swarm, SwarmResult  # noqa: E402  (cycle-safe: swarm imports soa lazily)
-
-
-class SoaSwarm(Swarm):
+class SoaSwarm(CheckpointControl):
     """Array-native swarm: same protocol, same config, ~2 orders faster.
 
-    Construction mirrors :class:`~repro.sim.swarm.Swarm`; options that
-    require per-peer objects (instrumentation, neighborhood rarity,
-    greedy matching, sub-piece blocks, tracker bootstrap bias, and the
-    sequential/windowed streaming policies) raise
-    :class:`~repro.errors.ParameterError` pointing at the object
-    backend.
+    Construction mirrors :class:`~repro.sim.swarm.Swarm` (which builds
+    this engine for ``backend="soa"`` and for ``backend="sharded",
+    shards=1``); options that require per-peer objects
+    (instrumentation, neighborhood rarity, greedy matching, sub-piece
+    blocks, tracker bootstrap bias, and the sequential/windowed
+    streaming policies) raise :class:`~repro.errors.ParameterError`
+    pointing at the object backend.
     """
 
     def __init__(
         self,
         config: SimConfig,
         *,
-        backend: str = "soa",
         instrument_first: int = 0,
         instrumented_avoid_seeds: bool = False,
         instrumented_start_empty: bool = True,
@@ -473,13 +472,10 @@ class SoaSwarm(Swarm):
         checkpoint_every: int = 0,
         checkpoint_path: Optional[str] = None,
     ):
-        if backend != "soa":
-            raise ParameterError(
-                f"SoaSwarm is the 'soa' backend, got backend={backend!r}"
-            )
         self._check_supported(
             config, instrument_first, instrumented_avoid_seeds, rarity_view
         )
+        super().__init__(checkpoint_every, checkpoint_path)
         self.backend = "soa"
         self.config = config
         self.rng = np.random.default_rng(config.seed)
@@ -498,18 +494,6 @@ class SoaSwarm(Swarm):
         self.seed_upload_count = 0
         self._rounds = 0
         self._setup_done = False
-        if checkpoint_every < 0:
-            raise ParameterError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        if checkpoint_every > 0 and checkpoint_path is None:
-            raise ParameterError(
-                "checkpoint_every > 0 requires a checkpoint_path"
-            )
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = checkpoint_path
-        self.checkpoints_written = 0
-        self.resumed_from_round: Optional[int] = None
         self.fault_injector: Optional[FaultInjector] = None
         if faults is not None:
             self.fault_injector = FaultInjector(faults, config.seed)
@@ -1008,11 +992,7 @@ class SoaSwarm(Swarm):
         ):
             self.engine.schedule_at(next_time, Event("round"))
 
-        if (
-            self.checkpoint_every > 0
-            and self._rounds % self.checkpoint_every == 0
-        ):
-            self.write_checkpoint()
+        self._maybe_checkpoint()
 
     # -- store maintenance -------------------------------------------------
     def _depart_lingering_seeds(self, time: float) -> None:
@@ -1793,8 +1773,18 @@ class SoaSwarm(Swarm):
         return snapshot_soa_swarm(self)
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Entry points
     # ------------------------------------------------------------------
+    def step_round(self) -> bool:
+        """Advance one protocol round; ``False`` when the run ended."""
+        if not self._setup_done:
+            self.setup()
+        before = self._rounds
+        while self._rounds == before:
+            if self.engine.step() is None:
+                return False
+        return True
+
     def run(self) -> SwarmResult:
         """Run to the configured horizon and return the result bundle."""
         start = _time.perf_counter()

@@ -26,6 +26,7 @@ O(s * B) per peer per round for studies where the distinction matters.
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -131,11 +132,71 @@ class SwarmResult:
         return result_fingerprint(self)
 
 
+class CheckpointControl:
+    """Checkpoint run-control shared by the swarm engines.
+
+    An engine calls ``super().__init__(checkpoint_every,
+    checkpoint_path)`` from its constructor and provides ``snapshot()``
+    and a ``_rounds`` counter; the periodic hook and explicit writes
+    both land in :meth:`write_checkpoint`.
+    """
+
+    def __init__(self, checkpoint_every: int, checkpoint_path: Optional[str]):
+        if checkpoint_every < 0:
+            raise ParameterError(
+                f"checkpoint_every must be >= 0, got {checkpoint_every}"
+            )
+        if checkpoint_every > 0 and checkpoint_path is None:
+            raise ParameterError(
+                "checkpoint_every > 0 requires a checkpoint_path"
+            )
+        self.checkpoint_every = checkpoint_every
+        self.checkpoint_path = checkpoint_path
+        self.checkpoints_written = 0
+        #: Round a restore re-entered at (None for a fresh swarm).
+        self.resumed_from_round: Optional[int] = None
+
+    def _maybe_checkpoint(self) -> None:
+        """The periodic hook: write when ``checkpoint_every`` divides
+        the rounds completed so far."""
+        if (
+            self.checkpoint_every > 0
+            and self._rounds % self.checkpoint_every == 0
+        ):
+            self.write_checkpoint()
+
+    def write_checkpoint(self, path: Optional[str] = None) -> dict:
+        """Atomically write the current snapshot; returns the document.
+
+        Defaults to the configured ``checkpoint_path``.
+        """
+        from repro.checkpoint.format import write_checkpoint
+
+        target = path if path is not None else self.checkpoint_path
+        if target is None:
+            raise ParameterError(
+                "write_checkpoint() needs a path argument or a "
+                "checkpoint_path configured at construction"
+            )
+        document = self.snapshot()
+        write_checkpoint(document, target)
+        self.checkpoints_written += 1
+        return document
+
+
+#: The engines ``Swarm(config, backend=...)`` builds: backend name ->
+#: (module, class), imported on first use.  ``None`` is :class:`Swarm`.
+_ENGINES = {
+    "object": None,
+    "soa": ("repro.sim.soa", "SoaSwarm"),
+    "sharded": ("repro.sim.sharded", "ShardedSwarm"),
+}
+
 #: Valid values for the ``backend`` constructor argument.
-BACKENDS = ("object", "soa", "sharded")
+BACKENDS = tuple(_ENGINES)
 
 
-class Swarm:
+class Swarm(CheckpointControl):
     """A configurable BitTorrent swarm simulation.
 
     Args:
@@ -148,10 +209,14 @@ class Swarm:
             subset) or ``"sharded"`` (the SoA slab partitioned across
             ``shards=N`` worker processes — :mod:`repro.sim.sharded`;
             million-peer swarms, same config subset as ``"soa"``).
-            ``Swarm(config, backend="soa")`` transparently constructs a
-            :class:`~repro.sim.soa.SoaSwarm`, and
-            ``Swarm(config, backend="sharded", shards=N)`` a
-            :class:`~repro.sim.sharded.ShardedSwarm`.
+            For the other backends ``Swarm(...)`` returns that engine,
+            built from the remaining keywords: a
+            :class:`~repro.sim.soa.SoaSwarm`, or for ``"sharded"`` a
+            :class:`~repro.sim.sharded.ShardedSwarm` — except that
+            ``shards=1`` *is* the soa engine and returns a
+            :class:`~repro.sim.soa.SoaSwarm`.  Neither subclasses
+            :class:`Swarm`; the three engines share only
+            :class:`CheckpointControl`.
         instrument_first: instrument the first N leechers to enter the
             swarm (initial population first, then arrivals) — they log
             per-round potential-set and connection series.
@@ -180,30 +245,32 @@ class Swarm:
             when ``checkpoint_every > 0``.
     """
 
-    def __new__(cls, config: Optional[SimConfig] = None, **kwargs):
-        backend = kwargs.get("backend", "object")
-        if backend not in BACKENDS:
+    def __new__(
+        cls,
+        config: Optional[SimConfig] = None,
+        *,
+        backend: str = "object",
+        **kwargs,
+    ):
+        if backend not in _ENGINES:
             raise ParameterError(
                 f"unknown swarm backend {backend!r}; valid backends are "
                 f"{', '.join(repr(b) for b in BACKENDS)} "
                 f"(e.g. Swarm(config, backend='soa') or "
                 f"repro-bt run --backend soa)"
             )
-        if cls is Swarm and backend == "soa":
-            from repro.sim.soa import SoaSwarm
-
-            return super().__new__(SoaSwarm)
-        if cls is Swarm and backend == "sharded":
-            from repro.sim.sharded import ShardedSwarm
-
-            return super().__new__(ShardedSwarm)
-        return super().__new__(cls)
+        engine = _ENGINES[backend]
+        if engine is None:
+            return super().__new__(cls)
+        # The engine is no Swarm, so Python skips Swarm.__init__ on it.
+        module, name = engine
+        return getattr(importlib.import_module(module), name)(config, **kwargs)
 
     def __init__(
         self,
         config: SimConfig,
         *,
-        backend: str = "object",
+        backend: str = "object",  # resolved by __new__
         instrument_first: int = 0,
         instrumented_avoid_seeds: bool = False,
         instrumented_start_empty: bool = True,
@@ -214,11 +281,7 @@ class Swarm:
         checkpoint_every: int = 0,
         checkpoint_path: Optional[str] = None,
     ):
-        if backend != "object":
-            raise ParameterError(
-                f"Swarm.__init__ implements the 'object' backend, got "
-                f"backend={backend!r}"
-            )
+        super().__init__(checkpoint_every, checkpoint_path)
         self.backend = "object"
         if instrument_first < 0:
             raise ParameterError(
@@ -263,19 +326,6 @@ class Swarm:
         self.seed_upload_count = 0
         self._rounds = 0
         self._setup_done = False
-        if checkpoint_every < 0:
-            raise ParameterError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        if checkpoint_every > 0 and checkpoint_path is None:
-            raise ParameterError(
-                "checkpoint_every > 0 requires a checkpoint_path"
-            )
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = checkpoint_path
-        self.checkpoints_written = 0
-        #: Round a restore re-entered at (None for a fresh swarm).
-        self.resumed_from_round: Optional[int] = None
         #: Fault injection (None when no plan is attached).
         self.fault_injector: Optional[FaultInjector] = None
         if faults is not None:
@@ -456,11 +506,7 @@ class Swarm:
         # Snapshot AFTER scheduling the follow-up round, so the captured
         # event queue already carries the continuation — a resumed run
         # re-enters the loop exactly where the interrupted one would.
-        if (
-            self.checkpoint_every > 0
-            and self._rounds % self.checkpoint_every == 0
-        ):
-            self.write_checkpoint()
+        self._maybe_checkpoint()
 
     def _depart_lingering_seeds(self, time: float) -> None:
         for peer in list(self.tracker.seeds()):
@@ -794,19 +840,6 @@ class Swarm:
         from repro.checkpoint.schema import snapshot_swarm
 
         return snapshot_swarm(self)
-
-    def write_checkpoint(self, path: Optional[str] = None) -> None:
-        """Atomically write the current snapshot to ``path``.
-
-        Defaults to the configured ``checkpoint_path``.
-        """
-        from repro.checkpoint.format import write_checkpoint
-
-        target = path if path is not None else self.checkpoint_path
-        if target is None:
-            raise ParameterError("no checkpoint path configured")
-        write_checkpoint(self.snapshot(), target)
-        self.checkpoints_written += 1
 
     @classmethod
     def resume(cls, snapshot: dict, **swarm_kwargs) -> "Swarm":

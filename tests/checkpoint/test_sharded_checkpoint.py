@@ -11,7 +11,11 @@ the guarantees under test compose the two:
   ``run_swarm_with_checkpoints`` with an identical fingerprint;
 * a checkpoint taken at ``shards=2`` resumes at ``shards=4``
   (checkpoint -> repartition -> resume) deterministically, conserving
-  every peer id.
+  every peer id;
+* ``shards=1`` is the soa engine, so it writes soa checkpoints, and a
+  soa checkpoint (or a container from the older ``shards=1`` wrapper)
+  resumes at one shard exactly and at ``shards >= 2`` through the same
+  repartition.
 """
 
 import os
@@ -19,7 +23,7 @@ import signal
 
 import pytest
 
-from repro.checkpoint.format import read_checkpoint
+from repro.checkpoint.format import read_checkpoint, write_checkpoint
 from repro.checkpoint.store import run_swarm_with_checkpoints
 from repro.errors import CheckpointError, SimulationError
 from repro.sim.config import SimConfig
@@ -116,7 +120,7 @@ def test_abandoned_run_resumes_from_checkpoint_file(tmp_path):
 
 
 def test_solo_shard_checkpoint_resumes_identical_to_soa(tmp_path):
-    """shards=1 checkpoints through the soa document and stays exact."""
+    """shards=1 writes a plain soa document and stays exact."""
     config = sharded_config(max_time=20.0)
     baseline = run_swarm(config, backend="soa")
 
@@ -128,14 +132,91 @@ def test_solo_shard_checkpoint_resumes_identical_to_soa(tmp_path):
     for _ in range(10):
         assert swarm.step_round()
     document = read_checkpoint(path)
-    assert document["backend"] == "sharded"
-    assert document["shards"] == 1
+    assert document["backend"] == "soa"
+    assert "shards" not in document
 
     result = run_swarm_with_checkpoints(
         config, checkpoint_path=path, backend="sharded", shards=1
     )
     assert result.resumed_from_round == 7
     assert result.fingerprint() == baseline.fingerprint()
+
+
+def _soa_checkpoint(tmp_path, config, every=6, rounds=8):
+    """Step a ``shards=1`` swarm past one checkpoint; the file's path."""
+    path = tmp_path / "one-shard.repro-ckpt"
+    swarm = Swarm(
+        config, backend="sharded", shards=1,
+        checkpoint_every=every, checkpoint_path=str(path),
+    )
+    for _ in range(rounds):
+        assert swarm.step_round()
+    return path
+
+
+def _peer_ids(sharded_document):
+    return sorted(
+        peer_id
+        for shard_doc in sharded_document["shard_docs"]
+        for peer_id in shard_doc["store"]["peer_id"]
+    )
+
+
+def test_soa_checkpoint_lifts_onto_two_shards(tmp_path):
+    """A one-shard (soa) checkpoint resumes at shards=2: every peer id
+    survives the repartition, the run reaches the horizon, arrivals
+    continue, and two resumes are fingerprint-identical."""
+    config = sharded_config()
+    path = _soa_checkpoint(tmp_path, config)
+    document = read_checkpoint(path)
+    assert document["backend"] == "soa"
+
+    swarm = restore_sharded_swarm(document, shards=2)
+    swarm.setup()
+    assert _peer_ids(swarm.snapshot()) == sorted(
+        document["store"]["peer_id"]
+    )
+    first = swarm.run()
+    assert first.backend == "sharded"
+    assert first.resumed_from_round == 6
+    assert first.total_rounds == int(config.max_time)
+    assert swarm._global_next_id > document["swarm"]["next_id"]
+
+    second = run_swarm_with_checkpoints(
+        config, checkpoint_path=path, backend="sharded", shards=2
+    )
+    assert second.backend == "sharded"
+    assert second.fingerprint() == first.fingerprint()
+
+
+def test_legacy_single_shard_container_still_resumes(tmp_path):
+    """Containers from the old ``shards=1`` wrapper (a soa document
+    under a sharded envelope) resume at one shard and at two."""
+    config = sharded_config(max_time=20.0)
+    baseline = run_swarm(config, backend="soa")
+    soa_document = read_checkpoint(_soa_checkpoint(tmp_path, config, 7, 10))
+    legacy = tmp_path / "legacy.repro-ckpt"
+    write_checkpoint({
+        "schema_version": soa_document["schema_version"],
+        "backend": "sharded",
+        "shards": 1,
+        "config": soa_document["config"],
+        "faults_plan": None,
+        "solo": soa_document,
+    }, legacy)
+
+    result = run_swarm_with_checkpoints(
+        config, checkpoint_path=legacy, backend="sharded", shards=1
+    )
+    assert result.resumed_from_round == 7
+    assert result.fingerprint() == baseline.fingerprint()
+
+    resharded = Swarm.resume(read_checkpoint(legacy), shards=2)
+    resharded.setup()
+    assert _peer_ids(resharded.snapshot()) == sorted(
+        soa_document["store"]["peer_id"]
+    )
+    assert resharded.run().total_rounds == int(config.max_time)
 
 
 def test_reshard_on_resume_two_to_four(tmp_path):

@@ -2,9 +2,10 @@
 
 Two layers, matching the backend's contract:
 
-* ``shards=1`` hosts a single unmodified in-process SoA swarm, so its
-  fingerprint must be *identical* to ``backend="soa"`` — byte-for-byte,
-  including under fault plans and poisson arrivals.
+* ``shards=1`` *is* the soa engine (construction returns a plain
+  ``SoaSwarm``), so its fingerprint must be *identical* to
+  ``backend="soa"`` — byte-for-byte, including under fault plans and
+  poisson arrivals.
 * ``shards >= 2`` partitions the population: per-shard neighbor sets,
   coordinator-owned arrivals and round-boundary migration change the
   trajectory, so individual runs differ while ensemble statistics must
@@ -16,10 +17,13 @@ Two layers, matching the backend's contract:
 import numpy as np
 import pytest
 
+from repro.errors import ParameterError
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.sim.config import SimConfig
 from repro.sim.metrics import MetricsCollector
-from repro.sim.swarm import run_swarm
+from repro.sim.sharded import ShardedSwarm
+from repro.sim.soa import SoaSwarm
+from repro.sim.swarm import Swarm, run_swarm
 
 SEEDS = (0, 1, 2)
 
@@ -83,8 +87,24 @@ class TestSingleShardIsExact:
         )
         soa = run_swarm(config, backend="soa")
         sharded = run_swarm(config, backend="sharded", shards=1)
-        assert sharded.backend == "sharded"
+        assert sharded.backend == "soa"
         assert sharded.fingerprint() == soa.fingerprint()
+
+    def test_single_shard_constructs_the_soa_engine(self):
+        swarm = Swarm(steady_config(seed=1), backend="sharded", shards=1)
+        assert type(swarm) is SoaSwarm
+
+    def test_array_engines_do_not_subclass_the_object_swarm(self):
+        assert Swarm not in SoaSwarm.__mro__
+        assert Swarm not in ShardedSwarm.__mro__
+
+    @pytest.mark.parametrize(
+        "knobs", ({"shards": 0}, {"shards": 1, "shard_mix": -0.1},
+                  {"shards": 1, "shard_mix": 1.5}),
+    )
+    def test_sharding_knobs_still_validated(self, knobs):
+        with pytest.raises(ParameterError):
+            Swarm(steady_config(seed=1), backend="sharded", **knobs)
 
     def test_fingerprint_identical_under_faults(self):
         config = steady_config(

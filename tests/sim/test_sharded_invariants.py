@@ -337,6 +337,24 @@ def test_fabric_segments_unlinked_after_normal_close():
         assert not _segment_exists(name)
 
 
+def test_explicit_setup_starts_workers_once():
+    """``setup()`` forks the workers; ``run()`` reuses them and still
+    unlinks every segment."""
+    config = _lifecycle_config()
+    baseline = Swarm(config, backend="sharded", shards=2).run()
+    swarm = Swarm(config, backend="sharded", shards=2)
+    swarm.setup()
+    pids = swarm.worker_pids()
+    names = swarm.fabric_segment_names()
+    assert len(pids) == 2 and names
+    assert all(name.startswith("rbt-") for name in names)
+    assert swarm.step_round()
+    assert swarm.worker_pids() == pids
+    result = swarm.run()
+    assert result.fingerprint() == baseline.fingerprint()
+    assert not any(_segment_exists(name) for name in names)
+
+
 def test_fabric_segments_recreated_after_sigkilled_worker():
     """Recovery tears the whole fabric down and builds a fresh one; the
     dead generation's segments must be gone the moment recovery ends."""

@@ -37,6 +37,17 @@ class TestRarityViews:
         )
 
 
+class TestBackendSelection:
+    def test_unknown_backend_message(self):
+        with pytest.raises(ParameterError) as excinfo:
+            Swarm(base_config(), backend="bogus")
+        assert str(excinfo.value) == (
+            "unknown swarm backend 'bogus'; valid backends are 'object', "
+            "'soa', 'sharded' (e.g. Swarm(config, backend='soa') or "
+            "repro-bt run --backend soa)"
+        )
+
+
 class TestPieceTimeScaling:
     def test_rounds_scale_with_piece_time(self):
         fast = run_swarm(base_config(piece_time=1.0, max_time=60.0))
