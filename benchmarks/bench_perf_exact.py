@@ -3,9 +3,9 @@
 Two measurements, recorded in ``BENCH_perf.json`` (section
 ``exact_engine``):
 
-* **Equivalence-scale speedup** — :func:`propagate_distribution` on a
+* **Equivalence-scale speedup** — transient propagation on a
   parameter set both engines can run (``B=24, k=3, s=12``): the CSR
-  mat-vec loop must beat the ``Dict[State, float]`` reference by at
+  mat-vec loop must beat the ``Dict[State, float]`` test oracle by at
   least :data:`MIN_SPEEDUP`.
 * **Paper-scale budget** — the full ``B=200, k=7, s=50`` pipeline
   (compile the operator, fundamental-matrix solve for mean/variance,
@@ -25,10 +25,10 @@ import numpy as np
 
 from benchmarks.perf_report import record_perf
 from repro.core.chain import DownloadChain
-from repro.core.exact import _propagate_distribution_impl
+from repro.core.exact import _propagate_dict, _propagate_sparse
 from repro.core.parameters import DEFAULT_PARAMETERS, ModelParameters
 
-#: Largest parameter set the dict reference propagates in sane time.
+#: Largest parameter set the dict oracle propagates in sane time.
 EQUIV_PARAMS = ModelParameters(
     num_pieces=24, max_conns=3, ns_size=12, alpha=0.2, gamma=0.2
 )
@@ -42,11 +42,11 @@ MAX_PAPER_SECONDS = 30.0
 
 
 def propagate_dict(chain: DownloadChain):
-    return _propagate_distribution_impl(chain, EQUIV_HORIZON, method="dict")
+    return _propagate_dict(chain, EQUIV_HORIZON, prune=1e-12)
 
 
 def propagate_sparse(chain: DownloadChain):
-    return _propagate_distribution_impl(chain, EQUIV_HORIZON, method="sparse")
+    return _propagate_sparse(chain, EQUIV_HORIZON)
 
 
 def test_perf_exact_speedup(benchmark):
@@ -97,7 +97,7 @@ def test_perf_exact_speedup(benchmark):
 
     horizon = max(int(mean + 10.0 * std), int(2.0 * mean))
     propagate_start = time.perf_counter()
-    transient = _propagate_distribution_impl(paper_chain, horizon, method="sparse")
+    transient = _propagate_sparse(paper_chain, horizon)
     propagate_seconds = time.perf_counter() - propagate_start
     paper_seconds = compile_seconds + solve_seconds + propagate_seconds
 

@@ -1,12 +1,8 @@
 """The unified model-query API: canonical parameters, one ``solve()``.
 
-Historically each exact/Monte-Carlo quantity had its own entry point
-with its own kwargs and its own ``method=`` vocabulary
-(:func:`~repro.core.exact.exact_potential_ratio`,
-:func:`~repro.core.exact.propagate_distribution`,
-:func:`~repro.core.sparse.solve_fundamental`,
-:func:`~repro.core.timeline.mean_timeline`).  This module redesigns that
-surface around three values:
+Every model quantity of the paper's §3 chain — potential-set ratio,
+timeline, download time, phases, transient law — is answered through
+one surface built around three values:
 
 * :class:`ModelParams` — a frozen, canonicalized subclass of
   :class:`~repro.core.parameters.ModelParameters` with normalized field
@@ -19,10 +15,6 @@ surface around three values:
 * :func:`solve` — one dispatch table mapping
   ``(Quantity, Method)`` to the engine that answers it, returning a
   :class:`SolveResult` that serializes uniformly.
-
-The old entry points remain as thin deprecation shims that forward to
-the same implementations, so historical callers get bit-identical
-results plus a :class:`DeprecationWarning`.
 
 Example::
 
@@ -47,19 +39,17 @@ import numpy as np
 from repro.core.exact import (
     PRUNED_MASS_WARN,
     PotentialRatioExact,
-    _exact_potential_ratio_impl,
-    _propagate_distribution_impl,
+    _propagate_sparse,
     _warn_pruned,
 )
 from repro.core.methods import Method
 from repro.core.parameters import ModelParameters
-from repro.core.phases import Phase
 from repro.core.piece_distribution import PieceCountDistribution
 from repro.core.timeline import (
     PhaseStatistics,
     PotentialRatioResult,
     TimelineResult,
-    _mean_timeline_impl,
+    _mean_timeline,
     phase_duration_statistics,
     potential_ratio_by_pieces,
 )
@@ -274,8 +264,7 @@ _QUANTITY_ALIASES = {
 #: Methods each quantity accepts (AUTO resolves before dispatch).
 _ALLOWED_METHODS = {
     Quantity.POTENTIAL_RATIO: (
-        Method.EXACT, Method.BATCH, Method.SERIAL, Method.DICT,
-        Method.MEANFIELD,
+        Method.EXACT, Method.BATCH, Method.SERIAL, Method.MEANFIELD,
     ),
     Quantity.TIMELINE: (
         Method.EXACT, Method.BATCH, Method.SERIAL, Method.MEANFIELD,
@@ -286,7 +275,7 @@ _ALLOWED_METHODS = {
     Quantity.PHASES: (
         Method.EXACT, Method.BATCH, Method.SERIAL, Method.MEANFIELD,
     ),
-    Quantity.TRANSIENT: (Method.EXACT, Method.DICT),
+    Quantity.TRANSIENT: (Method.EXACT,),
 }
 
 
@@ -314,8 +303,9 @@ class Query:
     """One canonical model query: parameters + quantity + method + options.
 
     Build through :meth:`Query.make` (which canonicalizes the params,
-    parses quantity/method names, resolves ``auto``, and validates the
-    options) or :meth:`Query.from_request` (the service's JSON body).
+    parses quantity/method names, coerces option values by type,
+    resolves ``auto``, and validates the option names) or
+    :meth:`Query.from_request` (the service's JSON body).
 
     Attributes:
         params: canonicalized :class:`ModelParams`.
@@ -339,6 +329,7 @@ class Query:
     ) -> "Query":
         params = ModelParams.of(params)
         quantity = Quantity.parse(quantity)
+        options = _coerce_options(options)
         method = Method.parse(
             method, allowed=_ALLOWED_METHODS[quantity] + (Method.AUTO,)
         )
@@ -437,8 +428,7 @@ def _resolve_auto(
       the state space (and swarm) grows while its cost stays flat.
 
     ``TRANSIENT`` has no Monte-Carlo or mean-field estimator, so auto
-    always means the sparse engine there (the dict engine is the slow
-    reference path and never a sensible automatic choice).
+    always means the sparse engine there.
     """
     if quantity is Quantity.TRANSIENT:
         return Method.EXACT
@@ -456,8 +446,7 @@ def _resolve_auto(
 #: Options each (quantity, method) cell accepts.
 _EXACT_OPTIONS = frozenset({"drop_tol", "max_states", "warn_above"})
 _MC_OPTIONS = frozenset({"runs", "seed"})
-_DICT_RATIO_OPTIONS = frozenset({"horizon", "prune", "warn_above"})
-_TRANSIENT_OPTIONS = frozenset({"horizon", "prune"})
+_TRANSIENT_OPTIONS = frozenset({"horizon"})
 _MEANFIELD_OPTIONS = frozenset(
     {"rtol", "atol", "drain_tol", "max_rounds", "swarm_size"}
 )
@@ -468,11 +457,36 @@ def _option_names(quantity: Quantity, method: Method) -> frozenset:
         return _TRANSIENT_OPTIONS
     if method in (Method.BATCH, Method.SERIAL):
         return _MC_OPTIONS
-    if method is Method.DICT:
-        return _DICT_RATIO_OPTIONS
     if method is Method.MEANFIELD:
         return _MEANFIELD_OPTIONS
     return _EXACT_OPTIONS
+
+
+#: Declared type of every option value; ``Query.make`` coerces each one
+#: once, so handlers and cache keys only ever see canonical values.
+_INT_OPTIONS = frozenset(
+    {"runs", "seed", "horizon", "max_states", "max_rounds", "swarm_size"}
+)
+_FLOAT_OPTIONS = frozenset(
+    {"drop_tol", "warn_above", "rtol", "atol", "drain_tol"}
+)
+
+
+def _coerce_options(options: Mapping[str, Any]) -> Dict[str, Any]:
+    """Options with every typed value coerced (``seed`` may be ``None``).
+
+    Malformed values raise :class:`ParameterError` here, before any
+    engine runs; names are left for :func:`_validate_options`.
+    """
+    coerced = dict(options)
+    for name, value in options.items():
+        if name == "seed" and value is None:
+            continue
+        if name in _INT_OPTIONS:
+            coerced[name] = _as_int(value, name)
+        elif name in _FLOAT_OPTIONS:
+            coerced[name] = _as_float(value, name)
+    return coerced
 
 
 def _validate_options(
@@ -599,20 +613,9 @@ def _ratio_exact(params: ModelParams, cache: KernelCache, opts: dict):
     return payload, {"transient_states": operator.num_states}
 
 
-def _ratio_dict(params: ModelParams, cache: KernelCache, opts: dict):
-    payload = _exact_potential_ratio_impl(
-        cache.chain(params),
-        horizon=opts.get("horizon"),
-        prune=opts.get("prune", 1e-12),
-        method=Method.DICT,
-        warn_above=opts.get("warn_above", PRUNED_MASS_WARN),
-    )
-    return payload, {}
-
-
 def _ratio_mc(batch: bool):
     def handler(params: ModelParams, cache: KernelCache, opts: dict):
-        runs = int(opts.get("runs", 64))
+        runs = opts.get("runs", 64)
         payload = potential_ratio_by_pieces(
             cache.chain(params), runs=runs, seed=opts.get("seed"), batch=batch,
         )
@@ -634,8 +637,8 @@ def _timeline_exact(params: ModelParams, cache: KernelCache, opts: dict):
 
 def _timeline_mc(batch: bool):
     def handler(params: ModelParams, cache: KernelCache, opts: dict):
-        runs = int(opts.get("runs", 64))
-        payload = _mean_timeline_impl(
+        runs = opts.get("runs", 64)
+        payload = _mean_timeline(
             cache.chain(params), runs=runs, seed=opts.get("seed"), batch=batch,
         )
         return payload, {"runs": runs}
@@ -657,8 +660,8 @@ def _download_time_exact(params: ModelParams, cache: KernelCache, opts: dict):
 
 def _download_time_mc(batch: bool, label: str):
     def handler(params: ModelParams, cache: KernelCache, opts: dict):
-        runs = int(opts.get("runs", 64))
-        timeline = _mean_timeline_impl(
+        runs = opts.get("runs", 64)
+        timeline = _mean_timeline(
             cache.chain(params), runs=runs, seed=opts.get("seed"), batch=batch,
         )
         std = float(timeline.std_steps[-1])
@@ -676,7 +679,7 @@ def _download_time_mc(batch: bool, label: str):
 
 def _phases(method: Method):
     def handler(params: ModelParams, cache: KernelCache, opts: dict):
-        runs = int(opts.get("runs", 64))
+        runs = opts.get("runs", 64)
         payload = phase_duration_statistics(
             cache.chain(params),
             runs=runs,
@@ -699,10 +702,8 @@ def _meanfield_solution(params: ModelParams, cache: KernelCache, opts: dict):
     query costs the same milliseconds as a 10**3-peer one.
     """
     swarm_size = opts.get("swarm_size")
-    if swarm_size is not None:
-        swarm_size = _as_int(swarm_size, "swarm_size")
-        if swarm_size < 1:
-            raise ParameterError(f"swarm_size must be >= 1, got {swarm_size}")
+    if swarm_size is not None and swarm_size < 1:
+        raise ParameterError(f"swarm_size must be >= 1, got {swarm_size}")
     solution = cache.meanfield_solution(
         params,
         rtol=opts.get("rtol"),
@@ -764,28 +765,19 @@ def _phases_meanfield(params: ModelParams, cache: KernelCache, opts: dict):
     return payload, stats
 
 
-def _transient(method: Method):
-    def handler(params: ModelParams, cache: KernelCache, opts: dict):
-        if "horizon" not in opts:
-            raise ParameterError(
-                "quantity 'transient' needs a 'horizon' option "
-                "(rounds to propagate)"
-            )
-        payload = _propagate_distribution_impl(
-            cache.chain(params),
-            int(opts["horizon"]),
-            prune=opts.get("prune", 1e-12),
-            method=method,
+def _transient(params: ModelParams, cache: KernelCache, opts: dict):
+    if "horizon" not in opts:
+        raise ParameterError(
+            "quantity 'transient' needs a 'horizon' option "
+            "(rounds to propagate)"
         )
-        return payload, {"horizon": int(opts["horizon"])}
-
-    return handler
+    payload = _propagate_sparse(cache.chain(params), opts["horizon"])
+    return payload, {"horizon": opts["horizon"]}
 
 
 #: The dispatch table: one cell per supported (quantity, method) pair.
 _DISPATCH = {
     (Quantity.POTENTIAL_RATIO, Method.EXACT): _ratio_exact,
-    (Quantity.POTENTIAL_RATIO, Method.DICT): _ratio_dict,
     (Quantity.POTENTIAL_RATIO, Method.BATCH): _ratio_mc(batch=True),
     (Quantity.POTENTIAL_RATIO, Method.SERIAL): _ratio_mc(batch=False),
     (Quantity.POTENTIAL_RATIO, Method.MEANFIELD): _ratio_meanfield,
@@ -801,8 +793,7 @@ _DISPATCH = {
     (Quantity.PHASES, Method.BATCH): _phases(Method.BATCH),
     (Quantity.PHASES, Method.SERIAL): _phases(Method.SERIAL),
     (Quantity.PHASES, Method.MEANFIELD): _phases_meanfield,
-    (Quantity.TRANSIENT, Method.EXACT): _transient(Method.EXACT),
-    (Quantity.TRANSIENT, Method.DICT): _transient(Method.DICT),
+    (Quantity.TRANSIENT, Method.EXACT): _transient,
 }
 
 
@@ -840,19 +831,18 @@ def solve(
 ) -> SolveResult:
     """Compute one model quantity for one parameter set.
 
-    The single front door that subsumes the historical entry points:
+    The single front door to the model:
 
     ==================  ================================================
-    ``quantity``        replaces
+    ``quantity``        answer
     ==================  ================================================
-    ``potential_ratio`` ``exact_potential_ratio`` (exact/dict) and
-                        ``potential_ratio_by_pieces`` (batch/serial)
-    ``timeline``        ``mean_timeline`` and the exact
-                        ``solve_fundamental(...).timeline``
-    ``download_time``   ``mean_hitting_time`` / ``solve_fundamental``
-                        moments, or the sampled total download time
-    ``phases``          ``phase_duration_statistics``
-    ``transient``       ``propagate_distribution``
+    ``potential_ratio`` ``E[i/s | b]`` per piece count (Figure 1(a))
+    ``timeline``        expected first round holding ``b`` pieces
+                        (Figure 1(b))
+    ``download_time``   mean (and, where known, variance) of the rounds
+                        to ``b == B``
+    ``phases``          expected rounds per download phase
+    ``transient``       round-by-round law up to a ``horizon``
     ==================  ================================================
 
     Args:
@@ -869,14 +859,14 @@ def solve(
             chains/operators through (default: the process-shared one).
         **options: per-engine knobs — ``runs``/``seed`` for the
             Monte-Carlo methods, ``drop_tol``/``max_states`` for the
-            sparse engine, ``horizon``/``prune`` for the propagation
-            paths, ``rtol``/``atol``/``drain_tol``/``max_rounds``/
-            ``swarm_size`` for the mean-field ODE backend.  Unknown
-            options raise an actionable error.
+            sparse engine, ``horizon`` for ``transient``,
+            ``rtol``/``atol``/``drain_tol``/``max_rounds``/``swarm_size``
+            for the mean-field ODE backend.  Unknown options and
+            malformed values raise an actionable error.
 
     Returns:
         A :class:`SolveResult`; ``payload`` is the quantity's native
-        result object, identical bit-for-bit to what the deprecated
-        entry point would have returned.
+        result object, identical bit-for-bit to a direct call of the
+        engine it dispatches to.
     """
     return solve_query(Query.make(params, quantity, method, **options), cache=cache)

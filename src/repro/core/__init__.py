@@ -18,12 +18,7 @@ The transition kernel factors as ``f(b'|n,b) * g(i'|n,b,i) * h(n'|n,b,i')``
 from repro.core.batch import BatchChainSampler, BatchTrajectories
 from repro.core.binomial import binomial_pmf, convolve_pmf
 from repro.core.chain import DownloadChain, State
-from repro.core.exact import (
-    PotentialRatioExact,
-    TransientResult,
-    exact_potential_ratio,
-    propagate_distribution,
-)
+from repro.core.exact import PotentialRatioExact, TransientResult
 from repro.core.parameters import ModelParameters, alpha_from_swarm
 from repro.core.phases import Phase, classify_state, phase_durations
 from repro.core.piece_distribution import PieceCountDistribution
@@ -32,7 +27,6 @@ from repro.core.sparse import (
     SparseChainOperator,
     compile_sparse_operator,
     mean_hitting_time,
-    solve_fundamental,
 )
 from repro.core.trading_power import exchange_probability
 
@@ -52,11 +46,8 @@ __all__ = [
     "exchange_probability",
     "TransientResult",
     "PotentialRatioExact",
-    "exact_potential_ratio",
-    "propagate_distribution",
     "SparseChainOperator",
     "FundamentalSolution",
     "compile_sparse_operator",
-    "solve_fundamental",
     "mean_hitting_time",
 ]

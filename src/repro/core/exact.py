@@ -10,20 +10,20 @@ by round:
 * the exact potential-set ratio ``E[i/s | b]`` of Figure 1(a),
   occupancy-weighted over all rounds spent at each piece count.
 
-Two engines back the same API:
+The public front door is :func:`repro.api.solve` (quantities
+``"transient"`` and ``"potential_ratio"``).  Propagation runs as CSR
+matrix-vector products against the compiled
+:class:`~repro.core.sparse.SparseChainOperator`, which handles the
+paper-scale ``B=200, k=7, s=50`` space (81 600 states) in seconds.
 
-* ``method="sparse"`` (default) — the state vector is propagated by
-  CSR matrix-vector products against the compiled
-  :class:`~repro.core.sparse.SparseChainOperator`; this runs the
-  paper-scale ``B=200, k=7, s=50`` space (81 600 states) in seconds.
-* ``method="dict"`` — the original ``Dict[State, float]`` propagation
-  with per-state Python loops, kept as the independent reference the
-  equivalence suite pins the sparse engine against.  States with
-  probability below ``prune`` are dropped (tracked in ``pruned_mass``)
-  so it stays tractable.
+The original ``Dict[State, float]`` loops survive as private test
+oracles (:func:`_propagate_dict`, :func:`_potential_ratio_dict`): the
+equivalence suite pins the sparse engine against them.  States with
+probability below ``prune`` are dropped (tracked in ``pruned_mass``) so
+they stay tractable.
 
 For horizon-free means and variances, prefer the fundamental-matrix
-solve (:func:`repro.core.sparse.solve_fundamental` /
+solve (``solve(params, "download_time", method="exact")`` or
 :func:`repro.core.sparse.mean_hitting_time`) over propagation.
 """
 
@@ -36,24 +36,14 @@ from typing import Dict
 import numpy as np
 
 from repro.core.chain import DownloadChain, State
-from repro.core.methods import Method
 from repro.errors import ParameterError
 
-__all__ = [
-    "TransientResult",
-    "PotentialRatioExact",
-    "propagate_distribution",
-    "exact_potential_ratio",
-]
-
-_DEPRECATION_TEMPLATE = (
-    "repro.core.exact.{name} is deprecated; use "
-    "repro.api.solve(params, {quantity!r}, method=...) instead"
-)
+__all__ = ["TransientResult", "PotentialRatioExact"]
 
 #: Default threshold above which discarded probability mass triggers a
-#: :class:`RuntimeWarning` (both engines report it; the dict path can
-#: accumulate real mass when ``prune`` is set aggressively).
+#: :class:`RuntimeWarning` (the sparse engine reports its compile drop;
+#: the dict oracles can accumulate real mass when ``prune`` is set
+#: aggressively).
 PRUNED_MASS_WARN = 1e-6
 
 
@@ -83,7 +73,7 @@ class TransientResult:
     expected_potential: np.ndarray
     expected_connections: np.ndarray
     pruned_mass: float
-    method: str = "dict"
+    method: str
 
     @property
     def tail_mass(self) -> float:
@@ -97,17 +87,17 @@ class TransientResult:
             ParameterError: if less than 99.9 % of the mass has absorbed
                 within the horizon (the estimate would be biased).  The
                 horizon-free alternative is the fundamental-matrix
-                solve: :func:`repro.core.sparse.mean_hitting_time`.
+                solve: ``solve(params, "download_time", method="exact")``
+                or :func:`repro.core.sparse.mean_hitting_time`.
         """
         absorbed = float(self.completion_cdf[-1])
         if absorbed < 0.999:
             raise ParameterError(
                 f"only {absorbed:.4f} of the probability mass absorbed "
                 f"within the horizon (tail_mass={self.tail_mass:.3e}); "
-                "extend the horizon, or use the horizon-free exact mean "
-                "from repro.core.sparse.mean_hitting_time / "
-                "solve_fundamental (the method='exact' path of the "
-                "figure runners)"
+                "extend the horizon, or use the horizon-free exact mean: "
+                "solve(params, 'download_time', method='exact') or "
+                "repro.core.sparse.mean_hitting_time"
             )
         return float(self.rounds @ self.completion_pmf / absorbed)
 
@@ -124,7 +114,8 @@ class PotentialRatioExact:
             at each piece count (within the horizon for the dict path,
             over the whole download for the sparse path).
         pruned_mass: probability mass discarded while computing the
-            curve (see :func:`exact_potential_ratio`).
+            curve: the sparse compile's drop, or the dict oracle's
+            pruning.
         method: which engine produced the result.
     """
 
@@ -145,61 +136,14 @@ def _warn_pruned(pruned_mass: float, warn_above: float, method: str) -> None:
         )
 
 
-def _propagate_distribution_impl(
-    chain: DownloadChain,
-    horizon: int,
-    *,
-    prune: float = 1e-12,
-    method: "str | Method" = "sparse",
-) -> TransientResult:
+def _propagate_sparse(chain: DownloadChain, horizon: int) -> TransientResult:
     """Propagate the exact state distribution for ``horizon`` rounds.
 
-    Args:
-        prune: dict-path threshold below which per-state mass is
-            dropped (tracked in ``pruned_mass``).  The sparse path keeps
-            the full vector and ignores it.
-        method: ``Method.EXACT`` (alias ``"sparse"``; the CSR mat-vec
-            loop, the default) or ``Method.DICT`` (the per-state
-            reference loop).  Both produce the same
-            :class:`TransientResult` to within pruning error.
+    Vectorized on the compiled CSR operator; the engine behind
+    ``solve(params, "transient", horizon=...)``.
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    if not 0.0 <= prune < 1e-3:
-        raise ParameterError(f"prune must be in [0, 1e-3), got {prune}")
-    method = Method.parse(method, allowed=(Method.EXACT, Method.DICT))
-    if method is Method.EXACT:
-        return _propagate_sparse(chain, horizon)
-    return _propagate_dict(chain, horizon, prune)
-
-
-def propagate_distribution(
-    chain: DownloadChain,
-    horizon: int,
-    *,
-    prune: float = 1e-12,
-    method: str = "sparse",
-) -> TransientResult:
-    """Deprecated shim over :func:`repro.api.solve` (``"transient"``).
-
-    Same signature and bit-identical results as the historical entry
-    point; new code should call
-    ``solve(params, "transient", method=..., horizon=...)``.
-    """
-    warnings.warn(
-        _DEPRECATION_TEMPLATE.format(
-            name="propagate_distribution", quantity="transient"
-        ),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _propagate_distribution_impl(
-        chain, horizon, prune=prune, method=method
-    )
-
-
-def _propagate_sparse(chain: DownloadChain, horizon: int) -> TransientResult:
-    """Vectorized propagation on the compiled CSR operator."""
     operator = chain.kernel.sparse_operator()
     num_pieces = chain.params.num_pieces
     transition = operator.transition
@@ -248,7 +192,11 @@ def _propagate_sparse(chain: DownloadChain, horizon: int) -> TransientResult:
 def _propagate_dict(
     chain: DownloadChain, horizon: int, prune: float
 ) -> TransientResult:
-    """The per-state reference loop (original implementation)."""
+    """The per-state reference loop: the test oracle for propagation.
+
+    Per-state mass below ``prune`` is dropped (tracked in
+    ``pruned_mass``).
+    """
     num_pieces = chain.params.num_pieces
     distribution: Dict[State, float] = {chain.initial_state: 1.0}
     transition_cache: Dict[State, Dict[State, float]] = {}
@@ -314,51 +262,29 @@ def _propagate_dict(
     )
 
 
-def _exact_potential_ratio_impl(
+def _potential_ratio_dict(
     chain: DownloadChain,
     *,
     horizon: int | None = None,
     prune: float = 1e-12,
-    method: "str | Method" = "sparse",
     warn_above: float = PRUNED_MASS_WARN,
 ) -> PotentialRatioExact:
-    """Exact ``E[i/s | b]`` over ``b = 0..B`` (Figure 1(a), exactly).
+    """Occupancy-weighted ``E[i/s | b]`` by dict propagation (test oracle).
 
     Weights every round's state distribution by occupancy: the value at
     ``b`` is the expectation of ``i/s`` over all (round, trajectory)
     pairs whose piece count is ``b``.  Entries never visited are NaN.
-
-    ``method="sparse"`` (default) reads the curve off the
-    fundamental-matrix expected-visits solve — horizon-free and exact
-    over the *whole* download, fast enough for the paper-scale
-    parameter sets.  ``method="dict"`` is the propagating reference; its
-    per-transition pruning discards mass that is now tracked in
-    ``pruned_mass`` (historically it was dropped silently) and a
-    :class:`RuntimeWarning` fires when the total exceeds
-    ``warn_above``.
+    Per-transition pruning discards mass that is tracked in
+    ``pruned_mass``; a :class:`RuntimeWarning` fires when the total
+    exceeds ``warn_above``.
 
     Args:
-        horizon: dict-path propagation length; defaults to an ample
-            multiple of the parallelism bound.  Ignored by the sparse
-            path (which needs no horizon).
-        prune: dict-path per-transition mass threshold.
-        method: ``Method.EXACT`` (alias ``"sparse"``) or
-            ``Method.DICT``.
+        horizon: propagation length; defaults to an ample multiple of
+            the parallelism bound.
+        prune: per-transition mass threshold.
         warn_above: pruned-mass level above which to warn.
     """
-    method = Method.parse(method, allowed=(Method.EXACT, Method.DICT))
     params = chain.params
-    if method is Method.EXACT:
-        solution = chain.kernel.sparse_operator().solution()
-        pruned = float(chain.kernel.sparse_operator().dropped_mass)
-        _warn_pruned(pruned, warn_above, "sparse")
-        return PotentialRatioExact(
-            ratio=solution.potential_ratio,
-            occupancy=solution.occupancy_by_pieces,
-            pruned_mass=pruned,
-            method="sparse",
-        )
-
     if horizon is None:
         horizon = max(20 * params.num_pieces, 200)
     num_pieces = params.num_pieces
@@ -401,32 +327,3 @@ def _exact_potential_ratio_impl(
         method="dict",
     )
 
-
-def exact_potential_ratio(
-    chain: DownloadChain,
-    *,
-    horizon: int | None = None,
-    prune: float = 1e-12,
-    method: str = "sparse",
-    warn_above: float = PRUNED_MASS_WARN,
-) -> PotentialRatioExact:
-    """Deprecated shim over :func:`repro.api.solve` (``"potential_ratio"``).
-
-    Same signature and bit-identical results as the historical entry
-    point; new code should call
-    ``solve(params, "potential_ratio", method=...)``.
-    """
-    warnings.warn(
-        _DEPRECATION_TEMPLATE.format(
-            name="exact_potential_ratio", quantity="potential_ratio"
-        ),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _exact_potential_ratio_impl(
-        chain,
-        horizon=horizon,
-        prune=prune,
-        method=method,
-        warn_above=warn_above,
-    )

@@ -2,11 +2,10 @@
 
 Three method vocabularies grew up independently across the codebase:
 the figure runners accepted ``exact`` / ``batch`` / ``serial`` (with a
-``monte-carlo`` alias), the exact layer accepted ``sparse`` / ``dict``,
-and :func:`repro.core.timeline.phase_duration_statistics` accepted
+``monte-carlo`` alias), the exact layer accepted ``sparse``, and
+:func:`repro.core.timeline.phase_duration_statistics` accepted
 ``batch`` / ``serial`` / ``exact``.  :class:`Method` is the single enum
-behind all of them; the old spellings survive as aliases so every
-historical call keeps working.
+behind all of them; the old spellings survive as aliases.
 
 ================  ====================================================
 ``AUTO``          pick for the caller: exact when the transient space
@@ -17,8 +16,6 @@ historical call keeps working.
 ``BATCH``         vectorized Monte Carlo on the batch sampler
 ``SERIAL``        per-trajectory Monte Carlo
                   (aliases: ``monte-carlo``, ``montecarlo``)
-``DICT``          the per-state ``Dict[State, float]`` reference engine
-                  (alias: ``reference``)
 ``MEANFIELD``     deterministic large-swarm ODE limit
                   (aliases: ``mean-field``, ``ode``)
 ================  ====================================================
@@ -50,7 +47,6 @@ class Method(str, enum.Enum):
     EXACT = "exact"
     BATCH = "batch"
     SERIAL = "serial"
-    DICT = "dict"
     MEANFIELD = "meanfield"
 
     def __str__(self) -> str:  # "exact", not "Method.EXACT"
@@ -133,13 +129,12 @@ class Method(str, enum.Enum):
         return "valid choices: " + ", ".join(parts)
 
 
-#: Historical spellings, kept working forever.
+#: Alternative spellings, accepted wherever the canonical name is.
 METHOD_ALIASES = {
     "sparse": Method.EXACT,
     "fundamental": Method.EXACT,
     "monte-carlo": Method.SERIAL,
     "montecarlo": Method.SERIAL,
-    "reference": Method.DICT,
     "mean-field": Method.MEANFIELD,
     "ode": Method.MEANFIELD,
 }

@@ -1,9 +1,9 @@
 """Sparse exact engine: the download chain compiled to one CSR operator.
 
-The dict-based exact layer (:mod:`repro.core.exact`) propagates a
-``Dict[State, float]`` with per-state Python loops, which caps it at toy
-scale.  This module exploits the same structure the batch sampler's
-dense tables use — the factored kernel ``f * g * h`` (paper Eqs. 2-3)
+The dict-based loops (the test oracles in :mod:`repro.core.exact`)
+propagate a ``Dict[State, float]`` with per-state Python loops, which
+caps them at toy scale.  This module exploits the same structure the
+batch sampler's dense tables use — the factored kernel ``f * g * h`` (paper Eqs. 2-3)
 collapses to tiny keys — to compile the *entire* one-step transition
 kernel over the transient state space into a single
 ``scipy.sparse.csr_matrix``:
@@ -21,8 +21,8 @@ kernel over the transient state space into a single
   ``(I - Q) tau = 1`` and the expected-visits solve
   ``(I - Q)^T nu = e_start``.
 
-On top of the operator, :func:`solve_fundamental` evaluates the
-fundamental matrix ``N = (I - Q)^{-1}`` without ever forming it:
+On top of the operator, :meth:`SparseChainOperator.solution` evaluates
+the fundamental matrix ``N = (I - Q)^{-1}`` without ever forming it:
 
 * exact mean *and variance* of the download time (no horizon to pick);
 * exact expected visits per state, hence the exact occupancy per piece
@@ -66,7 +66,6 @@ __all__ = [
     "SparseChainOperator",
     "FundamentalSolution",
     "compile_sparse_operator",
-    "solve_fundamental",
     "mean_hitting_time",
 ]
 
@@ -505,53 +504,6 @@ def _solve_fundamental(operator: SparseChainOperator) -> FundamentalSolution:
     )
 
 
-def _solve_fundamental_impl(
-    source: "object",
-    *,
-    drop_tol: Optional[float] = None,
-    max_states: Optional[int] = None,
-) -> FundamentalSolution:
-    """Exact horizon-free transient quantities for one parameter set.
-
-    Accepts a :class:`~repro.core.chain.DownloadChain`,
-    :class:`~repro.core.transitions.TransitionKernel`,
-    :class:`ModelParameters`, or a pre-compiled
-    :class:`SparseChainOperator`; chain/kernel sources reuse the
-    kernel-memoised operator and its cached solution.
-    """
-    return _resolve_operator(
-        source, drop_tol=drop_tol, max_states=max_states
-    ).solution()
-
-
-def solve_fundamental(
-    source: "object",
-    *,
-    drop_tol: Optional[float] = None,
-    max_states: Optional[int] = None,
-) -> FundamentalSolution:
-    """Deprecated shim over :func:`repro.api.solve`.
-
-    Same signature and bit-identical results as the historical entry
-    point; new code should call ``solve(params, "timeline",
-    method="exact")`` / ``solve(params, "download_time",
-    method="exact")`` (or keep a compiled operator and read
-    ``operator.solution()`` directly).
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.core.sparse.solve_fundamental is deprecated; use "
-        "repro.api.solve(params, 'timeline'|'download_time'|'phases', "
-        "method='exact') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _solve_fundamental_impl(
-        source, drop_tol=drop_tol, max_states=max_states
-    )
-
-
 def mean_hitting_time(
     source: "object",
     *,
@@ -560,10 +512,14 @@ def mean_hitting_time(
 ) -> float:
     """Exact expected rounds to ``b == B`` from the start state.
 
-    The horizon-free alternative to
+    Accepts a :class:`~repro.core.chain.DownloadChain`,
+    :class:`~repro.core.transitions.TransitionKernel`,
+    :class:`ModelParameters`, or a pre-compiled
+    :class:`SparseChainOperator`; chain/kernel sources reuse the
+    kernel-memoised operator and its cached solution.  The horizon-free alternative to
     :meth:`repro.core.exact.TransientResult.mean_download_time` — no
     propagation horizon to pick and no truncated tail to bias the mean.
     """
-    return _solve_fundamental_impl(
+    return _resolve_operator(
         source, drop_tol=drop_tol, max_states=max_states
-    ).mean_download_time
+    ).solution().mean_download_time

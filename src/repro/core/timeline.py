@@ -4,8 +4,9 @@ These produce the two model-side series of the paper's Figure 1:
 
 * :func:`potential_ratio_by_pieces` — E[ i / s | b ] as a function of
   the number of downloaded pieces ``b`` (Figure 1(a));
-* :func:`mean_timeline` — the expected first-passage time (in
-  piece-exchange rounds) to each piece count ``b`` (Figure 1(b)).
+* the expected first-passage time (in piece-exchange rounds) to each
+  piece count ``b`` (Figure 1(b)), which
+  ``solve(params, "timeline", method="batch"|"serial")`` answers.
 
 Both are Monte-Carlo estimators over independent chain trajectories.
 By default they run on the vectorized
@@ -13,16 +14,15 @@ By default they run on the vectorized
 all ``runs`` trajectories simultaneously; ``batch=False`` restores the
 serial per-trajectory loop (same distribution, different RNG order —
 the two paths produce statistically equivalent, not bit-identical,
-estimates).  :func:`expected_download_time_exact` and
-``phase_duration_statistics(..., method="exact")`` bypass sampling
-entirely: they read the same quantities off the compiled sparse
-operator's fundamental-matrix solve (:mod:`repro.core.sparse`), which
-handles the paper-scale state space directly.
+estimates).  ``phase_duration_statistics(..., method="exact")``
+bypasses sampling entirely: it reads the phase occupancies off the
+compiled sparse operator's fundamental-matrix solve
+(:mod:`repro.core.sparse`), which handles the paper-scale state space
+directly.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -32,17 +32,14 @@ from repro.core.batch import BatchChainSampler
 from repro.core.chain import DownloadChain
 from repro.core.methods import Method
 from repro.core.phases import Phase, phase_durations
-from repro.core.sparse import _solve_fundamental_impl, mean_hitting_time
 from repro.errors import ParameterError
 
 __all__ = [
     "TimelineResult",
     "PotentialRatioResult",
     "PhaseStatistics",
-    "mean_timeline",
     "potential_ratio_by_pieces",
     "phase_duration_statistics",
-    "expected_download_time_exact",
 ]
 
 
@@ -85,7 +82,7 @@ class PotentialRatioResult:
     observations: np.ndarray
 
 
-def _mean_timeline_impl(
+def _mean_timeline(
     chain: DownloadChain,
     *,
     runs: int = 64,
@@ -131,28 +128,6 @@ def _mean_timeline_impl(
         std_steps=std,
         runs=runs,
     )
-
-
-def mean_timeline(
-    chain: DownloadChain,
-    *,
-    runs: int = 64,
-    seed: Optional[int] = None,
-    batch: bool = True,
-) -> TimelineResult:
-    """Deprecated shim over :func:`repro.api.solve` (``"timeline"``).
-
-    Same signature and bit-identical results as the historical entry
-    point; new code should call
-    ``solve(params, "timeline", method="batch"|"serial", runs=...)``.
-    """
-    warnings.warn(
-        "repro.core.timeline.mean_timeline is deprecated; use "
-        "repro.api.solve(params, 'timeline', method=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _mean_timeline_impl(chain, runs=runs, seed=seed, batch=batch)
 
 
 def potential_ratio_by_pieces(
@@ -253,7 +228,7 @@ def phase_duration_statistics(
         default=Method.BATCH if batch else Method.SERIAL,
     )
     if method is Method.EXACT:
-        solution = _solve_fundamental_impl(chain)
+        solution = chain.kernel.sparse_operator().solution()
         mean = {
             phase: float(solution.phase_rounds[phase]) for phase in phases
         }
@@ -291,14 +266,3 @@ def phase_duration_statistics(
         runs=runs,
     )
 
-
-def expected_download_time_exact(chain: DownloadChain) -> float:
-    """Exact expected rounds to reach ``b == B`` from ``(0, 0, 0)``.
-
-    Delegates to the compiled sparse operator's fundamental-matrix solve
-    (:func:`repro.core.sparse.mean_hitting_time`), which handles the
-    paper-scale space in seconds.  Raises
-    :class:`~repro.errors.ParameterError` once the transient space
-    exceeds the operator's default cap (200k states).
-    """
-    return mean_hitting_time(chain)

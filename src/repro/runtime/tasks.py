@@ -2,11 +2,11 @@
 
 These are the per-replication work units of the Figure-1 estimators,
 reshaped so each replication is an independent, seedable, picklable
-task (the loop bodies previously hidden inside
-:func:`repro.core.timeline.mean_timeline` and
-:func:`repro.core.timeline.potential_ratio_by_pieces`, which drew all
-replications from one shared stream and therefore could not be
-parallelised deterministically).  Every task resolves its chain through
+task (the in-process estimators behind ``solve(params, "timeline")``
+and :func:`repro.core.timeline.potential_ratio_by_pieces` draw all
+replications from one shared stream and therefore cannot be
+parallelised deterministically).  The exact and mean-field tasks read
+the same cached solves ``solve()`` dispatches to.  Every task resolves its chain through
 the process-wide :func:`~repro.runtime.cache.shared_cache`, so all
 replications of one parameter set share a single transition kernel.
 
@@ -78,7 +78,7 @@ def first_passage_task(params: ModelParameters, seed: int) -> tuple:
 
     Piece counts can advance by more than one per round, so "first
     passage to ``b``" is the first round holding *at least* ``b``
-    pieces (matching :func:`repro.core.timeline.mean_timeline`).
+    pieces (matching ``solve(params, "timeline", method="serial")``).
 
     Returns:
         ``(first, steps)`` — ``first[b]`` is the first-passage round.
@@ -129,12 +129,11 @@ def exact_potential_ratio_task(params: ModelParameters) -> tuple:
         ``(ratio, states)`` — the exact per-piece-count curve, plus the
         number of transient states solved (the telemetry event count).
     """
-    from repro.core.exact import _exact_potential_ratio_impl
+    from repro.core.exact import PRUNED_MASS_WARN, _warn_pruned
 
-    chain = shared_cache().chain(params)
     operator = shared_cache().sparse_operator(params)
-    result = _exact_potential_ratio_impl(chain, method="sparse")
-    return result.ratio, operator.num_states
+    _warn_pruned(float(operator.dropped_mass), PRUNED_MASS_WARN, "sparse")
+    return operator.solution().potential_ratio, operator.num_states
 
 
 def meanfield_potential_ratio_task(params: ModelParameters) -> tuple:

@@ -48,6 +48,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+if not hasattr(np, "bitwise_count"):  # popcount_rows needs the ufunc
+    raise ImportError(
+        "repro.sim.soa needs numpy>=2.0 for np.bitwise_count; found numpy "
+        f"{np.__version__}. Upgrade with: pip install 'numpy>=2.0'"
+    )
+
 from repro.errors import ParameterError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan

@@ -182,12 +182,29 @@ class TestHttpEndpoints:
         status, body = request(server.port, "POST", "/solve", bad)
         assert status == 400
         assert "missing required parameter field" in body["error"]
+        # Malformed option values are rejected before any solve runs.
+        for quantity, method, options in [
+            ("transient", "exact", {"horizon": "abc"}),
+            ("download_time", "batch", {"runs": "x"}),
+            ("download_time", "batch", {"runs": 2.7}),
+        ]:
+            bad = {"params": PARAMS, "quantity": quantity, "method": method,
+                   "options": options}
+            status, body = request(server.port, "POST", "/solve", bad)
+            assert status == 400, body
+            assert f"{next(iter(options))} must be an integer" in body["error"]
 
     def test_unknown_quantity_maps_to_400(self, server):
         bad = dict(SOLVE_BODY, quantity="magic")
         status, body = request(server.port, "POST", "/solve", bad)
         assert status == 400
         assert "unknown quantity" in body["error"]
+        for method in ("dict", "reference"):
+            status, body = request(
+                server.port, "POST", "/solve", dict(SOLVE_BODY, method=method)
+            )
+            assert status == 400
+            assert f"unknown method {method!r}" in body["error"]
 
     def test_invalid_json_maps_to_400(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)

@@ -1,9 +1,9 @@
 """Tests for the unified `repro.api.solve` front door.
 
 Covers the quantity/method vocabulary, ``auto`` resolution, option
-validation, the JSON view, and — the contract the deprecation shims
-promise — bit-identical results between each historical entry point and
-the `solve()` call that replaces it.
+validation and coercion, the JSON view, and bit-identical results
+between each `solve()` cell and a direct call of the engine it
+dispatches to.
 """
 
 import json
@@ -16,15 +16,14 @@ from repro.api import DownloadTimeResult, ModelParams, Quantity, Query, solve
 from repro.core.exact import (
     PotentialRatioExact,
     TransientResult,
-    exact_potential_ratio,
-    propagate_distribution,
+    _potential_ratio_dict,
+    _propagate_sparse,
 )
 from repro.core.methods import Method
-from repro.core.sparse import solve_fundamental
 from repro.core.timeline import (
     PhaseStatistics,
     TimelineResult,
-    mean_timeline,
+    _mean_timeline,
     phase_duration_statistics,
 )
 from repro.errors import ParameterError
@@ -71,10 +70,19 @@ class TestVocabulary:
 
     def test_disallowed_method_lists_choices(self, params):
         with pytest.raises(ParameterError) as excinfo:
-            solve(params, "timeline", method="dict")
+            solve(params, "transient", method="batch", horizon=5)
         message = str(excinfo.value)
-        assert "method 'dict' is not valid here" in message
-        assert "'exact'" in message and "'batch'" in message
+        assert "method 'batch' is not valid here" in message
+        assert "valid choices: 'exact'" in message
+        # The dict loops are private test oracles, not methods: their
+        # names are unknown everywhere, with the real choices listed.
+        for name in ("dict", "reference"):
+            with pytest.raises(ParameterError) as excinfo:
+                solve(params, "potential_ratio", method=name)
+            message = str(excinfo.value)
+            assert f"unknown method {name!r}" in message
+            assert "'exact'" in message and "'meanfield'" in message
+            assert "'dict'" not in message.split(";", 1)[1]
 
     def test_unknown_option_lists_accepted(self, params):
         with pytest.raises(ParameterError) as excinfo:
@@ -82,6 +90,24 @@ class TestVocabulary:
         message = str(excinfo.value)
         assert "unknown option(s) ['runs']" in message
         assert "drop_tol" in message
+        # Malformed option values fail in Query.make, before any engine.
+        for quantity, method, options, name in [
+            ("transient", "exact", {"horizon": "abc"}, "horizon"),
+            ("transient", "exact", {"horizon": 2.5}, "horizon"),
+            ("download_time", "batch", {"runs": "x"}, "runs"),
+            ("download_time", "batch", {"runs": 2.7}, "runs"),
+            ("timeline", "serial", {"seed": "s"}, "seed"),
+            ("timeline", "exact", {"max_states": [1]}, "max_states"),
+            ("timeline", "exact", {"drop_tol": "tiny"}, "drop_tol"),
+            ("potential_ratio", "exact", {"warn_above": {}}, "warn_above"),
+            ("timeline", "meanfield", {"rtol": "r"}, "rtol"),
+            ("timeline", "meanfield", {"atol": None}, "atol"),
+            ("timeline", "meanfield", {"drain_tol": "d"}, "drain_tol"),
+            ("timeline", "meanfield", {"max_rounds": 9.5}, "max_rounds"),
+            ("timeline", "meanfield", {"swarm_size": "n"}, "swarm_size"),
+        ]:
+            with pytest.raises(ParameterError, match=f"^{name} must be"):
+                Query.make(params, quantity, method, **options)
 
 
 class TestAutoResolution:
@@ -134,6 +160,23 @@ class TestQueryCacheKey:
         b = Query.make(params, "timeline", "batch", seed=0, runs=8)
         assert a.options == b.options
         assert a.cache_key() == b.cache_key()
+        # Values are coerced by declared type before keying.
+        whole = Query.make(params, "download_time", "batch", runs=64)
+        floated = Query.make(
+            params, "download_time", "batch", runs=64.0, seed=np.int64(3)
+        )
+        assert floated.options == (("runs", 64), ("seed", 3))
+        assert type(floated.options[0][1]) is int
+        assert (
+            Query.make(params, "download_time", "batch", runs=64.0).cache_key()
+            == whole.cache_key()
+        )
+        assert Query.make(params, "timeline", "batch", seed=None).options == (
+            ("seed", None),
+        )
+        assert Query.make(params, "timeline", "exact", drop_tol=0).options == (
+            ("drop_tol", 0.0),
+        )
 
 
 class TestDispatch:
@@ -190,30 +233,31 @@ class TestDispatch:
 
 
 class TestShimEquivalence:
-    """The deprecated entry points must match `solve()` bit-for-bit."""
+    """Each `solve()` cell must match a direct engine call bit-for-bit."""
 
     def test_exact_potential_ratio_sparse(self, params, cache):
-        with pytest.warns(DeprecationWarning, match="exact_potential_ratio"):
-            old = exact_potential_ratio(cache.chain(params))
+        operator = cache.sparse_operator(params)
         new = solve(params, "potential_ratio", "exact", cache=cache).payload
-        assert np.array_equal(old.ratio, new.ratio, equal_nan=True)
-        assert np.array_equal(old.occupancy, new.occupancy)
-        assert old.pruned_mass == new.pruned_mass
+        assert np.array_equal(
+            operator.solution().potential_ratio, new.ratio, equal_nan=True
+        )
+        assert np.array_equal(
+            operator.solution().occupancy_by_pieces, new.occupancy
+        )
+        assert new.pruned_mass == operator.dropped_mass
 
     def test_exact_potential_ratio_dict(self, params, cache):
-        with pytest.warns(DeprecationWarning):
-            old = exact_potential_ratio(
-                cache.chain(params), method="dict", horizon=40
-            )
-        new = solve(
-            params, "potential_ratio", "dict", cache=cache, horizon=40
-        ).payload
-        assert np.array_equal(old.ratio, new.ratio, equal_nan=True)
-        assert old.pruned_mass == new.pruned_mass
+        # The dict oracle agrees with the exact cell to its truncated
+        # tail, and reports the mass its pruning dropped.
+        oracle = _potential_ratio_dict(cache.chain(params), prune=0.0)
+        new = solve(params, "potential_ratio", "exact", cache=cache).payload
+        assert oracle.method == "dict" and oracle.pruned_mass == 0.0
+        assert np.array_equal(np.isnan(oracle.ratio), np.isnan(new.ratio))
+        finite = np.isfinite(oracle.ratio)
+        assert np.allclose(oracle.ratio[finite], new.ratio[finite], atol=1e-7)
 
     def test_propagate_distribution(self, params, cache):
-        with pytest.warns(DeprecationWarning, match="propagate_distribution"):
-            old = propagate_distribution(cache.chain(params), 6)
+        old = _propagate_sparse(cache.chain(params), 6)
         new = solve(params, "transient", cache=cache, horizon=6).payload
         assert np.array_equal(old.completion_pmf, new.completion_pmf)
         assert np.array_equal(old.expected_pieces, new.expected_pieces)
@@ -221,10 +265,7 @@ class TestShimEquivalence:
 
     @pytest.mark.parametrize("method, batch", [("batch", True), ("serial", False)])
     def test_mean_timeline(self, params, cache, method, batch):
-        with pytest.warns(DeprecationWarning, match="mean_timeline"):
-            old = mean_timeline(
-                cache.chain(params), runs=8, seed=3, batch=batch
-            )
+        old = _mean_timeline(cache.chain(params), runs=8, seed=3, batch=batch)
         new = solve(
             params, "timeline", method, cache=cache, runs=8, seed=3
         ).payload
@@ -233,8 +274,7 @@ class TestShimEquivalence:
         assert old.runs == new.runs
 
     def test_solve_fundamental_moments(self, params, cache):
-        with pytest.warns(DeprecationWarning, match="solve_fundamental"):
-            old = solve_fundamental(cache.chain(params))
+        old = cache.sparse_operator(params).solution()
         new = solve(params, "download_time", "exact", cache=cache).payload
         assert old.mean_download_time == new.mean
         assert old.variance_download_time == new.variance

@@ -17,9 +17,9 @@ from repro.core.batch import BatchChainSampler
 from repro.core.chain import DownloadChain, State
 from repro.core.parameters import ModelParameters
 from repro.core.phases import Phase, phase_durations
+from repro.api import solve
+from repro.core.sparse import mean_hitting_time
 from repro.core.timeline import (
-    expected_download_time_exact,
-    mean_timeline,
     phase_duration_statistics,
     potential_ratio_by_pieces,
 )
@@ -142,9 +142,9 @@ class TestStatisticalEquivalence:
     @pytest.mark.parametrize("params", SMALL_PARAMS, ids=["B20", "B12"])
     def test_mean_download_time_agrees_with_exact(self, params):
         chain = DownloadChain(params)
-        exact = expected_download_time_exact(chain)
-        batched = mean_timeline(chain, runs=600, seed=2, batch=True)
-        serial = mean_timeline(chain, runs=600, seed=2, batch=False)
+        exact = mean_hitting_time(chain)
+        batched = solve(params, "timeline", "batch", runs=600, seed=2).payload
+        serial = solve(params, "timeline", "serial", runs=600, seed=2).payload
         assert batched.total_download_time() == pytest.approx(exact, rel=0.08)
         assert serial.total_download_time() == pytest.approx(exact, rel=0.08)
         # And therefore with each other.

@@ -3,11 +3,12 @@
 Four layers: structural contracts of the compiled
 :class:`~repro.core.sparse.SparseChainOperator` (stochastic rows,
 index round-trips, memoization, the state-space cap), the three-way
-equivalence suite (sparse propagation vs the dict reference to floating
-point tolerance, and both vs :class:`~repro.core.batch.BatchChainSampler`
-statistically), fundamental-matrix cross-checks (mean/variance against
-propagation and the BFS-era solver API), and property-based invariants
-over randomly drawn small parameter sets.
+equivalence suite (sparse propagation vs the private dict oracles to
+floating point tolerance, and both vs
+:class:`~repro.core.batch.BatchChainSampler` statistically),
+fundamental-matrix cross-checks (mean/variance against propagation and
+:func:`~repro.core.sparse.mean_hitting_time`), and property-based
+invariants over randomly drawn small parameter sets.
 """
 
 import numpy as np
@@ -15,23 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import solve
 from repro.core.batch import BatchChainSampler
 from repro.core.chain import DownloadChain
 from repro.core.exact import (
-    exact_potential_ratio,
-    propagate_distribution,
+    _potential_ratio_dict,
+    _propagate_dict,
+    _propagate_sparse,
 )
 from repro.core.parameters import ModelParameters
 from repro.core.phases import Phase
-from repro.core.sparse import (
-    compile_sparse_operator,
-    mean_hitting_time,
-    solve_fundamental,
-)
-from repro.core.timeline import (
-    expected_download_time_exact,
-    phase_duration_statistics,
-)
+from repro.core.sparse import compile_sparse_operator, mean_hitting_time
+from repro.core.timeline import phase_duration_statistics
 from repro.errors import ParameterError
 
 #: The two small parameter sets of the equivalence acceptance criterion.
@@ -123,10 +119,8 @@ class TestSparseVsDict:
     @pytest.mark.parametrize("params", SMALL_PARAMS, ids=SMALL_IDS)
     def test_propagation_total_variation(self, params):
         chain = DownloadChain(params)
-        dict_result = propagate_distribution(
-            chain, HORIZON, method="dict", prune=0.0
-        )
-        sparse_result = propagate_distribution(chain, HORIZON, method="sparse")
+        dict_result = _propagate_dict(chain, HORIZON, prune=0.0)
+        sparse_result = _propagate_sparse(chain, HORIZON)
         tv_distance = float(
             np.abs(
                 dict_result.completion_pmf - sparse_result.completion_pmf
@@ -149,19 +143,20 @@ class TestSparseVsDict:
     @pytest.mark.parametrize("params", SMALL_PARAMS, ids=SMALL_IDS)
     def test_potential_ratio_agrees(self, params):
         chain = DownloadChain(params)
-        dict_result = exact_potential_ratio(chain, method="dict", prune=0.0)
-        sparse_result = exact_potential_ratio(chain, method="sparse")
+        dict_result = _potential_ratio_dict(chain, prune=0.0)
+        solution = chain.kernel.sparse_operator().solution()
         assert np.array_equal(
-            np.isnan(dict_result.ratio), np.isnan(sparse_result.ratio)
+            np.isnan(dict_result.ratio), np.isnan(solution.potential_ratio)
         )
         finite = np.isfinite(dict_result.ratio)
         # The dict path truncates at a horizon; the sparse path is
         # horizon-free, so agreement is to the truncated tail mass.
         assert np.allclose(
-            dict_result.ratio[finite], sparse_result.ratio[finite], atol=1e-7
+            dict_result.ratio[finite], solution.potential_ratio[finite],
+            atol=1e-7,
         )
-        assert sparse_result.ratio[-1] == 0.0
-        assert sparse_result.occupancy.sum() == pytest.approx(
+        assert solution.potential_ratio[-1] == 0.0
+        assert solution.occupancy_by_pieces.sum() == pytest.approx(
             mean_hitting_time(chain), rel=1e-9
         )
 
@@ -170,13 +165,13 @@ class TestFundamentalSolution:
     @pytest.mark.parametrize("params", SMALL_PARAMS, ids=SMALL_IDS)
     def test_mean_agrees_with_propagation(self, params):
         chain = DownloadChain(params)
-        solution = solve_fundamental(chain)
-        transient = propagate_distribution(chain, HORIZON, method="sparse")
+        solution = chain.kernel.sparse_operator().solution()
+        transient = _propagate_sparse(chain, HORIZON)
         assert solution.mean_download_time == pytest.approx(
             transient.mean_download_time(), abs=1e-6
         )
-        # Pre-sparse public API delegates to the same solve.
-        assert expected_download_time_exact(chain) == pytest.approx(
+        # The public hitting-time helper reads the same solve.
+        assert mean_hitting_time(chain) == pytest.approx(
             solution.mean_download_time
         )
         # Variance from the truncated pmf converges to the exact one.
@@ -190,7 +185,7 @@ class TestFundamentalSolution:
     @pytest.mark.parametrize("params", SMALL_PARAMS, ids=SMALL_IDS)
     def test_mean_and_variance_agree_with_monte_carlo(self, params):
         chain = DownloadChain(params)
-        solution = solve_fundamental(chain)
+        solution = chain.kernel.sparse_operator().solution()
         runs = 4000
         steps = BatchChainSampler(chain).sample(runs, seed=11).steps
         sem = steps.std(ddof=1) / np.sqrt(runs)
@@ -201,7 +196,7 @@ class TestFundamentalSolution:
 
     def test_occupancy_identities(self):
         chain = DownloadChain(SMALL_PARAMS[0])
-        solution = solve_fundamental(chain)
+        solution = chain.kernel.sparse_operator().solution()
         # Total occupancy is the mean download time, split consistently
         # across piece counts, the timeline, and the phases.
         assert solution.occupancy_by_pieces.sum() == pytest.approx(
@@ -230,7 +225,7 @@ class TestFundamentalSolution:
 
     def test_timeline_agrees_with_monte_carlo(self):
         chain = DownloadChain(SMALL_PARAMS[1])
-        solution = solve_fundamental(chain)
+        solution = chain.kernel.sparse_operator().solution()
         hits = BatchChainSampler(chain).sample(3000, seed=13).first_passage()
         mc_mean = hits.mean(axis=0)
         sem = hits.std(axis=0, ddof=1) / np.sqrt(hits.shape[0])
@@ -243,23 +238,23 @@ class TestSatellites:
     def test_dict_pruned_mass_tracked_and_warns(self):
         chain = DownloadChain(SMALL_PARAMS[0])
         with pytest.warns(RuntimeWarning, match="discarded"):
-            result = exact_potential_ratio(
-                chain, method="dict", prune=1e-4, warn_above=1e-12
+            result = _potential_ratio_dict(
+                chain, prune=1e-4, warn_above=1e-12
             )
         assert result.pruned_mass > 1e-12
-        quiet = exact_potential_ratio(chain, method="dict", prune=0.0)
+        quiet = _potential_ratio_dict(chain, prune=0.0)
         assert quiet.pruned_mass == 0.0
 
     def test_tail_mass_and_error_message(self):
-        chain = DownloadChain(SMALL_PARAMS[0])
-        short = propagate_distribution(chain, 3, method="sparse")
+        params = SMALL_PARAMS[0]
+        short = solve(params, "transient", horizon=3).payload
         assert short.tail_mass == pytest.approx(
             1.0 - short.completion_cdf[-1]
         )
         assert short.tail_mass > 0.001
         with pytest.raises(ParameterError, match="mean_hitting_time"):
             short.mean_download_time()
-        long = propagate_distribution(chain, HORIZON, method="sparse")
+        long = solve(params, "transient", horizon=HORIZON).payload
         assert long.tail_mass < 1e-3
 
     def test_singular_chain_raises_actionable_error(self):
@@ -268,7 +263,7 @@ class TestSatellites:
             num_pieces=6, max_conns=2, ns_size=3, alpha=0.0, gamma=0.2
         )
         with pytest.raises(ParameterError, match="singular|infinite"):
-            solve_fundamental(params)
+            solve(params, "download_time", method="exact")
 
 
 class TestInvariants:

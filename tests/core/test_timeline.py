@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import solve
 from repro.core.chain import DownloadChain
 from repro.core.parameters import ModelParameters
-from repro.core.timeline import (
-    expected_download_time_exact,
-    mean_timeline,
-    potential_ratio_by_pieces,
-)
+from repro.core.sparse import mean_hitting_time
+from repro.core.timeline import potential_ratio_by_pieces
 from repro.errors import ParameterError
 
 
@@ -18,21 +16,26 @@ def tiny_chain():
     return DownloadChain(ModelParameters(num_pieces=8, max_conns=2, ns_size=4))
 
 
+def sampled_timeline(chain, **options):
+    """The sampled Figure-1(b) timeline, through the public front door."""
+    return solve(chain.params, "timeline", method="batch", **options).payload
+
+
 class TestMeanTimeline:
     def test_monotone_non_decreasing(self, tiny_chain):
-        result = mean_timeline(tiny_chain, runs=30, seed=1)
+        result = sampled_timeline(tiny_chain, runs=30, seed=1)
         assert (np.diff(result.mean_steps) >= -1e-9).all()
 
     def test_starts_at_zero(self, tiny_chain):
-        result = mean_timeline(tiny_chain, runs=10, seed=1)
+        result = sampled_timeline(tiny_chain, runs=10, seed=1)
         assert result.mean_steps[0] == 0.0
 
     def test_total_download_time(self, tiny_chain):
-        result = mean_timeline(tiny_chain, runs=10, seed=1)
+        result = sampled_timeline(tiny_chain, runs=10, seed=1)
         assert result.total_download_time() == result.mean_steps[-1]
 
     def test_shape(self, tiny_chain):
-        result = mean_timeline(tiny_chain, runs=5, seed=0)
+        result = sampled_timeline(tiny_chain, runs=5, seed=0)
         expected = tiny_chain.params.num_pieces + 1
         assert result.pieces.size == expected
         assert result.mean_steps.size == expected
@@ -40,17 +43,17 @@ class TestMeanTimeline:
         assert result.runs == 5
 
     def test_agrees_with_exact_solution(self, tiny_chain):
-        exact = expected_download_time_exact(tiny_chain)
-        estimate = mean_timeline(tiny_chain, runs=600, seed=2)
+        exact = mean_hitting_time(tiny_chain)
+        estimate = sampled_timeline(tiny_chain, runs=600, seed=2)
         assert estimate.total_download_time() == pytest.approx(exact, rel=0.08)
 
     def test_invalid_runs(self, tiny_chain):
         with pytest.raises(ParameterError):
-            mean_timeline(tiny_chain, runs=0)
+            sampled_timeline(tiny_chain, runs=0)
 
     def test_respects_parallelism_bound(self, tiny_chain):
         # Cannot finish faster than B / k rounds (plus the bootstrap step).
-        result = mean_timeline(tiny_chain, runs=40, seed=3)
+        result = sampled_timeline(tiny_chain, runs=40, seed=3)
         bound = tiny_chain.params.num_pieces / tiny_chain.params.max_conns
         assert result.total_download_time() >= bound - 1e-9
 
@@ -87,19 +90,19 @@ class TestPotentialRatio:
 
 class TestExactHittingTime:
     def test_positive_and_finite(self, tiny_chain):
-        value = expected_download_time_exact(tiny_chain)
+        value = mean_hitting_time(tiny_chain)
         assert np.isfinite(value)
         assert value > tiny_chain.params.num_pieces / tiny_chain.params.max_conns
 
     def test_more_connections_is_faster(self):
         slow = DownloadChain(ModelParameters(num_pieces=8, max_conns=1, ns_size=4))
         fast = DownloadChain(ModelParameters(num_pieces=8, max_conns=3, ns_size=4))
-        assert expected_download_time_exact(fast) < expected_download_time_exact(slow)
+        assert mean_hitting_time(fast) < mean_hitting_time(slow)
 
     def test_larger_file_takes_longer(self):
         small = DownloadChain(ModelParameters(num_pieces=6, max_conns=2, ns_size=4))
         large = DownloadChain(ModelParameters(num_pieces=12, max_conns=2, ns_size=4))
-        assert expected_download_time_exact(large) > expected_download_time_exact(small)
+        assert mean_hitting_time(large) > mean_hitting_time(small)
 
 
 class TestPhaseStatistics:

@@ -65,6 +65,16 @@ def test_popcount_rows_matches_bitfield_count():
     np.testing.assert_array_equal(counts, held.sum(axis=1))
 
 
+def test_import_without_bitwise_count_names_numpy_2(monkeypatch):
+    import importlib
+    import sys
+
+    monkeypatch.delattr(np, "bitwise_count")
+    monkeypatch.delitem(sys.modules, "repro.sim.soa")
+    with pytest.raises(ImportError, match=r"numpy>=2\.0.*np\.bitwise_count"):
+        importlib.import_module("repro.sim.soa")
+
+
 def test_interest_flags_matches_bitfield_reference():
     """Edge novelty flags equal the scalar subset comparisons."""
     rng = np.random.default_rng(5)
