@@ -20,8 +20,9 @@ of guesswork.  The six buckets mirror the round structure documented in
     per-peer stats, completions, shakes, neighbor refills, and metrics.
 
 The profiler is opt-in (``Swarm(..., profile=True)``); when disabled
-the swarm pays only a handful of ``is None`` checks per round, which
-``benchmarks/bench_perf_simulator.py`` pins as unmeasurable.  Profiles
+the swarm pays only a handful of ``is None`` checks per round, and a
+profiled run's fingerprint equals the unprofiled one's
+(``tests/sim/test_swarm.py::TestRoundProfile``).  Profiles
 ride on :class:`~repro.sim.swarm.SwarmResult` and fold into
 :class:`~repro.runtime.telemetry.Telemetry` (``repro-bt run --timing``).
 """

@@ -79,15 +79,6 @@ class Telemetry:
             joins the distinct labels with ``"+"`` (sorted), so a mixed
             sweep reports e.g. ``"object+soa"`` instead of silently
             keeping whichever label arrived first.
-        shards: shard worker processes behind the simulator work (0
-            when no sharded swarm contributed; merges take the max,
-            like ``workers``).
-        bytes_broadcast: bytes of global replication counts delivered
-            to shard workers over the shared-memory fabric (counted
-            once per shard per round; 0 when no sharded swarm ran).
-        bytes_migrated: bytes of migration rows carried through the
-            fabric, counted on each leg (coordinator inbox write and
-            outbox read), so a peer hopping shards costs two legs.
     """
 
     wall_time: float = 0.0
@@ -107,9 +98,6 @@ class Telemetry:
     batches: int = field(default=0, repr=False)
     round_profile: Dict[str, float] = field(default_factory=dict)
     backend: str = ""
-    shards: int = 0
-    bytes_broadcast: int = 0
-    bytes_migrated: int = 0
 
     def merge(self, other: "Telemetry") -> "Telemetry":
         """Fold another telemetry record into this one (in place)."""
@@ -139,9 +127,6 @@ class Telemetry:
                 self.backend = "+".join(sorted(labels))
             else:
                 self.backend = other.backend
-        self.shards = max(self.shards, other.shards)
-        self.bytes_broadcast += other.bytes_broadcast
-        self.bytes_migrated += other.bytes_migrated
         return self
 
     def add_round_profile(self, profile: Dict[str, float]) -> None:
@@ -181,9 +166,6 @@ class Telemetry:
             "failure_log": [failure.to_dict() for failure in self.failure_log],
             "round_profile": dict(self.round_profile),
             "backend": self.backend,
-            "shards": self.shards,
-            "bytes_broadcast": self.bytes_broadcast,
-            "bytes_migrated": self.bytes_migrated,
         }
 
     def format(self) -> str:
@@ -210,14 +192,6 @@ class Telemetry:
             text += f"; checkpoints: {self.resumes} task(s) resumed"
         if self.backend:
             text += f"; backend: {self.backend}"
-        if self.shards:
-            text += f"; shards: {self.shards}"
-        if self.bytes_broadcast or self.bytes_migrated:
-            text += (
-                f"; shard comms: "
-                f"{self.bytes_broadcast / 1e6:.1f} MB broadcast, "
-                f"{self.bytes_migrated / 1e6:.1f} MB migrated"
-            )
         if self.round_profile:
             total = sum(self.round_profile.values())
             stages = ", ".join(

@@ -13,7 +13,13 @@ the solver's step grid, so the golden is robust to step-selection
 differences across scipy versions while still pinning the path itself.
 Tolerances are a few parts in 10**3 — far above integrator round-off,
 far below the ~1% closure error a modelling change would introduce.
+
+Two service-level checks ride along at the same parameters: a repeated
+10**6-peer query is a memoized read, and a batch ensemble sized for a
+1% confidence half-width agrees with the mean-field download time.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -112,3 +118,36 @@ def test_solve_front_door_matches_the_golden(cache):
         GOLDEN_DOWNLOAD_TIME, rel=5e-4
     )
     assert result.payload.method == "meanfield"
+
+
+def test_million_peer_query_is_memoized(cache):
+    """A repeated 10**6-peer query reads the memoized solution back."""
+    first, repeat = (
+        solve(
+            ModelParams(**PAPER), "download_time", "meanfield",
+            swarm_size=10**6, cache=cache,
+        )
+        for _ in range(2)
+    )
+    assert repeat.payload.mean == first.payload.mean
+    assert first.stats["swarm_size"] == 10**6
+
+
+def test_matched_accuracy_ensemble_agrees(solution, cache):
+    """A batch ensemble sized so its 95% CI half-width is 1% of the
+    download time (from a 32-run pilot's spread) lands within twice its
+    half-width plus that 1% target of the mean-field download time."""
+    pilot = solve(
+        ModelParams(**PAPER), "download_time", "batch",
+        runs=32, seed=2007, cache=cache,
+    )
+    target = 0.01 * solution.download_time
+    runs = max(32, math.ceil((1.96 * pilot.payload.std / target) ** 2))
+    matched = solve(
+        ModelParams(**PAPER), "download_time", "batch",
+        runs=runs, seed=2007, cache=cache,
+    )
+    half_width = 1.96 * matched.payload.std / runs ** 0.5
+    assert abs(matched.payload.mean - solution.download_time) < (
+        2.0 * half_width + target
+    )

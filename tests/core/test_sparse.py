@@ -1,14 +1,15 @@
 """Tests for the sparse exact engine.
 
-Four layers: structural contracts of the compiled
+Five layers: structural contracts of the compiled
 :class:`~repro.core.sparse.SparseChainOperator` (stochastic rows,
 index round-trips, memoization, the state-space cap), the three-way
 equivalence suite (sparse propagation vs the private dict oracles to
 floating point tolerance, and both vs
 :class:`~repro.core.batch.BatchChainSampler` statistically),
 fundamental-matrix cross-checks (mean/variance against propagation and
-:func:`~repro.core.sparse.mean_hitting_time`), and property-based
-invariants over randomly drawn small parameter sets.
+:func:`~repro.core.sparse.mean_hitting_time`), the whole pipeline at
+the paper's B=200 scale, and property-based invariants over randomly
+drawn small parameter sets.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.core.exact import (
     _propagate_dict,
     _propagate_sparse,
 )
-from repro.core.parameters import ModelParameters
+from repro.core.parameters import DEFAULT_PARAMETERS, ModelParameters
 from repro.core.phases import Phase
 from repro.core.sparse import compile_sparse_operator, mean_hitting_time
 from repro.core.timeline import phase_duration_statistics
@@ -232,6 +233,21 @@ class TestFundamentalSolution:
         assert np.all(
             np.abs(solution.timeline - mc_mean) <= 5.0 * sem + 0.05
         )
+
+
+class TestPaperScale:
+    def test_paper_pipeline_absorbs_and_agrees_with_solution(self):
+        """The whole exact pipeline at the paper's B=200, k=7, s=50:
+        compile the operator, solve for the moments, then propagate
+        until the completion CDF is essentially 1."""
+        chain = DownloadChain(DEFAULT_PARAMETERS)
+        solution = chain.kernel.sparse_operator().solution()
+        mean = solution.mean_download_time
+        std = solution.std_download_time
+        horizon = max(int(mean + 10.0 * std), int(2.0 * mean))
+        transient = _propagate_sparse(chain, horizon)
+        assert transient.completion_cdf[-1] > 0.999
+        assert abs(transient.mean_download_time() - mean) < 0.5
 
 
 class TestSatellites:

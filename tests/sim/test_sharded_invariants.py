@@ -15,6 +15,10 @@ snapshot documents:
   masks, globally and per document;
 * deterministic fingerprints for fixed seeds, with and without fault
   plans, and across mid-run re-sharding.
+
+It also probes the shared-memory fabric's segment lifecycle, and checks
+a sharded flash crowd's mean piece level against a calibrated
+mean-field integration.
 """
 
 import os
@@ -25,7 +29,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
+from repro.core.meanfield import SwarmMeanField
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.sim.config import SimConfig
@@ -413,3 +419,81 @@ def test_fabric_growth_unlinks_replaced_segments():
         swarm.close()
     for name in names:
         assert not _segment_exists(name)
+
+
+# ----------------------------------------------------------------------
+# Mean-field level check on a sharded flash crowd.
+# ----------------------------------------------------------------------
+def test_flash_crowd_mean_level_tracks_calibrated_mean_field():
+    """A 10^4-peer flash crowd (B=20, 8 rounds, 2 shards): the mean
+    leecher level of the back half of the run stays within 10% of the
+    file of a :class:`SwarmMeanField` integration.
+
+    This is a fit, not a prediction: the field's level velocity is
+    calibrated on the first half of the same run, and only the back
+    half is compared.  It is also loose.  Flash arrivals join empty
+    (``initial_fill`` shapes only the field's start, and anchoring at
+    round 1 hides that mismatch), so the level moves by hundredths of
+    a piece against a 2-piece bound; only a gross error in the ledger
+    or the field fails it.  A scaling check against an uncalibrated
+    field should replace it.
+    """
+    peers, rounds, num_pieces, fill = 10_000, 8, 20, 0.5
+    config = SimConfig(
+        num_pieces=num_pieces,
+        max_conns=4,
+        ns_size=15,
+        arrival_process="flash",
+        arrival_rate=0.0,
+        flash_size=peers,
+        initial_leechers=0,
+        initial_distribution="uniform",
+        initial_fill=fill,
+        num_seeds=peers // 1_000,
+        seed_upload_slots=2,
+        completed_become_seeds=0.0,
+        piece_selection="rarest",
+        max_time=float(rounds),
+        seed=9,
+    )
+    swarm = Swarm(config, backend="sharded", shards=2)
+    mean_level = []
+    try:
+        while swarm.step_round():
+            # The coordinator's per-shard ledger gives the global piece
+            # total each round without serializing the slabs.
+            pieces = n_leech = n_seeds = 0
+            for state in swarm._shard_state:
+                pieces += int(np.sum(state["piece_counts"]))
+                n_leech += state["n_leech"]
+                n_seeds += state["n_seeds"]
+            leech_pieces = pieces - n_seeds * num_pieces
+            mean_level.append(leech_pieces / max(n_leech, 1))
+        assert swarm.run().total_rounds == rounds
+    finally:
+        swarm.close()
+
+    level = np.asarray(mean_level)
+    times = np.arange(1, len(level) + 1, dtype=float)
+    half = len(level) // 2
+    velocity = max((level[half - 1] - level[0]) / (half - 1), 1e-6)
+    field = SwarmMeanField(
+        level_velocity=np.full(num_pieces, velocity),
+        arrival_rate=0.0,
+        efficiency=1.0,
+    )
+    x0 = peers * binom.pmf(np.arange(num_pieces), num_pieces, fill)
+    trajectory = field.integrate(
+        float(rounds), x0=x0, y0=float(config.num_seeds),
+        points=4 * rounds + 1,
+    )
+    levels = np.arange(num_pieces, dtype=float)
+    mf_level = (
+        (trajectory.leechers * levels[:, None]).sum(axis=0)
+        / np.maximum(trajectory.total_leechers(), 1.0)
+    )
+    # Anchor the field's level curve at the run's round-1 level.
+    predicted = level[0] + np.interp(times, trajectory.times, mf_level)
+    predicted -= np.interp(1.0, trajectory.times, mf_level)
+    relerr = np.max(np.abs(predicted[half:] - level[half:])) / num_pieces
+    assert relerr < 0.10

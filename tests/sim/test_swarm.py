@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.runtime.profiler import SOA_STAGES, STAGES
+from repro.sim.config import SimConfig
 from repro.sim.swarm import Swarm, run_swarm
 from repro.stability.entropy import replication_degrees
 
@@ -188,6 +190,51 @@ class TestInstrumentation:
         )
         for peer in result.instrumented:
             assert peer.bitfield.count == 0
+
+
+class TestRoundProfile:
+    @pytest.mark.parametrize(
+        "backend, swarm_kwargs, stages",
+        [
+            ("object", {}, set(STAGES)),
+            ("soa", {}, set(SOA_STAGES)),
+            ("sharded", {"shards": 2}, set(SOA_STAGES) | {"comms"}),
+        ],
+        ids=["object", "soa", "sharded"],
+    )
+    def test_round_profile_contract(self, backend, swarm_kwargs, stages):
+        """Profiling is opt-in, names the engine's stages, and never
+        changes what the run computes."""
+        config = SimConfig(
+            num_pieces=30,
+            max_conns=4,
+            ns_size=15,
+            arrival_process="poisson",
+            arrival_rate=2.0,
+            initial_leechers=200,
+            initial_distribution="uniform",
+            initial_fill=0.5,
+            num_seeds=2,
+            seed_upload_slots=2,
+            max_time=20.0,
+            seed=9,
+        )
+
+        def run(profile):
+            return Swarm(
+                config, backend=backend, profile=profile, **swarm_kwargs
+            ).run()
+
+        plain = run(False)
+        profiled = run(True)
+        assert plain.round_profile is None
+        assert set(profiled.round_profile) == stages
+        assert sum(profiled.round_profile.values()) > 0
+        if backend == "sharded":
+            assert set(profiled.shard_profiles) == {
+                "shard0", "shard1", "coordinator"
+            }
+        assert profiled.fingerprint() == plain.fingerprint()
 
 
 class TestShakeIntegration:
