@@ -323,18 +323,6 @@ def snapshot_swarm(swarm: "Swarm") -> dict:
 # ----------------------------------------------------------------------
 # SoA swarm (array backend)
 # ----------------------------------------------------------------------
-def _opt(value):
-    """NaN → None (the container's canonical JSON forbids NaN)."""
-    value = float(value)
-    return None if np.isnan(value) else value
-
-
-def _nan_column(values) -> np.ndarray:
-    return np.array(
-        [np.nan if v is None else float(v) for v in values], dtype=np.float64
-    )
-
-
 def snapshot_soa_swarm(swarm) -> dict:
     """Snapshot document for a :class:`~repro.sim.soa.SoaSwarm`.
 
@@ -343,9 +331,9 @@ def snapshot_soa_swarm(swarm) -> dict:
     dispatch.  Peer state is stored for alive slots only (ascending
     slot order); free slots are fully reset on allocation, so alive
     rows plus the free-list order reconstruct the store exactly.
+    The ``store`` block is :meth:`~repro.sim.soa.PeerStore.to_block`:
+    one list per :data:`~repro.sim.soa.PEER_COLUMNS` column.
     """
-    store = swarm.store
-    slots = np.flatnonzero(store.alive)
     return {
         "schema_version": SCHEMA_VERSION,
         "backend": "soa",
@@ -375,34 +363,7 @@ def snapshot_soa_swarm(swarm) -> dict:
             "pairs": [[int(a), int(b)] for a, b in swarm._pairs],
         },
         "engine": swarm.engine.snapshot_state(),
-        "store": {
-            "capacity": store.capacity,
-            "nbr_width": store.nbr_width,
-            # LIFO pop order — the next allocation must hand out the
-            # same slots the uninterrupted run would have.
-            "free": [int(s) for s in store.free],
-            "slots": [int(s) for s in slots],
-            "peer_id": [int(v) for v in store.peer_id[slots]],
-            "is_seed": [bool(v) for v in store.is_seed[slots]],
-            "shaken": [bool(v) for v in store.shaken[slots]],
-            "counts": [int(v) for v in store.counts[slots]],
-            "bits": [[int(w) for w in row] for row in store.bits[slots]],
-            "joined_at": [float(v) for v in store.joined_at[slots]],
-            "seed_until": [_opt(v) for v in store.seed_until[slots]],
-            "first_piece_at": [_opt(v) for v in store.first_piece_at[slots]],
-            "prelast_at": [_opt(v) for v in store.prelast_at[slots]],
-            "shaken_at": [_opt(v) for v in store.shaken_at[slots]],
-            "upload_capacity": [
-                int(v) for v in store.upload_capacity[slots]
-            ],
-            # Neighbor rows trimmed to their fill; in-row order is the
-            # append order the refill logic depends on.
-            "nbr": [
-                [int(v) for v in store.nbr[s, : store.nbr_deg[s]]]
-                for s in slots
-            ],
-            "seeded": [[int(w) for w in row] for row in store.seeded[slots]],
-        },
+        "store": swarm.store.to_block(),
         "metrics": _snapshot_metrics(swarm.metrics),
         "faults": (
             None
@@ -445,38 +406,7 @@ def _restore_soa_swarm(document: dict, swarm_cls=None, **swarm_kwargs):
         swarm.fault_injector.restore_state(faults_doc)
     swarm.engine.restore_state(document["engine"])
 
-    st = document["store"]
-    store = PeerStore(
-        int(st["capacity"]), config.num_pieces, int(st["nbr_width"])
-    )
-    store.free = [int(s) for s in st["free"]]
-    slots = np.asarray(st["slots"], dtype=np.int64)
-    if slots.size:
-        store.alive[slots] = True
-        store.peer_id[slots] = np.asarray(st["peer_id"], dtype=np.int64)
-        store.is_seed[slots] = np.asarray(st["is_seed"], dtype=bool)
-        store.shaken[slots] = np.asarray(st["shaken"], dtype=bool)
-        store.counts[slots] = np.asarray(st["counts"], dtype=np.int64)
-        store.bits[slots] = np.array(
-            [[int(w) for w in row] for row in st["bits"]], dtype=np.uint64
-        )
-        store.joined_at[slots] = np.asarray(
-            st["joined_at"], dtype=np.float64
-        )
-        store.seed_until[slots] = _nan_column(st["seed_until"])
-        store.first_piece_at[slots] = _nan_column(st["first_piece_at"])
-        store.prelast_at[slots] = _nan_column(st["prelast_at"])
-        store.shaken_at[slots] = _nan_column(st["shaken_at"])
-        store.upload_capacity[slots] = np.asarray(
-            st["upload_capacity"], dtype=np.int64
-        )
-        for slot, row in zip(slots, st["nbr"]):
-            if row:
-                store.nbr[slot, : len(row)] = [int(v) for v in row]
-            store.nbr_deg[slot] = len(row)
-        store.seeded[slots] = np.array(
-            [[int(w) for w in row] for row in st["seeded"]], dtype=np.uint64
-        )
+    store, slots = PeerStore.from_block(document["store"], config.num_pieces)
     swarm.store = store
 
     swarm._pairs = np.asarray(sw["pairs"], dtype=np.int64).reshape(-1, 2)

@@ -17,8 +17,9 @@ Design contract (mirrors ``docs/RUNTIME.md``):
   fabric of :mod:`repro.sim.shm` (double-buffered numpy views, stamped
   per round); the pipe carries only the low-rate control plane
   (init / step barrier with arrivals + quotas / snapshot / stop).
-  Rows use the same column layout as the checkpoint store block, so a
-  migration batch *is* a slice of a snapshot.
+  Rows are the :data:`~repro.sim.soa.PEER_COLUMNS` table, the same
+  columns and encoding as the checkpoint store block, so a migration
+  batch *is* a slice of a snapshot.
 * **Splittable seeding.** Shard ``i`` of generation ``g`` seeds its
   engine from ``derive_seed(seed, SHARD_NS, 1 + g, shards, i)``; the
   coordinator's tracker stream is ``derive_seed(seed, SHARD_NS, 0)``.
@@ -59,7 +60,14 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Event
 from repro.sim.metrics import MetricsCollector
 from repro.sim.shm import ShardFabric, WorkerFabric
-from repro.sim.soa import SoaSwarm, unpack_rows
+from repro.sim.soa import (
+    PeerStore,
+    SoaSwarm,
+    decode_peer_rows,
+    encode_peer_rows,
+    unpack_rows,
+    words_for,
+)
 from repro.sim.swarm import CheckpointControl, ConnectionStats, SwarmResult
 
 __all__ = ["ShardEngine", "ShardedSwarm", "restore_sharded_swarm", "SHARD_NS"]
@@ -68,32 +76,6 @@ __all__ = ["ShardEngine", "ShardedSwarm", "restore_sharded_swarm", "SHARD_NS"]
 #: every independent stream hangs off the root seed under a distinct
 #: path, so no shard shares a stream with the tracker or the faults).
 SHARD_NS = 0x5AAD
-
-#: Columns a peer carries across a shard boundary — exactly the
-#: per-peer columns of the checkpoint store block.  Neighbor rows and
-#: trading pairs are intentionally absent: migration severs relations
-#: and the migrant re-announces at its destination, like a churn
-#: re-arrival.
-MIGRATION_COLUMNS = (
-    "peer_id",
-    "is_seed",
-    "shaken",
-    "counts",
-    "bits",
-    "joined_at",
-    "seed_until",
-    "first_piece_at",
-    "prelast_at",
-    "shaken_at",
-    "upload_capacity",
-    "seeded",
-)
-
-_FLOAT_COLUMNS = ("joined_at", "seed_until", "first_piece_at",
-                  "prelast_at", "shaken_at")
-_WORD_COLUMNS = ("bits", "seeded")
-_BOOL_COLUMNS = ("is_seed", "shaken")
-
 
 class _WorkerDied(Exception):
     """A shard worker process died mid-protocol (crash or SIGKILL)."""
@@ -108,6 +90,37 @@ def _split(total: int, shards: int, index: int) -> int:
     return total // shards + (1 if index < total % shards else 0)
 
 
+def _shard_record(
+    n_leech: int,
+    n_seeds: int,
+    piece_counts: np.ndarray,
+    stats: Tuple[int, int, int, int],
+    seed_uploads: int,
+    *,
+    time: Optional[float] = None,
+    conn_counts: Optional[np.ndarray] = None,
+    completed: Optional[list] = None,
+    aborted: Optional[list] = None,
+) -> dict:
+    """The coordinator's record of one shard: a round report, or (with
+    the round-only fields left out) a summary of restored state.
+
+    ``stats`` is the (survived, dropped, attempts, formed) connection
+    tally; ``completed``/``aborted`` are the round's new records.
+    """
+    return {
+        "time": time,
+        "n_leech": n_leech,
+        "n_seeds": n_seeds,
+        "piece_counts": piece_counts,
+        "conn_counts": conn_counts,
+        "stats": stats,
+        "seed_uploads": seed_uploads,
+        "completed": list(completed or ()),
+        "aborted": list(aborted or ()),
+    }
+
+
 # ----------------------------------------------------------------------
 # Migration row helpers
 # ----------------------------------------------------------------------
@@ -118,64 +131,14 @@ def _concat_rows(parts: List[dict]) -> Optional[dict]:
     if len(parts) == 1:
         return parts[0]
     return {
-        name: np.concatenate([p[name] for p in parts])
-        for name in MIGRATION_COLUMNS
+        name: np.concatenate([p[name] for p in parts]) for name in parts[0]
     }
-
-
-def _rows_to_json(rows: Optional[dict]) -> Optional[dict]:
-    """Checkpoint (JSON-safe) encoding of one migration row batch."""
-    if rows is None:
-        return None
-    from repro.checkpoint.schema import _opt
-
-    doc: dict = {}
-    for name in MIGRATION_COLUMNS:
-        column = rows[name]
-        if name in _WORD_COLUMNS:
-            doc[name] = [[int(w) for w in row] for row in column]
-        elif name in _BOOL_COLUMNS:
-            doc[name] = [bool(v) for v in column]
-        elif name in _FLOAT_COLUMNS:
-            doc[name] = [_opt(v) for v in column]
-        else:
-            doc[name] = [int(v) for v in column]
-    return doc
-
-
-def _rows_from_json(doc: Optional[dict], num_words: int) -> Optional[dict]:
-    if doc is None or not doc["peer_id"]:
-        return None
-    from repro.checkpoint.schema import _nan_column
-
-    rows: dict = {}
-    for name in MIGRATION_COLUMNS:
-        column = doc[name]
-        if name in _WORD_COLUMNS:
-            rows[name] = np.array(
-                [[int(w) for w in row] for row in column], dtype=np.uint64
-            ).reshape(len(column), num_words)
-        elif name in _BOOL_COLUMNS:
-            rows[name] = np.asarray(column, dtype=bool)
-        elif name in _FLOAT_COLUMNS:
-            rows[name] = _nan_column(column)
-        else:
-            rows[name] = np.asarray(column, dtype=np.int64)
-    return rows
-
-
-def _rows_from_store_block(st: dict, num_words: int) -> Optional[dict]:
-    """Alive-peer rows of a snapshot ``store`` block, migration-shaped."""
-    if not st["slots"]:
-        return None
-    doc = {name: st[name] for name in MIGRATION_COLUMNS}
-    return _rows_from_json(doc, num_words)
 
 
 def _select_rows(rows: dict, mask: np.ndarray) -> Optional[dict]:
     if not mask.any():
         return None
-    return {name: rows[name][mask] for name in MIGRATION_COLUMNS}
+    return {name: column[mask] for name, column in rows.items()}
 
 
 # ----------------------------------------------------------------------
@@ -221,34 +184,13 @@ class ShardEngine(SoaSwarm):
             self.engine.schedule_at(next_time, Event("round"))
 
     def _log_round(self, time: float, pot_full: np.ndarray) -> None:
-        super()._log_round(time, pot_full)
-        store = self.store
-        conn_counts = None
-        leech_end = np.flatnonzero(store.alive & ~store.is_seed)
-        if leech_end.size:
-            partner_counts = self._partner_degrees()[leech_end]
-            if self.metrics.occupancy_scope == "trading":
-                in_scope = (store.counts[leech_end] >= 1) & (
-                    pot_full[leech_end] >= 1
-                )
-                conn_counts = partner_counts[in_scope]
-            else:
-                conn_counts = partner_counts
-        stats = self.connection_stats
-        self._round_report = {
-            "time": time,
-            "n_leech": self._n_leech,
-            "n_seeds": self._n_seeds,
-            "piece_counts": self.piece_counts.copy(),
-            "conn_counts": conn_counts,
-            "stats": (stats.survived, stats.dropped,
-                      stats.attempts, stats.formed),
-            "seed_uploads": self.seed_upload_count,
-            "completed": list(
-                self.metrics.completed[self._completed_reported:]
-            ),
-            "aborted": list(self.metrics.aborted[self._aborted_reported:]),
-        }
+        conn_counts = super()._log_round(time, pot_full)
+        self._round_report = self.state_summary(
+            time=time,
+            conn_counts=conn_counts,
+            completed=self.metrics.completed[self._completed_reported:],
+            aborted=self.metrics.aborted[self._aborted_reported:],
+        )
         self._completed_reported = len(self.metrics.completed)
         self._aborted_reported = len(self.metrics.aborted)
 
@@ -279,30 +221,20 @@ class ShardEngine(SoaSwarm):
 
     def absorb_rows(self, rows: dict) -> None:
         """Admit immigrant peers; they re-announce next round."""
-        ids = np.asarray(rows["peer_id"], dtype=np.int64)
-        count = ids.size
+        count = rows["peer_id"].size
         if count == 0:
             return
         store = self.store
         slots = store.allocate(count)
         self._alive_dirty = True
-        store.peer_id[slots] = ids
-        self._id_to_slot.update(zip(ids.tolist(), slots.tolist()))
-        store.is_seed[slots] = rows["is_seed"]
-        store.shaken[slots] = rows["shaken"]
-        store.counts[slots] = rows["counts"]
-        store.bits[slots] = rows["bits"]
-        store.joined_at[slots] = rows["joined_at"]
-        store.seed_until[slots] = rows["seed_until"]
-        store.first_piece_at[slots] = rows["first_piece_at"]
-        store.prelast_at[slots] = rows["prelast_at"]
-        store.shaken_at[slots] = rows["shaken_at"]
-        store.upload_capacity[slots] = rows["upload_capacity"]
-        store.seeded[slots] = rows["seeded"]
+        store.put_rows(slots, rows)
+        self._id_to_slot.update(
+            zip(store.peer_id[slots].tolist(), slots.tolist())
+        )
         self.piece_counts += unpack_rows(
             store.bits[slots], self.config.num_pieces
         ).sum(axis=0)
-        seeds = int(np.asarray(rows["is_seed"]).sum())
+        seeds = int(store.is_seed[slots].sum())
         self._n_seeds += seeds
         self._n_leech += count - seeds
         self._pending_announce.extend(slots.tolist())
@@ -314,11 +246,7 @@ class ShardEngine(SoaSwarm):
         if count <= 0:
             return None
         pick = alive[np.sort(self.rng.permutation(alive.size)[:count])]
-        store = self.store
-        rows = {
-            name: getattr(store, name)[pick].copy()
-            for name in MIGRATION_COLUMNS
-        }
+        rows = self.store.rows(pick)
         self._remove_peers(pick)
         return rows
 
@@ -345,22 +273,18 @@ class ShardEngine(SoaSwarm):
         )
         return report
 
-    def state_summary(self) -> dict:
-        """Report-shaped summary of current state (no round advanced)."""
+    def state_summary(self, **round_fields) -> dict:
+        """The shard-state record of current state; ``round_fields``
+        fill its round-only entries (see :func:`_shard_record`)."""
         stats = self.connection_stats
-        return {
-            "time": None,
-            "n_leech": self._n_leech,
-            "n_seeds": self._n_seeds,
-            "piece_counts": self.piece_counts.copy(),
-            "conn_counts": None,
-            "stats": (stats.survived, stats.dropped,
-                      stats.attempts, stats.formed),
-            "seed_uploads": self.seed_upload_count,
-            "completed": [],
-            "aborted": [],
-            "emigrants": None,
-        }
+        return _shard_record(
+            self._n_leech,
+            self._n_seeds,
+            self.piece_counts.copy(),
+            (stats.survived, stats.dropped, stats.attempts, stats.formed),
+            self.seed_upload_count,
+            **round_fields,
+        )
 
 
 def _shard_metrics(max_conns: int, opts: dict) -> MetricsCollector:
@@ -775,7 +699,7 @@ class ShardedSwarm(CheckpointControl):
         self._fabric = ShardFabric(
             self.shards,
             config.num_pieces,
-            _bits_words(config.num_pieces),
+            words_for(config.num_pieces),
             conn_rows=conn_rows,
             migration_rows=64,
         )
@@ -1085,24 +1009,22 @@ class ShardedSwarm(CheckpointControl):
             None if coord["next_arrival"] is None
             else float(coord["next_arrival"])
         )
-        words = _bits_words(self.config.num_pieces)
+        words = words_for(self.config.num_pieces)
+        # In-flight migrant batches: slices of a store block, so the
+        # same decoder (and its row-count check) applies.
         self._pending_rows = [
-            _rows_from_json(rows, words) for rows in coord["pending_rows"]
+            None if rows is None
+            else decode_peer_rows(rows, words, len(rows["peer_id"]))
+            for rows in coord["pending_rows"]
         ]
         self._shard_state = [
-            {
-                "time": None,
-                "n_leech": int(state["n_leech"]),
-                "n_seeds": int(state["n_seeds"]),
-                "piece_counts": np.asarray(
-                    state["piece_counts"], dtype=np.int64
-                ),
-                "conn_counts": None,
-                "stats": tuple(int(v) for v in state["stats"]),
-                "seed_uploads": int(state["seed_uploads"]),
-                "completed": [],
-                "aborted": [],
-            }
+            _shard_record(
+                int(state["n_leech"]),
+                int(state["n_seeds"]),
+                np.asarray(state["piece_counts"], dtype=np.int64),
+                tuple(int(v) for v in state["stats"]),
+                int(state["seed_uploads"]),
+            )
             for state in coord["shard_state"]
         ]
         self._carried = {
@@ -1151,7 +1073,8 @@ class ShardedSwarm(CheckpointControl):
                 "global_next_id": self._global_next_id,
                 "next_arrival": self._next_arrival,
                 "pending_rows": [
-                    _rows_to_json(rows) for rows in self._pending_rows
+                    None if rows is None else encode_peer_rows(rows)
+                    for rows in self._pending_rows
                 ],
                 "shard_state": [
                     {
@@ -1251,25 +1174,18 @@ class ShardedSwarm(CheckpointControl):
                 / max(self._rounds, 1)
             ),
         }
-        wall_time = _time.perf_counter() - start
         self.shard_profiles = profiles or None
-        return SwarmResult(
-            config=self.config,
-            metrics=self.metrics,
+        return self._result(
+            start,
             instrumented=[],
-            total_rounds=self._rounds,
             final_leechers=n_leech,
             final_seeds=n_seeds,
             tracker_population_log=list(self._population_log),
             connection_stats=stats,
             seed_upload_count=seed_uploads,
             events_processed=events,
-            wall_time=wall_time,
             fault_stats=fault_stats,
             round_profile=aggregate or None,
-            resumed_from_round=self.resumed_from_round,
-            checkpoints_written=self.checkpoints_written,
-            backend="sharded",
             shard_profiles=self.shard_profiles,
             comms=comms,
         )
@@ -1278,12 +1194,6 @@ class ShardedSwarm(CheckpointControl):
 # ----------------------------------------------------------------------
 # Restore / repartition
 # ----------------------------------------------------------------------
-def _bits_words(num_pieces: int) -> int:
-    from repro.sim.soa import words_for
-
-    return words_for(num_pieces)
-
-
 def _fault_stats_from_dict(doc: dict) -> FaultStats:
     return FaultStats(**{
         key: int(value) for key, value in doc.items() if key != "total"
@@ -1356,6 +1266,10 @@ def restore_sharded_swarm(
         None if document.get("faults_plan") is None
         else FaultPlan.from_dict(document["faults_plan"])
     )
+    # Shard documents restore inside the workers; check their store
+    # blocks here so a damaged one fails now, as a CheckpointError.
+    for shard_doc in document["shard_docs"]:
+        PeerStore.check_block(shard_doc["store"])
     if target == doc_shards:
         swarm = ShardedSwarm(
             config, shards=target, faults=plan, **swarm_kwargs,
@@ -1425,47 +1339,26 @@ def _repartition(
     swarm_kwargs: dict,
 ) -> ShardedSwarm:
     """Checkpoint -> repartition -> resume at a new shard count."""
-    from repro.checkpoint.schema import _restore_metrics
-
     if target < 2:
         raise CheckpointError(
             "re-sharding to shards=1 is not supported; resume with the "
             "original shard count or >= 2 workers"
         )
-    coord = document["coordinator"]
-    words = _bits_words(config.num_pieces)
-
     swarm = ShardedSwarm(config, shards=target, faults=plan, **swarm_kwargs)
-    swarm._generation = int(coord["generation"]) + 1
-    swarm._tracker_rng = np.random.default_rng(0)
-    swarm._tracker_rng.bit_generator.state = coord["rng"]
-    swarm._rounds = int(coord["rounds"])
-    swarm._next_round_time = float(coord["next_round_time"])
-    swarm._population_log = [
-        (float(t), int(le), int(se)) for t, le, se in coord["population_log"]
-    ]
-    swarm._global_next_id = int(coord["global_next_id"])
-    swarm._next_arrival = (
-        None if coord["next_arrival"] is None
-        else float(coord["next_arrival"])
-    )
-    restored_metrics = _restore_metrics(coord["metrics"])
-    _copy_metrics_in_place(swarm.metrics, restored_metrics)
+    swarm._load_coordinator_block(document)
+    swarm._generation += 1
 
     # Fold every old shard's cumulative counters into the carried base;
     # fresh workers restart their counters from zero.
-    carried = {key: int(value) for key, value in coord["carried"].items()}
-    carried_faults = (
-        None if coord["carried_faults"] is None
-        else _fault_stats_from_dict(coord["carried_faults"])
-    )
-    for state in coord["shard_state"]:
+    carried = swarm._carried
+    carried_faults = swarm._carried_faults
+    for state in swarm._shard_state:
         survived, dropped, attempts, formed = state["stats"]
-        carried["survived"] += int(survived)
-        carried["dropped"] += int(dropped)
-        carried["attempts"] += int(attempts)
-        carried["formed"] += int(formed)
-        carried["seed_uploads"] += int(state["seed_uploads"])
+        carried["survived"] += survived
+        carried["dropped"] += dropped
+        carried["attempts"] += attempts
+        carried["formed"] += formed
+        carried["seed_uploads"] += state["seed_uploads"]
     for shard_doc in document["shard_docs"]:
         carried["events"] += int(shard_doc["engine"]["processed"])
         faults_doc = shard_doc.get("faults")
@@ -1473,29 +1366,23 @@ def _repartition(
             if carried_faults is None:
                 carried_faults = FaultStats()
             carried_faults.merge(_fault_stats_from_dict(faults_doc["stats"]))
-    swarm._carried = carried
     swarm._carried_faults = carried_faults
 
     # Gather every alive peer (plus in-flight migrants) and rehash.
-    parts: List[dict] = []
-    for shard_doc in document["shard_docs"]:
-        rows = _rows_from_store_block(shard_doc["store"], words)
-        if rows is not None:
-            parts.append(rows)
-    for rows_doc in coord["pending_rows"]:
-        rows = _rows_from_json(rows_doc, words)
-        if rows is not None:
-            parts.append(rows)
-    merged = _concat_rows(parts)
+    words = words_for(config.num_pieces)
+    parts = [
+        decode_peer_rows(doc["store"], words, len(doc["store"]["slots"]))
+        for doc in document["shard_docs"]
+    ]
+    merged = _concat_rows(parts + swarm._pending_rows)
     adopt: List[Optional[dict]] = [None] * target
     shard_state: List[dict] = []
     for index in range(target):
+        part = None
         if merged is not None:
             part = _select_rows(
                 merged, (merged["peer_id"] % target) == index
             )
-        else:
-            part = None
         adopt[index] = part
         if part is None:
             n_seeds = 0
@@ -1507,17 +1394,9 @@ def _repartition(
             counts = unpack_rows(
                 np.ascontiguousarray(part["bits"]), config.num_pieces
             ).sum(axis=0).astype(np.int64)
-        shard_state.append({
-            "time": None,
-            "n_leech": n_leech,
-            "n_seeds": n_seeds,
-            "piece_counts": counts,
-            "conn_counts": None,
-            "stats": (0, 0, 0, 0),
-            "seed_uploads": 0,
-            "completed": [],
-            "aborted": [],
-        })
+        shard_state.append(
+            _shard_record(n_leech, n_seeds, counts, (0, 0, 0, 0), 0)
+        )
     swarm._pending_rows = [None] * target
     swarm._shard_state = shard_state
     swarm._adopt_rows = adopt

@@ -16,8 +16,9 @@ Layout
 * per shard, a **report block**: the integer round report (populations,
   connection-stats deltas, seed uploads, piece counts) plus the
   trading-scope connection-count region, double-buffered;
-* per shard, an **inbox** and an **outbox** migration block: the
-  checkpoint-shaped migration columns, double-buffered.
+* per shard, an **inbox** and an **outbox** migration block: one
+  plane per :data:`~repro.sim.soa.PEER_COLUMNS` column (the checkpoint
+  store block's columns), double-buffered.
 
 Every block is double-buffered on ``round_index % 2`` with an ``int64``
 round stamp written *after* the payload; a reader validating the stamp
@@ -49,6 +50,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.sim.soa import PEER_COLUMNS
 
 __all__ = ["ShardFabric", "WorkerFabric", "migration_row_bytes"]
 
@@ -57,36 +59,20 @@ __all__ = ["ShardFabric", "WorkerFabric", "migration_row_bytes"]
 SEGMENT_PREFIX = "rbt-"
 
 
-def _migration_spec(words: int) -> Tuple[Tuple[str, type, int], ...]:
-    """Ordered (name, dtype, width) column layout of a migration plane.
-
-    Eight-byte columns first so every numeric column lands 8-aligned;
-    the two one-byte bool columns close the plane.  The names mirror
-    ``repro.sim.sharded.MIGRATION_COLUMNS`` exactly.
-    """
-    return (
-        ("peer_id", np.int64, 1),
-        ("counts", np.int64, 1),
-        ("upload_capacity", np.int64, 1),
-        ("bits", np.uint64, words),
-        ("seeded", np.uint64, words),
-        ("joined_at", np.float64, 1),
-        ("seed_until", np.float64, 1),
-        ("first_piece_at", np.float64, 1),
-        ("prelast_at", np.float64, 1),
-        ("shaken_at", np.float64, 1),
-        ("is_seed", np.bool_, 1),
-        ("shaken", np.bool_, 1),
-    )
-
-
-#: Columns stored two-dimensional, ``(rows, words)``, even at one word.
-_WORD_COLUMN_NAMES = ("bits", "seeded")
+#: The peer-row table in plane order: eight-byte columns first, so
+#: every numeric column lands 8-aligned and the one-byte bool columns
+#: close the plane.
+_PLANE_COLUMNS = tuple(
+    sorted(PEER_COLUMNS, key=lambda column: -np.dtype(column.dtype).itemsize)
+)
 
 
 def migration_row_bytes(words: int) -> int:
     """Bytes one peer row occupies in a migration plane."""
-    return 66 + 16 * words
+    return sum(
+        np.dtype(column.dtype).itemsize * (words if column.wide else 1)
+        for column in PEER_COLUMNS
+    )
 
 
 def _pad8(nbytes: int) -> int:
@@ -294,17 +280,13 @@ class _MigrationBlock:
             )
             offset = base + 16
             cols: Dict[str, np.ndarray] = {}
-            for name, dtype, width in _migration_spec(words):
-                # The bitfield columns are (rows, words) even at one
-                # word; every other column is flat.
-                shape = (
-                    (rows, width) if name in _WORD_COLUMN_NAMES
-                    else (rows,)
+            for column in _PLANE_COLUMNS:
+                view = np.ndarray(
+                    column.shape(rows, words), dtype=column.dtype,
+                    buffer=buf, offset=offset,
                 )
-                cols[name] = np.ndarray(
-                    shape, dtype=dtype, buffer=buf, offset=offset
-                )
-                offset += rows * width * np.dtype(dtype).itemsize
+                cols[column.name] = view
+                offset += view.nbytes
             self.columns.append(cols)
 
     @staticmethod

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +54,7 @@ if not hasattr(np, "bitwise_count"):  # popcount_rows needs the ufunc
         f"{np.__version__}. Upgrade with: pip install 'numpy>=2.0'"
     )
 
-from repro.errors import ParameterError, SimulationError
+from repro.errors import CheckpointError, ParameterError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.runtime.profiler import RoundProfiler, SOA_STAGES
@@ -67,6 +67,8 @@ from repro.sim.piece_selection import RARITY_EXPONENT
 from repro.sim.swarm import CheckpointControl, SwarmResult
 
 __all__ = [
+    "PEER_COLUMNS",
+    "PeerColumn",
     "PeerStore",
     "ScratchArena",
     "SoaSwarm",
@@ -271,14 +273,116 @@ def weighted_pick_rows(
 
 
 # ----------------------------------------------------------------------
+# The peer-row table
+# ----------------------------------------------------------------------
+class PeerColumn(NamedTuple):
+    """One per-peer column of :class:`PeerStore`."""
+
+    name: str
+    dtype: type
+    #: ``True`` for a bitfield column: ``(rows, words)`` uint64, two
+    #: dimensional even at one word.  Every other column is flat.
+    wide: bool
+    #: Value of a free slot, restored when the slot is allocated.
+    reset: object
+
+    def shape(self, rows: int, words: int) -> Tuple[int, ...]:
+        return (rows, words) if self.wide else (rows,)
+
+
+#: The peer-row table: every per-peer column the store holds besides
+#: its own adjacency (``alive``, ``nbr``, ``nbr_deg``).  The paper's
+#: §4.1 peer state and the §3.2 phase boundaries (``first_piece_at``,
+#: ``prelast_at``) live here.  One row of these columns is what a
+#: checkpoint's ``store`` block holds per alive slot, what a migrating
+#: peer carries between shards, and what a shared-memory migration plane
+#: lays out — all three read this tuple, so a new column is one entry.
+PEER_COLUMNS = (
+    PeerColumn("peer_id", np.int64, False, -1),
+    PeerColumn("counts", np.int64, False, 0),
+    # Uploads per round under heterogeneous bandwidth; -1 means
+    # unconstrained (the paper's homogeneous setting).
+    PeerColumn("upload_capacity", np.int64, False, -1),
+    PeerColumn("bits", np.uint64, True, 0),
+    # Pieces a seed has already injected (super-seeding mode).
+    PeerColumn("seeded", np.uint64, True, 0),
+    PeerColumn("joined_at", np.float64, False, 0.0),
+    PeerColumn("seed_until", np.float64, False, np.nan),
+    PeerColumn("first_piece_at", np.float64, False, np.nan),
+    PeerColumn("prelast_at", np.float64, False, np.nan),
+    PeerColumn("shaken_at", np.float64, False, np.nan),
+    PeerColumn("is_seed", np.bool_, False, False),
+    PeerColumn("shaken", np.bool_, False, False),
+)
+
+
+#: Prefix of every decode error, as :func:`~repro.checkpoint.restore_swarm`
+#: words the structural errors it catches.
+_INVALID = "snapshot document is structurally invalid"
+
+
+def encode_peer_rows(rows: Dict[str, np.ndarray]) -> dict:
+    """JSON-safe encoding of peer rows: one list per table column.
+
+    Bitfield words become JSON ints (values above ``2**63`` included)
+    and NaN floats become ``null``, since the checkpoint container's
+    canonical JSON forbids NaN.
+    """
+    doc = {}
+    for column in PEER_COLUMNS:
+        values = rows[column.name].tolist()
+        if column.dtype is np.float64:
+            values = [None if v != v else v for v in values]
+        doc[column.name] = values
+    return doc
+
+
+def decode_peer_rows(
+    doc: dict, words: int, count: int
+) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`encode_peer_rows` for a batch of ``count`` rows.
+
+    Raises :class:`~repro.errors.CheckpointError` when a column is
+    missing or does not hold exactly ``count`` rows — numpy would
+    otherwise broadcast a one-row column over every slot.
+    """
+    check_peer_rows(doc, count)
+    rows = {}
+    for column in PEER_COLUMNS:
+        values = doc[column.name]
+        if column.dtype is np.float64:
+            values = [np.nan if v is None else v for v in values]
+        rows[column.name] = np.array(values, dtype=column.dtype).reshape(
+            column.shape(count, words)
+        )
+    return rows
+
+
+def check_peer_rows(doc: dict, count: int) -> None:
+    """Raise ``CheckpointError`` unless every column has ``count`` rows."""
+    for column in PEER_COLUMNS:
+        if column.name not in doc:
+            raise CheckpointError(
+                f"{_INVALID}: peer rows lack column {column.name!r}"
+            )
+        found = len(doc[column.name])
+        if found != count:
+            raise CheckpointError(
+                f"{_INVALID}: peer-row column {column.name!r} has "
+                f"{found} rows, expected {count}"
+            )
+
+
+# ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
 class PeerStore:
     """Structure-of-arrays peer state with free-list slot recycling.
 
     Every per-peer scalar of the object backend's ``Peer`` lives here as
-    one array indexed by *slot*.  Slots are recycled LIFO so array reads
-    stay dense; ``alive`` masks out the free ones.  Neighbor adjacency:
+    one array indexed by *slot*: the :data:`PEER_COLUMNS` table, one
+    attribute per column.  Slots are recycled LIFO so array reads stay
+    dense; ``alive`` masks out the free ones.  Neighbor adjacency:
 
     * leechers keep a fixed-width row in ``nbr`` (width = the tracker
       accept cap) plus its fill ``nbr_deg``;
@@ -300,24 +404,14 @@ class PeerStore:
         self._allocate_arrays(max(capacity, 8))
 
     def _allocate_arrays(self, capacity: int) -> None:
+        for column in PEER_COLUMNS:
+            setattr(self, column.name, np.full(
+                column.shape(capacity, self.words), column.reset,
+                dtype=column.dtype,
+            ))
         self.alive = np.zeros(capacity, dtype=bool)
-        self.is_seed = np.zeros(capacity, dtype=bool)
-        self.shaken = np.zeros(capacity, dtype=bool)
-        self.peer_id = np.full(capacity, -1, dtype=np.int64)
-        self.counts = np.zeros(capacity, dtype=np.int64)
-        self.bits = np.zeros((capacity, self.words), dtype=np.uint64)
-        self.joined_at = np.zeros(capacity, dtype=np.float64)
-        self.seed_until = np.full(capacity, np.nan)
-        self.first_piece_at = np.full(capacity, np.nan)
-        self.prelast_at = np.full(capacity, np.nan)
-        self.shaken_at = np.full(capacity, np.nan)
-        #: Uploads per round under heterogeneous bandwidth; -1 means
-        #: unconstrained (the paper's homogeneous setting).
-        self.upload_capacity = np.full(capacity, -1, dtype=np.int64)
         self.nbr = np.full((capacity, self.nbr_width), -1, dtype=np.int64)
         self.nbr_deg = np.zeros(capacity, dtype=np.int64)
-        #: Pieces a seed has already injected (super-seeding mode).
-        self.seeded = np.zeros((capacity, self.words), dtype=np.uint64)
         self.free = list(range(capacity - 1, -1, -1))
         self.capacity = capacity
 
@@ -327,11 +421,8 @@ class PeerStore:
         old_cap = self.capacity
         old = self.__dict__.copy()
         self._allocate_arrays(new_cap)
-        for name in (
-            "alive", "is_seed", "shaken", "peer_id", "counts", "bits",
-            "joined_at", "seed_until", "first_piece_at", "prelast_at",
-            "shaken_at", "upload_capacity", "nbr", "nbr_deg", "seeded",
-        ):
+        names = [column.name for column in PEER_COLUMNS]
+        for name in ("alive", "nbr", "nbr_deg", *names):
             getattr(self, name)[:old_cap] = old[name]
         # _allocate_arrays reset the free list to cover everything; keep
         # the old list (LIFO order preserved) plus the new slots on top.
@@ -346,19 +437,79 @@ class PeerStore:
         del self.free[len(self.free) - count:]
         slots = np.array(take[::-1], dtype=np.int64)
         self.alive[slots] = True
-        self.is_seed[slots] = False
-        self.shaken[slots] = False
-        self.counts[slots] = 0
-        self.bits[slots] = 0
-        self.seed_until[slots] = np.nan
-        self.first_piece_at[slots] = np.nan
-        self.prelast_at[slots] = np.nan
-        self.shaken_at[slots] = np.nan
-        self.upload_capacity[slots] = -1
+        for column in PEER_COLUMNS:
+            getattr(self, column.name)[slots] = column.reset
         self.nbr[slots] = -1
         self.nbr_deg[slots] = 0
-        self.seeded[slots] = 0
         return slots
+
+    def rows(self, slots: np.ndarray) -> Dict[str, np.ndarray]:
+        """Copies of the table columns at ``slots``, keyed by name."""
+        return {
+            column.name: getattr(self, column.name)[slots]
+            for column in PEER_COLUMNS
+        }
+
+    def put_rows(self, slots: np.ndarray, rows: Dict[str, np.ndarray]) -> None:
+        """Write table rows (as :meth:`rows` returns them) into ``slots``."""
+        for column in PEER_COLUMNS:
+            getattr(self, column.name)[slots] = rows[column.name]
+
+    # -- the checkpoint ``store`` block --------------------------------
+    def to_block(self) -> dict:
+        """The checkpoint ``store`` block: table rows of every alive slot
+        (ascending), their neighbor rows and the free-list order."""
+        slots = np.flatnonzero(self.alive)
+        block = encode_peer_rows(self.rows(slots))
+        block.update(
+            capacity=self.capacity,
+            nbr_width=self.nbr_width,
+            # LIFO pop order — the next allocation must hand out the
+            # same slots the uninterrupted run would have.
+            free=[int(s) for s in self.free],
+            slots=slots.tolist(),
+            # Neighbor rows trimmed to their fill; in-row order is the
+            # append order the refill logic depends on.
+            nbr=[self.nbr[s, : self.nbr_deg[s]].tolist() for s in slots],
+        )
+        return block
+
+    @staticmethod
+    def check_block(block: dict) -> int:
+        """Raise ``CheckpointError`` unless ``block`` is a whole store
+        block with one row per slot in every column; returns the count."""
+        for key in ("capacity", "nbr_width", "free", "slots", "nbr"):
+            if key not in block:
+                raise CheckpointError(f"{_INVALID}: store block lacks {key!r}")
+        count = len(block["slots"])
+        check_peer_rows(block, count)
+        if len(block["nbr"]) != count:
+            raise CheckpointError(
+                f"{_INVALID}: store column 'nbr' has "
+                f"{len(block['nbr'])} rows, expected {count}"
+            )
+        return count
+
+    @classmethod
+    def from_block(
+        cls, block: dict, num_pieces: int
+    ) -> Tuple["PeerStore", np.ndarray]:
+        """Rebuild a store from :meth:`to_block`'s output; returns it
+        with the alive slots in block order."""
+        count = cls.check_block(block)
+        store = cls(
+            int(block["capacity"]), num_pieces, int(block["nbr_width"])
+        )
+        store.free = [int(s) for s in block["free"]]
+        slots = np.asarray(block["slots"], dtype=np.int64)
+        if count:
+            store.alive[slots] = True
+            store.put_rows(slots, decode_peer_rows(block, store.words, count))
+            for slot, row in zip(slots, block["nbr"]):
+                if row:
+                    store.nbr[slot, : len(row)] = row
+                store.nbr_deg[slot] = len(row)
+        return store, slots
 
     def release(self, slots: np.ndarray) -> None:
         """Return slots to the free list (ascending push order)."""
@@ -1740,7 +1891,11 @@ class SoaSwarm(CheckpointControl):
         store.release(slots)
         self._alive_dirty = True
 
-    def _log_round(self, time: float, pot_full: np.ndarray) -> None:
+    def _log_round(
+        self, time: float, pot_full: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Record the round's metrics; returns the occupancy-scope
+        connection counts it recorded (None with no leechers)."""
         store = self.store
         metrics = self.metrics
         self._population_log.append((time, self._n_leech, self._n_seeds))
@@ -1768,6 +1923,7 @@ class SoaSwarm(CheckpointControl):
             degrees=degrees,
             conn_counts=conn_counts,
         )
+        return conn_counts
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -1797,18 +1953,15 @@ class SoaSwarm(CheckpointControl):
         if not self._setup_done:
             self.setup()
         self.engine.run_until(self.config.max_time)
-        return SwarmResult(
-            config=self.config,
-            metrics=self.metrics,
+        return self._result(
+            start,
             instrumented=[],
-            total_rounds=self._rounds,
             final_leechers=self._n_leech,
             final_seeds=self._n_seeds,
             tracker_population_log=list(self._population_log),
             connection_stats=self.connection_stats,
             seed_upload_count=self.seed_upload_count,
             events_processed=self.engine.processed_events,
-            wall_time=_time.perf_counter() - start,
             fault_stats=(
                 self.fault_injector.stats if self.fault_injector else None
             ),
@@ -1817,7 +1970,4 @@ class SoaSwarm(CheckpointControl):
                 if self.profiler is not None
                 else None
             ),
-            resumed_from_round=self.resumed_from_round,
-            checkpoints_written=self.checkpoints_written,
-            backend="soa",
         )

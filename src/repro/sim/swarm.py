@@ -138,7 +138,9 @@ class CheckpointControl:
     An engine calls ``super().__init__(checkpoint_every,
     checkpoint_path)`` from its constructor and provides ``snapshot()``
     and a ``_rounds`` counter; the periodic hook and explicit writes
-    both land in :meth:`write_checkpoint`.
+    both land in :meth:`write_checkpoint`.  With ``config``, ``metrics``
+    and ``backend`` attributes too, :meth:`_result` builds its
+    :class:`SwarmResult`.
     """
 
     def __init__(self, checkpoint_every: int, checkpoint_path: Optional[str]):
@@ -182,6 +184,22 @@ class CheckpointControl:
         write_checkpoint(document, target)
         self.checkpoints_written += 1
         return document
+
+    def _result(self, start: float, **fields) -> SwarmResult:
+        """The run's :class:`SwarmResult`: the engine-common fields
+        (config, metrics, rounds, resume round, checkpoints written,
+        backend, wall time since ``start``) plus the engine's
+        ``fields``."""
+        return SwarmResult(
+            config=self.config,
+            metrics=self.metrics,
+            total_rounds=self._rounds,
+            resumed_from_round=self.resumed_from_round,
+            checkpoints_written=self.checkpoints_written,
+            backend=self.backend,
+            wall_time=time.perf_counter() - start,
+            **fields,
+        )
 
 
 #: The engines ``Swarm(config, backend=...)`` builds: backend name ->
@@ -866,27 +884,21 @@ class Swarm(CheckpointControl):
             self.setup()
         self.engine.run_until(self.config.max_time)
         leech, seeds = self.tracker.counts()
-        return SwarmResult(
-            config=self.config,
-            metrics=self.metrics,
+        return self._result(
+            start,
             instrumented=self.instrumented_peers,
-            total_rounds=self._rounds,
             final_leechers=leech,
             final_seeds=seeds,
             tracker_population_log=list(self.tracker.population_log),
             connection_stats=self.connection_stats,
             seed_upload_count=self.seed_upload_count,
             events_processed=self.engine.processed_events,
-            wall_time=time.perf_counter() - start,
             fault_stats=(
                 self.fault_injector.stats if self.fault_injector else None
             ),
             round_profile=(
                 self.profiler.as_dict() if self.profiler is not None else None
             ),
-            resumed_from_round=self.resumed_from_round,
-            checkpoints_written=self.checkpoints_written,
-            backend="object",
         )
 
 

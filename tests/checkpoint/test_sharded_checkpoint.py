@@ -278,3 +278,38 @@ def test_structurally_invalid_sharded_document_raises(tmp_path):
             "shards": 2,
             "config": sharded_config().to_dict(),
         })
+
+
+def _two_shard_snapshot(rounds=6):
+    """A 2-shard snapshot with migrants in flight (``shard_mix > 0``)."""
+    swarm = Swarm(
+        sharded_config(), backend="sharded", shards=2, shard_mix=0.2
+    )
+    for _ in range(rounds):
+        assert swarm.step_round()
+    document = swarm.snapshot()
+    swarm.close()
+    assert any(document["coordinator"]["pending_rows"])
+    return document
+
+
+@pytest.mark.parametrize("damage", [
+    "missing free list", "ragged shard column", "ragged migrant column",
+])
+def test_damaged_sharded_document_fails_at_restore(damage):
+    """Shard store blocks and in-flight migrant batches are checked by
+    the coordinator, so damage is a CheckpointError from restore_swarm,
+    not a worker failure (or a silent broadcast) at run()."""
+    from repro.checkpoint.schema import restore_swarm
+
+    document = _two_shard_snapshot()
+    if damage == "missing free list":
+        del document["shard_docs"][0]["store"]["free"]
+    elif damage == "ragged shard column":
+        store = document["shard_docs"][1]["store"]
+        store["joined_at"] = store["joined_at"][:1]
+    else:
+        batch = next(b for b in document["coordinator"]["pending_rows"] if b)
+        batch["counts"] = batch["counts"][:-1]
+    with pytest.raises(CheckpointError, match="structurally invalid"):
+        restore_swarm(document)

@@ -131,6 +131,19 @@ def test_soa_snapshot_rejects_structural_damage():
         restore_swarm(document)
 
 
+@pytest.mark.parametrize(
+    "column", ["joined_at", "counts", "is_seed", "upload_capacity", "nbr"]
+)
+def test_soa_snapshot_rejects_a_ragged_store_column(column):
+    """A column cut to one row must not broadcast over every slot."""
+    document = soa_snapshot_at_round(soa_replay_config(seed=59), 10)
+    store = document["store"]
+    assert len(store["slots"]) > 1
+    store[column] = store[column][:1]
+    with pytest.raises(CheckpointError, match=repr(column)):
+        restore_swarm(document)
+
+
 def test_sigkilled_soa_run_resumes_on_relaunch(tmp_path):
     """Kill a checkpointing soa run outright; relaunch must resume."""
     ckpt = Path(tmp_path) / "soa-kill.ckpt"

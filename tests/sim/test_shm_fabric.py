@@ -199,6 +199,28 @@ def test_byte_counters(ends):
     assert fabric.bytes_migrated == 5 * row_bytes
 
 
+@pytest.mark.parametrize("words", [1, 2, 5])
+def test_migration_row_bytes_sum_the_peer_row_table(words):
+    """The plane layout comes from ``PEER_COLUMNS``: eight 8-byte flat
+    columns, two bitfield columns of ``words`` uint64 each, two bools."""
+    assert migration_row_bytes(words) == 66 + 16 * words
+    fabric = ShardFabric(1, NUM_PIECES, words, conn_rows=1, migration_rows=3)
+    try:
+        rows = _migration_rows(3, words)
+        fabric.write_inbox(0, rows, 1)
+        worker = WorkerFabric(fabric.spec(0))
+        try:
+            got = worker.read_inbox(1)
+            assert set(got) == set(rows)
+            for name, column in rows.items():
+                np.testing.assert_array_equal(got[name], column)
+            del got
+        finally:
+            worker.close()
+    finally:
+        fabric.close()
+
+
 def test_close_unlinks_every_segment():
     fabric = ShardFabric(3, NUM_PIECES, WORDS, conn_rows=8, migration_rows=4)
     names = fabric.segment_names()
