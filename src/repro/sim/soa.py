@@ -80,6 +80,9 @@ __all__ = [
     "interest_flags",
     "group_ranks",
     "weighted_pick_rows",
+    "row_columns",
+    "partner_edges",
+    "entries_in",
 ]
 
 _ONE = np.uint64(1)
@@ -270,6 +273,59 @@ def weighted_pick_rows(
     np.minimum(idx, weights.shape[1] - 1, out=idx)
     idx[total <= 0.0] = -1
     return idx
+
+
+def row_columns(
+    rows: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Column of ``values[i]`` in neighbor row ``rows[i]``, and whether
+    it is there at all.
+
+    Neighbor rows hold each slot at most once and pad with -1, so the
+    first match is the only one: one broadcast compare and an argmax,
+    O(len(values) x row width), with no sort.
+    """
+    hit = rows == values[:, None]
+    col = hit.argmax(axis=1)
+    return col, hit[np.arange(col.size), col]
+
+
+def partner_edges(
+    nbr: np.ndarray,
+    row_of: np.ndarray,
+    edge_start: np.ndarray,
+    pairs: np.ndarray,
+) -> np.ndarray:
+    """Positions of the trading ``pairs`` in the round's edge list.
+
+    The edge list flattens the leecher neighbor rows, row ``r``'s
+    entries starting at ``edge_start[r]``; ``row_of`` maps a slot to its
+    leecher row (-1 for any other slot).  A pair ``(a, b)`` is the edge
+    ``b`` in ``a``'s row when ``a`` is a leecher and ``a`` in ``b``'s
+    row when ``b`` is; an endpoint that is not a leecher, or a row that
+    lacks the other endpoint, contributes no edge.
+    """
+    ends = pairs.T.ravel()
+    others = pairs[:, ::-1].T.ravel()
+    row = row_of[ends]
+    lee = np.flatnonzero(row >= 0)
+    col, found = row_columns(nbr[ends[lee]], others[lee])
+    return edge_start[row[lee[found]]] + col[found]
+
+
+def entries_in(
+    nbr: np.ndarray, mask: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, value)`` of every entry of ``nbr`` that ``mask`` marks,
+    in row-major order.
+
+    ``mask`` has one cell per slot plus a spare last cell that must stay
+    False: the -1 padding of the rows indexes it.
+    """
+    hit = mask[nbr]
+    counts = hit.sum(axis=1)
+    rows = np.flatnonzero(counts)
+    return np.repeat(rows, counts[rows]), nbr[hit]
 
 
 # ----------------------------------------------------------------------
@@ -535,22 +591,33 @@ class PeerStore:
     ) -> None:
         """Delete ``values[i]`` from ``holders[i]``'s neighbor row.
 
-        Vectorized multi-removal: mark the doomed cells, stable-partition
-        every affected row so kept entries slide left in order, then
-        blank the tail.  Each (holder, value) must exist exactly once.
+        Vectorized multi-removal without a sort: find each doomed
+        cell's column by row lookup, mark the affected rows, then
+        rewrite them -1-padded with the kept cells slid left (a
+        boolean-mask gather reads them in row-major order, so they keep
+        their order).  Each (holder, value) must exist; a missing one
+        raises :class:`SimulationError`.
         """
         if holders.size == 0:
             return
-        rows = np.unique(holders)
-        sub = self.nbr[rows]
-        drop = np.zeros(sub.shape, dtype=bool)
-        row_pos = np.searchsorted(rows, holders)
-        np.logical_or.at(drop, row_pos, sub[row_pos] == values[:, None])
-        order = np.argsort(drop, axis=1, kind="stable")
-        packed = np.take_along_axis(sub, order, axis=1)
-        new_deg = self.nbr_deg[rows] - drop.sum(axis=1)
-        tail = np.arange(self.nbr_width)[None, :] >= new_deg[:, None]
-        packed[tail] = -1
+        col, found = row_columns(self.nbr[holders], values)
+        if not found.all():
+            miss = int(np.flatnonzero(~found)[0])
+            raise SimulationError(
+                f"neighbor row of slot {int(holders[miss])} has no entry "
+                f"{int(values[miss])} to remove"
+            )
+        mark = np.zeros(self.capacity, dtype=bool)
+        mark[holders] = True
+        rows = np.flatnonzero(mark)
+        pos = np.empty(self.capacity, dtype=np.int64)
+        pos[rows] = np.arange(rows.size)
+        columns = np.arange(self.nbr_width)[None, :]
+        keep = columns < self.nbr_deg[rows][:, None]
+        keep[pos[holders], col] = False
+        new_deg = keep.sum(axis=1)
+        packed = np.full((rows.size, self.nbr_width), -1, dtype=np.int64)
+        packed[columns < new_deg[:, None]] = self.nbr[rows][keep]
         self.nbr[rows] = packed
         self.nbr_deg[rows] = new_deg
 
@@ -1167,32 +1234,26 @@ class SoaSwarm(CheckpointControl):
         rate = self.config.abort_rate
         if rate <= 0.0:
             return
-        store = self.store
-        leech = np.flatnonzero(store.alive & ~store.is_seed)
-        if leech.size == 0:
-            return
-        mask = self.rng.random(leech.size) < rate
-        if mask.any():
-            gone = leech[mask]
-            for slot in gone:
-                self.metrics.record_abort(time, int(store.counts[slot]))
-            self._remove_peers(gone)
+        leech = np.flatnonzero(self.store.alive & ~self.store.is_seed)
+        if leech.size:
+            self._abort(leech[self.rng.random(leech.size) < rate], time)
 
     def _inject_churn(self, time: float) -> None:
         """Fault-plan churn through the injector's batched mask."""
         injector = self.fault_injector
         if injector is None or injector.plan.churn_hazard <= 0.0:
             return
-        store = self.store
-        leech = np.flatnonzero(store.alive & ~store.is_seed)
-        if leech.size == 0:
+        leech = np.flatnonzero(self.store.alive & ~self.store.is_seed)
+        if leech.size:
+            self._abort(leech[injector.churn_mask(leech.size)], time)
+
+    def _abort(self, gone: np.ndarray, time: float) -> None:
+        """Record the leechers ``gone`` as aborted, then depart them."""
+        if gone.size == 0:
             return
-        mask = injector.churn_mask(leech.size)
-        if mask.any():
-            gone = leech[mask]
-            for slot in gone:
-                self.metrics.record_abort(time, int(store.counts[slot]))
-            self._remove_peers(gone)
+        for held in self.store.counts[gone].tolist():
+            self.metrics.record_abort(time, held)
+        self._remove_peers(gone)
 
     def _maintain_connections(self) -> None:
         """Drop pairs that lost interest or failed exogenously."""
@@ -1281,23 +1342,23 @@ class SoaSwarm(CheckpointControl):
         object backend's busy-candidate waste).
         """
         config = self.config
-        cap = self.store.capacity
+        store = self.store
+        cap = store.capacity
         degrees = self._partner_degrees()
         open_slots = config.max_conns - degrees[leech]
         # Candidate pool per proposer = potential minus current partners
-        # (the object backend's ``candidates`` list).
+        # (the object backend's ``candidates`` list): each pair is an
+        # entry in its leecher endpoints' rows, cleared by row lookup.
+        if self._pairs.shape[0]:
+            row_of = self.scratch.full("leech_row", cap, -1)
+            row_of[leech] = np.arange(leech.size)
+            deg = store.nbr_deg[leech]
+            mutual = mutual.copy()
+            mutual[partner_edges(
+                store.nbr, row_of, np.cumsum(deg) - deg, self._pairs
+            )] = False
         m_row = row_idx[mutual]
         m_dst = dst[mutual]
-        if self._pairs.shape[0]:
-            m_src = leech[m_row]
-            edge_key = (
-                np.minimum(m_src, m_dst) * cap
-                + np.maximum(m_src, m_dst)
-            )
-            pair_keys = self._pairs[:, 0] * cap + self._pairs[:, 1]
-            keep = ~np.isin(edge_key, pair_keys)
-            m_row = m_row[keep]
-            m_dst = m_dst[keep]
         avail = np.bincount(m_row, minlength=leech.size)
         proposing = (avail > 0) & (open_slots > 0)
         if not proposing.any():
@@ -1714,32 +1775,40 @@ class SoaSwarm(CheckpointControl):
         return landed.size
 
     # -- bookkeeping -------------------------------------------------------
-    def _record_completion(self, slot: int, time: float) -> None:
+    def _record_completions(self, done: np.ndarray, time: float) -> None:
+        """One :class:`CompletedDownload` per slot of ``done``, in order;
+        each column is read once for the whole batch."""
         store = self.store
-        stats = PeerStats(joined_at=float(store.joined_at[slot]))
-        stats.completed_at = time
-        # Compressed acquisition timeline: the phase boundaries the
-        # paper's analyses read (first piece = bootstrap exit, B-1
-        # pieces = last-phase entry, completion).
-        timeline = []
-        for mark in (store.first_piece_at[slot], store.prelast_at[slot]):
-            if not math.isnan(mark):
-                timeline.append(float(mark))
-        timeline.append(time)
-        stats.piece_times = timeline
-        if not math.isnan(store.shaken_at[slot]):
-            stats.shaken_at = float(store.shaken_at[slot])
-        capacity = int(store.upload_capacity[slot])
-        self.metrics.completed.append(
-            CompletedDownload(
-                peer_id=int(store.peer_id[slot]),
-                joined_at=float(store.joined_at[slot]),
-                completed_at=time,
-                stats=stats,
-                shaken=bool(store.shaken[slot]),
-                upload_capacity=capacity if capacity >= 0 else None,
+        completed = self.metrics.completed
+        for peer_id, joined, first, prelast, shaken_at, shaken, capacity in zip(
+            store.peer_id[done].tolist(),
+            store.joined_at[done].tolist(),
+            store.first_piece_at[done].tolist(),
+            store.prelast_at[done].tolist(),
+            store.shaken_at[done].tolist(),
+            store.shaken[done].tolist(),
+            store.upload_capacity[done].tolist(),
+        ):
+            stats = PeerStats(joined_at=joined)
+            stats.completed_at = time
+            # Compressed acquisition timeline: the phase boundaries the
+            # paper's analyses read (first piece = bootstrap exit, B-1
+            # pieces = last-phase entry, completion).
+            stats.piece_times = [
+                mark for mark in (first, prelast) if not math.isnan(mark)
+            ] + [time]
+            if not math.isnan(shaken_at):
+                stats.shaken_at = shaken_at
+            completed.append(
+                CompletedDownload(
+                    peer_id=peer_id,
+                    joined_at=joined,
+                    completed_at=time,
+                    stats=stats,
+                    shaken=shaken,
+                    upload_capacity=capacity if capacity >= 0 else None,
+                )
             )
-        )
 
     def _handle_completions(self, time: float) -> None:
         config = self.config
@@ -1751,8 +1820,7 @@ class SoaSwarm(CheckpointControl):
         )
         if done.size == 0:
             return
-        for slot in done:
-            self._record_completion(int(slot), time)
+        self._record_completions(done, time)
         if config.completed_become_seeds > 0:
             store.is_seed[done] = True
             store.seed_until[done] = time + config.completed_become_seeds
@@ -1862,16 +1930,15 @@ class SoaSwarm(CheckpointControl):
         holders, values = self._scrub_rows(slots[~seed_departing])
         if seed_departing.any():
             # Seeds are counter-only: their relations live in leecher
-            # rows, found by scanning the whole adjacency once.
-            seed_slots = slots[seed_departing]
-            hit = np.isin(store.nbr, seed_slots)
-            counts = hit.sum(axis=1)
-            hit_rows = np.flatnonzero(counts)
-            if hit_rows.size:
-                holders = np.concatenate(
-                    [holders, np.repeat(hit_rows, counts[hit_rows])]
-                )
-                values = np.concatenate([values, store.nbr[hit]])
+            # rows, found by gathering a slot mask through the whole
+            # adjacency once.
+            seed_gone = self.scratch.zeros(
+                "seed_gone", store.capacity + 1, np.bool_
+            )
+            seed_gone[slots[seed_departing]] = True
+            hit_rows, hit_values = entries_in(store.nbr, seed_gone)
+            holders = np.concatenate([holders, hit_rows])
+            values = np.concatenate([values, hit_values])
         if holders.size:
             departing = self.scratch.zeros(
                 "departing", store.capacity, np.bool_

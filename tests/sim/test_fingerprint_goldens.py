@@ -1,0 +1,175 @@
+"""Mid-scale fingerprint goldens for the soa and sharded engines.
+
+The soa-equivalence and checkpoint suites compare engines and resumes
+with each other at a few hundred peers; this file pins absolute
+trajectories at a few thousand, where the round kernels (partner
+exclusion, neighbor-row deletion, the seed-departure scan, batched
+completion and abort bookkeeping) all see realistic batch sizes.  Each
+case stores the run's :meth:`~repro.sim.swarm.SwarmResult.fingerprint`
+plus a few readable counters, so a drift names what moved.
+
+``soa_100k_seed1.sha256`` beside the goldens holds the fingerprint of
+``perfbench/run.py --workload soa-100k --seed 1``; CI compares the
+ledger entry of that run against it.
+
+Regenerate after an *intentional* behaviour change with::
+
+    REPRO_REGEN_GOLDENS=1 python -m pytest tests/sim/test_fingerprint_goldens.py
+"""
+
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from repro.sim.config import SimConfig
+from repro.sim.swarm import Swarm
+
+GOLDEN_JSON = Path(__file__).parent / "goldens" / "fingerprints.json"
+REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
+
+
+def soa_departing_config() -> SimConfig:
+    """soa-100k's swarm at 5k peers: completers leave at once."""
+    peers = 5_000
+    return SimConfig(
+        num_pieces=60,
+        max_conns=4,
+        ns_size=25,
+        arrival_process="poisson",
+        arrival_rate=3.0 * peers / 100.0,
+        initial_leechers=peers,
+        initial_distribution="uniform",
+        initial_fill=0.5,
+        num_seeds=peers // 100,
+        seed_upload_slots=2,
+        piece_selection="rarest",
+        max_time=12.0,
+        seed=1,
+    )
+
+
+def soa_lingering_config() -> SimConfig:
+    """Completers linger as seeds and then depart, leechers shake and
+    abort: every row-deletion path, the seed scan included."""
+    return SimConfig(
+        num_pieces=40,
+        max_conns=4,
+        ns_size=20,
+        arrival_process="poisson",
+        arrival_rate=40.0,
+        initial_leechers=1_500,
+        initial_distribution="uniform",
+        initial_fill=0.4,
+        num_seeds=15,
+        seed_upload_slots=2,
+        piece_selection="rarest",
+        completed_become_seeds=3.0,
+        abort_rate=0.02,
+        shake_threshold=0.6,
+        max_time=25.0,
+        seed=2,
+    )
+
+
+def sharded_config() -> SimConfig:
+    return SimConfig(
+        num_pieces=40,
+        max_conns=4,
+        ns_size=15,
+        arrival_process="poisson",
+        arrival_rate=30.0,
+        initial_leechers=2_000,
+        initial_distribution="uniform",
+        initial_fill=0.5,
+        num_seeds=20,
+        seed_upload_slots=2,
+        piece_selection="rarest",
+        completed_become_seeds=2.0,
+        abort_rate=0.01,
+        max_time=15.0,
+        seed=3,
+    )
+
+
+CASES = {
+    "soa-departing": lambda: Swarm(soa_departing_config(), backend="soa"),
+    "soa-lingering": lambda: Swarm(soa_lingering_config(), backend="soa"),
+    "sharded-2": lambda: Swarm(
+        sharded_config(), backend="sharded", shards=2, shard_mix=0.05
+    ),
+}
+
+
+def summary(result) -> dict:
+    stats = result.connection_stats
+    return {
+        "fingerprint": result.fingerprint(),
+        "events_processed": result.events_processed,
+        "completed": len(result.metrics.completed),
+        "aborted": len(result.metrics.aborted),
+        "final_leechers": result.final_leechers,
+        "final_seeds": result.final_seeds,
+        "attempts": stats.attempts,
+        "formed": stats.formed,
+        "seed_uploads": result.seed_upload_count,
+    }
+
+
+@pytest.fixture(scope="module")
+def goldens() -> dict:
+    if REGEN:
+        return {}
+    assert GOLDEN_JSON.exists(), (
+        "missing fingerprint goldens; regenerate with REPRO_REGEN_GOLDENS=1"
+    )
+    return json.loads(GOLDEN_JSON.read_text())
+
+
+@pytest.fixture(scope="module")
+def results() -> dict:
+    """Each case runs once per module; both tests below read it."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = CASES[name]().run()
+        return cache[name]
+
+    return get
+
+
+def _store(name: str, record: dict) -> None:
+    current = json.loads(GOLDEN_JSON.read_text()) if GOLDEN_JSON.exists() else {}
+    current[name] = record
+    GOLDEN_JSON.parent.mkdir(exist_ok=True)
+    GOLDEN_JSON.write_text(json.dumps(current, sort_keys=True, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_matches_fingerprint_golden(name, goldens, results):
+    record = summary(results(name))
+    if REGEN:
+        _store(name, record)
+        return
+    assert record == goldens[name]
+
+
+def test_cases_exercise_their_departure_paths(results):
+    """Guard the goldens' coverage: a config edit that stops a case from
+    reaching the path it is meant to pin fails here, not silently."""
+    departing = results("soa-departing")
+    assert len(departing.metrics.completed) > 1_000
+    assert departing.final_seeds == soa_departing_config().num_seeds
+
+    lingering = results("soa-lingering")
+    assert len(lingering.metrics.aborted) > 100
+    assert any(c.shaken for c in lingering.metrics.completed)
+    # Lingering seeds depart: the seed count falls between some rounds.
+    seeds = [row[2] for row in lingering.tracker_population_log]
+    assert any(b < a for a, b in zip(seeds, seeds[1:]))
+
+    sharded = results("sharded-2")
+    assert sharded.comms["bytes_migrated"] > 0
+    assert len(sharded.metrics.completed) > 0

@@ -7,7 +7,10 @@ lexsort), including the fast paths that bypass the general code.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.bitfield import Bitfield
 from repro.sim.config import SimConfig
 from repro.sim.soa import (
@@ -15,16 +18,22 @@ from repro.sim.soa import (
     ScratchArena,
     SoaSwarm,
     _contiguous_ranks,
+    entries_in,
     group_ranks,
     interest_flags,
     mask_from_words,
     pack_mask,
     pack_rows,
+    partner_edges,
     popcount_rows,
     unpack_rows,
     weighted_pick_rows,
     words_for,
 )
+
+#: The row-lookup kernels must equal their references on every input,
+#: so the examples are derandomized: a failure replays on every run.
+KERNEL_SETTINGS = dict(max_examples=300, deadline=None, derandomize=True)
 
 
 @pytest.mark.parametrize("num_pieces", [1, 7, 63, 64, 65, 70, 128, 200])
@@ -190,6 +199,184 @@ def test_weighted_pick_rows_frequencies_track_weights():
     picks = weighted_pick_rows(weights, rng)
     freq = np.bincount(picks, minlength=3) / picks.size
     np.testing.assert_allclose(freq, np.array([1, 2, 5]) / 8.0, atol=0.02)
+
+
+# ----------------------------------------------------------------------
+# Neighbor-row lookups: partner exclusion, row deletion, the seed scan
+# ----------------------------------------------------------------------
+@st.composite
+def neighbor_rows(draw, max_slots=14, max_width=6):
+    """A padded adjacency: each row holds distinct other slots, then -1.
+
+    Rows need not be symmetric and any slot may have an empty row, so
+    the kernels are checked beyond the invariants the swarm keeps.
+    """
+    n = draw(st.integers(2, max_slots))
+    width = draw(st.integers(1, max_width))
+    nbr = np.full((n, width), -1, dtype=np.int64)
+    for slot in range(n):
+        others = [o for o in range(n) if o != slot]
+        row = draw(st.lists(
+            st.sampled_from(others), unique=True,
+            max_size=min(width, len(others)),
+        ))
+        nbr[slot, : len(row)] = row
+    return nbr
+
+
+def leecher_edges(nbr, leech):
+    """The round's flattened edge list over the leecher rows, as
+    ``SoaSwarm._leech_edges`` builds it, plus each row's first edge."""
+    deg = (nbr[leech] >= 0).sum(axis=1)
+    src = np.repeat(leech, deg)
+    dst = nbr[leech][nbr[leech] >= 0]
+    return src, dst, np.cumsum(deg) - deg
+
+
+def isin_partner_mask(src, dst, pairs, cap):
+    """The sort-based reference: an edge is a partner edge when its
+    unordered endpoints are a current pair."""
+    edge_key = np.minimum(src, dst) * cap + np.maximum(src, dst)
+    return np.isin(edge_key, pairs[:, 0] * cap + pairs[:, 1])
+
+
+def partner_mask(nbr, leech, pairs):
+    src, dst, edge_start = leecher_edges(nbr, leech)
+    row_of = np.full(nbr.shape[0], -1, dtype=np.int64)
+    row_of[leech] = np.arange(leech.size)
+    mask = np.zeros(src.size, dtype=bool)
+    mask[partner_edges(nbr, row_of, edge_start, pairs)] = True
+    return mask, isin_partner_mask(src, dst, pairs, nbr.shape[0])
+
+
+@settings(**KERNEL_SETTINGS)
+@given(data=st.data(), nbr=neighbor_rows())
+def test_partner_edges_match_isin_reference(data, nbr):
+    n = nbr.shape[0]
+    is_leech = np.array(data.draw(
+        st.lists(st.booleans(), min_size=n, max_size=n)
+    ))
+    leech = np.flatnonzero(is_leech)
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda p: p[0] != p[1])
+        .map(lambda p: (min(p), max(p))),
+        unique=True, max_size=2 * n,
+    ))
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    mask, reference = partner_mask(nbr, leech, pairs)
+    np.testing.assert_array_equal(mask, reference)
+
+
+def test_partner_edges_skip_absent_entries_and_non_leechers():
+    """Slot 3 is no leecher, and pair (0, 2) is in no row at all."""
+    nbr = np.array([
+        [1, 3, -1],
+        [0, 2, 3],
+        [1, -1, -1],
+        [0, 1, -1],  # a non-leecher's row is never an edge source
+    ], dtype=np.int64)
+    leech = np.array([0, 1, 2])
+    pairs = np.array([[0, 1], [0, 2], [0, 3], [1, 3]], dtype=np.int64)
+    mask, reference = partner_mask(nbr, leech, pairs)
+    np.testing.assert_array_equal(mask, reference)
+    # Edges: 0->1, 0->3, 1->0, 1->2, 1->3, 2->1; (1, 2) is no pair.
+    assert mask.tolist() == [True, True, True, False, True, False]
+
+
+def scalar_remove(rows, holders, values):
+    """Per-row reference: ``list.remove`` each value from its row."""
+    rows = [list(row) for row in rows]
+    for holder, value in zip(holders, values):
+        rows[holder].remove(value)
+    return rows
+
+
+def store_with_rows(rows, width):
+    store = PeerStore(len(rows), num_pieces=4, nbr_width=width)
+    for slot, row in enumerate(rows):
+        store.nbr[slot, : len(row)] = row
+        store.nbr_deg[slot] = len(row)
+    return store
+
+
+@settings(**KERNEL_SETTINGS)
+@given(data=st.data(), nbr=neighbor_rows(max_slots=10, max_width=8))
+def test_remove_row_entries_matches_scalar_reference(data, nbr):
+    """Many deletions per row, in any order, over any rows."""
+    width = nbr.shape[1]
+    rows = [row[row >= 0].tolist() for row in nbr]
+    cells = [(h, v) for h, row in enumerate(rows) for v in row]
+    doomed = data.draw(st.lists(
+        st.sampled_from(cells), unique=True, max_size=len(cells)
+    )) if cells else []
+    holders = np.array([h for h, _ in doomed], dtype=np.int64)
+    values = np.array([v for _, v in doomed], dtype=np.int64)
+    store = store_with_rows(rows, width)
+    store.remove_row_entries(holders, values)
+    expected = scalar_remove(rows, holders.tolist(), values.tolist())
+    for slot, row in enumerate(expected):
+        assert store.nbr_deg[slot] == len(row)
+        assert store.nbr[slot].tolist() == row + [-1] * (width - len(row))
+
+
+def test_remove_row_entries_many_holders_per_row():
+    rng = np.random.default_rng(8)
+    width = 12
+    rows = [
+        rng.permutation(60)[: rng.integers(0, width + 1)].tolist()
+        for _ in range(40)
+    ]
+    cells = [(h, v) for h, row in enumerate(rows) for v in row]
+    pick = rng.permutation(len(cells))[: (2 * len(cells)) // 3]
+    holders = np.array([cells[i][0] for i in pick], dtype=np.int64)
+    values = np.array([cells[i][1] for i in pick], dtype=np.int64)
+    assert np.bincount(holders).max() >= 5
+    store = store_with_rows(rows, width)
+    store.remove_row_entries(holders, values)
+    expected = scalar_remove(rows, holders.tolist(), values.tolist())
+    for slot, row in enumerate(expected):
+        assert store.nbr[slot, : store.nbr_deg[slot]].tolist() == row
+        assert (store.nbr[slot, store.nbr_deg[slot]:] == -1).all()
+
+
+def test_remove_row_entries_missing_entry_fails_loudly():
+    """A (holder, value) absent from its row must not delete column 0."""
+    store = store_with_rows([[1, 2], [0], [0]], width=3)
+    before = store.nbr.copy()
+    with pytest.raises(SimulationError, match=r"slot 1 has no entry 2"):
+        store.remove_row_entries(
+            np.array([0, 1], dtype=np.int64), np.array([2, 2], dtype=np.int64)
+        )
+    np.testing.assert_array_equal(store.nbr, before)
+    assert store.nbr_deg.tolist()[:3] == [2, 1, 1]
+
+
+@settings(**KERNEL_SETTINGS)
+@given(data=st.data(), nbr=neighbor_rows())
+def test_entries_in_matches_isin_reference(data, nbr):
+    """The seed-departure scan.  When the last slot is in the set, a
+    mask without the spare cell would also mark every -1 padding cell."""
+    n = nbr.shape[0]
+    gone = np.array(data.draw(st.lists(
+        st.integers(0, n - 1), unique=True, max_size=n
+    )), dtype=np.int64)
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[gone] = True
+    rows, values = entries_in(nbr, mask)
+    hit = np.isin(nbr, gone)
+    counts = hit.sum(axis=1)
+    np.testing.assert_array_equal(rows, np.repeat(np.arange(n), counts))
+    np.testing.assert_array_equal(values, nbr[hit])
+
+
+def test_entries_in_ignores_padding_when_the_last_slot_departs():
+    nbr = np.array([[2, -1], [-1, -1], [0, 1]], dtype=np.int64)
+    mask = np.zeros(4, dtype=bool)
+    mask[2] = True
+    rows, values = entries_in(nbr, mask)
+    assert rows.tolist() == [0]
+    assert values.tolist() == [2]
 
 
 # ----------------------------------------------------------------------
