@@ -8,10 +8,11 @@ the same protocol round as flat numpy arrays:
 * **bitfields** live in a packed ``(capacity, ceil(B/64))`` uint64
   matrix; interest between two peers is one XOR/AND over their rows and
   replication counts come from ``np.bitwise_count``;
-* **interest edges** are computed once per round for the whole swarm
-  (leecher neighbor rows gathered into an edge list, per-edge novelty
-  flags from the packed matrix) and reused by connection maintenance,
-  potential-set sizes, and slot-filling proposals;
+* **interest** is decided once per round on the neighbor-row matrix
+  itself, one novelty flag per cell, and only for the leecher rows that
+  can trade — a peer holding no piece (the bootstrap phase) or every
+  piece joins no mutual-interest edge — then reused for potential-set
+  sizes and slot-filling proposals;
 * **noisy-rarest selection** is a row-wise inverse-transform draw: a
   weight matrix over unpacked candidates, a row cumsum, one pooled
   uniform per transfer;
@@ -78,10 +79,11 @@ __all__ = [
     "pack_mask",
     "words_for",
     "interest_flags",
+    "row_interest",
     "group_ranks",
     "weighted_pick_rows",
     "row_columns",
-    "partner_edges",
+    "partner_cells",
     "entries_in",
 ]
 
@@ -142,8 +144,6 @@ def popcount_rows(words: np.ndarray) -> np.ndarray:
 def interest_flags(
     bits: np.ndarray, src: np.ndarray, dst: np.ndarray,
     chunk: int = 1 << 18,
-    counts: Optional[np.ndarray] = None,
-    num_pieces: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-edge novelty flags from the packed bitfield matrix.
 
@@ -151,49 +151,52 @@ def interest_flags(
     ``dst`` lacks (src can give, i.e. dst is interested in src) and the
     reverse.  Mutual interest is the AND of both.  Chunked so the edge
     list can be swarm-sized without a matching blow-up in temporaries.
-
-    When ``counts`` (per-slot held-piece counts) and ``num_pieces`` are
-    supplied, edges with an empty or complete endpoint are decided from
-    the counts alone — an empty peer wants everything and offers
-    nothing; a complete peer offers everything and wants nothing — and
-    the packed-word XOR only runs on the residual edges where both
-    endpoints hold a strict subset.  During a flash-crowd bootstrap
-    (almost everyone empty) this skips nearly all the gather work.
     """
     n = src.size
-    if counts is None:
-        give_sd = np.empty(n, dtype=bool)
-        give_ds = np.empty(n, dtype=bool)
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            bs = bits[src[lo:hi]]
-            bd = bits[dst[lo:hi]]
-            diff = bs ^ bd
-            give_sd[lo:hi] = (diff & bs).any(axis=1)
-            give_ds[lo:hi] = (diff & bd).any(axis=1)
-        return give_sd, give_ds
-    if num_pieces is None:
-        raise ValueError("num_pieces is required when counts is given")
-    cs = counts[src]
-    cd = counts[dst]
-    # Count-only rules (exact for empty/complete endpoints):
-    #   src empty     -> give_sd False;  src complete -> give_sd = dst
-    #   incomplete; dst empty -> give_sd = src non-empty; symmetric for
-    #   give_ds.  Both strict subsets -> actual bitfield comparison.
-    give_sd = (cs > 0) & (cd < num_pieces)
-    give_ds = (cd > 0) & (cs < num_pieces)
-    hard = (
-        (cs > 0) & (cs < num_pieces) & (cd > 0) & (cd < num_pieces)
-    )
-    idx = np.flatnonzero(hard)
-    for lo in range(0, idx.size, chunk):
-        sel = idx[lo: lo + chunk]
-        bs = bits[src[sel]]
-        bd = bits[dst[sel]]
+    give_sd = np.empty(n, dtype=bool)
+    give_ds = np.empty(n, dtype=bool)
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        bs = bits[src[lo:hi]]
+        bd = bits[dst[lo:hi]]
         diff = bs ^ bd
-        give_sd[sel] = (diff & bs).any(axis=1)
-        give_ds[sel] = (diff & bd).any(axis=1)
+        give_sd[lo:hi] = (diff & bs).any(axis=1)
+        give_ds[lo:hi] = (diff & bd).any(axis=1)
     return give_sd, give_ds
+
+
+def row_interest(
+    bits: np.ndarray, owners: np.ndarray, nbr: np.ndarray, deg: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Novelty flags of every neighbor-row cell against the row's owner.
+
+    ``nbr`` holds the rows of the slots ``owners``, -1 padded past each
+    row's fill ``deg``.  Returns ``(give, take)``, boolean matrices of
+    ``nbr``'s shape: whether the owner holds a piece the neighbor lacks,
+    and the reverse; mutual interest is their AND.  A padding cell's
+    gather wraps to ``bits[-1]``, a real slot, so padding is masked by
+    column against ``deg``.  One word at a time, in row chunks of about
+    ``_CHUNK_CELLS`` cells, so the temporaries stay bounded.
+    """
+    rows, width = nbr.shape
+    give = np.zeros((rows, width), dtype=bool)
+    take = np.zeros((rows, width), dtype=bool)
+    chunk = max(1, _CHUNK_CELLS // max(width, 1))
+    for lo in range(0, rows, chunk):
+        hi = min(rows, lo + chunk)
+        for w in range(bits.shape[1]):
+            column = bits[:, w]
+            mine = column[owners[lo:hi], None]
+            theirs = column[nbr[lo:hi]]
+            lack = ~theirs
+            lack &= mine
+            give[lo:hi] |= lack != 0
+            theirs &= ~mine
+            take[lo:hi] |= theirs != 0
+    valid = np.arange(width) < deg[:, None]
+    give &= valid
+    take &= valid
+    return give, take
 
 
 def group_ranks(keys: np.ndarray, priority: np.ndarray) -> np.ndarray:
@@ -290,27 +293,22 @@ def row_columns(
     return col, hit[np.arange(col.size), col]
 
 
-def partner_edges(
-    nbr: np.ndarray,
-    row_of: np.ndarray,
-    edge_start: np.ndarray,
-    pairs: np.ndarray,
-) -> np.ndarray:
-    """Positions of the trading ``pairs`` in the round's edge list.
+def partner_cells(
+    nbr: np.ndarray, row_of: np.ndarray, pairs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, col)`` cells of the trading ``pairs`` in the rows ``nbr``.
 
-    The edge list flattens the leecher neighbor rows, row ``r``'s
-    entries starting at ``edge_start[r]``; ``row_of`` maps a slot to its
-    leecher row (-1 for any other slot).  A pair ``(a, b)`` is the edge
-    ``b`` in ``a``'s row when ``a`` is a leecher and ``a`` in ``b``'s
-    row when ``b`` is; an endpoint that is not a leecher, or a row that
-    lacks the other endpoint, contributes no edge.
+    ``row_of`` maps a slot to its row of ``nbr`` (-1 for a slot without
+    one).  A pair ``(a, b)`` is the cell holding ``b`` in ``a``'s row
+    and the cell holding ``a`` in ``b``'s row; an endpoint without a
+    row, or a row that lacks the other endpoint, contributes no cell.
     """
-    ends = pairs.T.ravel()
-    others = pairs[:, ::-1].T.ravel()
-    row = row_of[ends]
-    lee = np.flatnonzero(row >= 0)
-    col, found = row_columns(nbr[ends[lee]], others[lee])
-    return edge_start[row[lee[found]]] + col[found]
+    row = row_of[pairs.T.ravel()]
+    held = np.flatnonzero(row >= 0)
+    col, found = row_columns(
+        nbr[row[held]], pairs[:, ::-1].T.ravel()[held]
+    )
+    return row[held[found]], col[found]
 
 
 def entries_in(
@@ -320,12 +318,11 @@ def entries_in(
     in row-major order.
 
     ``mask`` has one cell per slot plus a spare last cell that must stay
-    False: the -1 padding of the rows indexes it.
+    False: the -1 padding of the rows indexes it.  One flat ``nonzero``
+    over the gathered mask yields both, row-major.
     """
-    hit = mask[nbr]
-    counts = hit.sum(axis=1)
-    rows = np.flatnonzero(counts)
-    return np.repeat(rows, counts[rows]), nbr[hit]
+    flat = np.flatnonzero(mask[nbr])
+    return flat // nbr.shape[1], nbr.reshape(-1)[flat]
 
 
 # ----------------------------------------------------------------------
@@ -443,8 +440,7 @@ class PeerStore:
     * leechers keep a fixed-width row in ``nbr`` (width = the tracker
       accept cap) plus its fill ``nbr_deg``;
     * seeds keep only ``nbr_deg`` as a relation counter — their side of
-      each symmetric relation is recovered by scanning leecher rows,
-      which the round does anyway to build the interest edge list.
+      each symmetric relation is recovered by scanning leecher rows.
 
     Trading connections are *not* stored here: the swarm keeps them as
     an ``(M, 2)`` pair array (see :class:`SoaSwarm`), which makes
@@ -1167,25 +1163,20 @@ class SoaSwarm(CheckpointControl):
         leech = np.flatnonzero(store.alive & ~store.is_seed)
         pot_full = self.scratch.zeros("pot_full", store.capacity)
         if leech.size:
-            src, dst, row_idx = self._leech_edges(leech)
-            if src.size:
-                give_sd, give_ds = interest_flags(
-                    store.bits, src, dst,
-                    counts=store.counts,
-                    num_pieces=self.config.num_pieces,
-                )
-                mutual = give_sd & give_ds
-                pot = np.bincount(
-                    row_idx[mutual], minlength=leech.size
-                )
-            else:
-                give_sd = give_ds = mutual = np.zeros(0, dtype=bool)
-                pot = np.zeros(leech.size, dtype=np.int64)
-            pot_full[leech] = pot
+            # Only a leecher holding some but not all pieces can join a
+            # mutual-interest edge: an empty one (the bootstrap phase)
+            # offers nothing and a complete one wants nothing.
+            held = store.counts[leech]
+            trade = leech[(held > 0) & (held < config.num_pieces)]
+            deg = store.nbr_deg[trade]
+            nbr = store.nbr[trade, : int(deg.max()) if deg.size else 0]
+            give, take = row_interest(store.bits, trade, nbr, deg)
+            mutual = give & take
+            pot_full[trade] = mutual.sum(axis=1)
             if profiler is not None:
                 profiler.lap("interest")
 
-            self._fill_slots(leech, dst, row_idx, mutual, pot)
+            self._fill_slots(trade, nbr, mutual)
             if profiler is not None:
                 profiler.lap("selection")
 
@@ -1193,7 +1184,7 @@ class SoaSwarm(CheckpointControl):
             if profiler is not None:
                 profiler.lap("exchange")
 
-            self._seed_uploads(src, dst, time)
+            self._seed_uploads(time)
             self._donations(leech, time)
             if profiler is not None:
                 profiler.lap("seeds")
@@ -1263,11 +1254,7 @@ class SoaSwarm(CheckpointControl):
         config = self.config
         a = pairs[:, 0]
         b = pairs[:, 1]
-        give_ab, give_ba = interest_flags(
-            self.store.bits, a, b,
-            counts=self.store.counts,
-            num_pieces=config.num_pieces,
-        )
+        give_ab, give_ba = interest_flags(self.store.bits, a, b)
         if config.strict_tft:
             alive = give_ab & give_ba
         else:
@@ -1295,27 +1282,6 @@ class SoaSwarm(CheckpointControl):
         if survived < pairs.shape[0]:
             self._pairs = pairs[alive]
 
-    # -- interest edges ----------------------------------------------------
-    def _leech_edges(
-        self, leech: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge list (src leecher, dst neighbor) over all leecher rows."""
-        store = self.store
-        deg = store.nbr_deg[leech]
-        total = int(deg.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty
-        width = int(deg.max())
-        sub = store.nbr[leech][:, :width]
-        mask = np.arange(width)[None, :] < deg[:, None]
-        dst = sub[mask]
-        row_idx = np.repeat(
-            np.arange(leech.size, dtype=np.int64), deg
-        )
-        src = leech[row_idx]
-        return src, dst, row_idx
-
     # -- matching ----------------------------------------------------------
     def _partner_degrees(self) -> np.ndarray:
         if self._pairs.shape[0] == 0:
@@ -1325,41 +1291,36 @@ class SoaSwarm(CheckpointControl):
         )
 
     def _fill_slots(
-        self,
-        leech: np.ndarray,
-        dst: np.ndarray,
-        row_idx: np.ndarray,
-        mutual: np.ndarray,
-        pot: np.ndarray,
+        self, trade: np.ndarray, nbr: np.ndarray, mutual: np.ndarray
     ) -> None:
-        """Blind bilateral matching over the mutual-interest edges.
+        """Blind bilateral matching over the mutual-interest cells.
 
-        Each leecher proposes one uniformly drawn potential partner per
-        open slot; proposals then pass a handshake/setup gate and a
-        two-sided rank filter that admits at most ``open`` new
-        connections per endpoint (an endpoint whose earlier-priority
-        proposal fails elsewhere simply under-fills, exactly like the
-        object backend's busy-candidate waste).
+        ``nbr`` holds the neighbor rows of the leechers ``trade`` and
+        ``mutual`` their mutual-interest cells (cleared of current
+        partners in place).  Each leecher proposes one uniformly drawn
+        potential partner per open slot; proposals then pass a
+        handshake/setup gate and a two-sided rank filter that admits at
+        most ``open`` new connections per endpoint (an endpoint whose
+        earlier-priority proposal fails elsewhere simply under-fills,
+        exactly like the object backend's busy-candidate waste).  Every
+        candidate is itself a trading leecher, so only ``trade`` rows
+        carry capacity.
         """
+        if not mutual.any():
+            return
         config = self.config
-        store = self.store
-        cap = store.capacity
+        cap = self.store.capacity
         degrees = self._partner_degrees()
-        open_slots = config.max_conns - degrees[leech]
+        open_slots = config.max_conns - degrees[trade]
         # Candidate pool per proposer = potential minus current partners
         # (the object backend's ``candidates`` list): each pair is an
-        # entry in its leecher endpoints' rows, cleared by row lookup.
+        # entry in its trading endpoints' rows, cleared by row lookup.
         if self._pairs.shape[0]:
             row_of = self.scratch.full("leech_row", cap, -1)
-            row_of[leech] = np.arange(leech.size)
-            deg = store.nbr_deg[leech]
-            mutual = mutual.copy()
-            mutual[partner_edges(
-                store.nbr, row_of, np.cumsum(deg) - deg, self._pairs
-            )] = False
-        m_row = row_idx[mutual]
-        m_dst = dst[mutual]
-        avail = np.bincount(m_row, minlength=leech.size)
+            row_of[trade] = np.arange(trade.size)
+            mutual[partner_cells(nbr, row_of, self._pairs)] = False
+        m_dst = nbr[mutual]
+        avail = mutual.sum(axis=1)
         proposing = (avail > 0) & (open_slots > 0)
         if not proposing.any():
             return
@@ -1374,12 +1335,12 @@ class SoaSwarm(CheckpointControl):
             (u * span).astype(np.int64), span - 1
         )
         candidate = m_dst[pick]
-        proposer = leech[prop_row]
+        proposer = trade[prop_row]
         # Per-peer sweep positions (the object backend's random
         # processing order); a proposal's priority is its owner's turn,
         # slots within the turn in draw order.
         sweep = self.scratch.full("sweep", cap, -1)
-        sweep[leech[rows]] = self.rng.permutation(rows.size)
+        sweep[trade[rows]] = self.rng.permutation(rows.size)
         priority = (
             sweep[proposer] * config.max_conns
             + _contiguous_ranks(prop_row)
@@ -1416,7 +1377,7 @@ class SoaSwarm(CheckpointControl):
         end_a = proposer[keep_idx]
         end_b = candidate[keep_idx]
         remaining = self.scratch.zeros("remaining", cap)
-        remaining[leech] = open_slots
+        remaining[trade] = open_slots
         priority = priority[keep_idx]
         # Iterated two-sided rank filter: each pass admits proposals
         # ranked inside both endpoints' residual capacity, then charges
@@ -1646,10 +1607,7 @@ class SoaSwarm(CheckpointControl):
         store = self.store
         a = pairs[:, 0]
         b = pairs[:, 1]
-        give_ab, give_ba = interest_flags(
-            store.bits, a, b,
-            counts=store.counts, num_pieces=config.num_pieces,
-        )
+        give_ab, give_ba = interest_flags(store.bits, a, b)
         if config.strict_tft:
             both = give_ab & give_ba
             act_ab = both
@@ -1678,28 +1636,29 @@ class SoaSwarm(CheckpointControl):
         landed, _, _ = self._transfer(recv, send, time)
         return landed.size
 
-    def _seed_uploads(
-        self, src: np.ndarray, dst: np.ndarray, time: float
-    ) -> int:
-        """Seed grants via the reverse edges of the leecher rows.
+    def _seed_uploads(self, time: float) -> int:
+        """Seed grants via the seed entries of the leecher rows.
 
-        Every (leecher, seed) relation appears exactly once as a leecher
-        edge whose destination is a seed, so the seeds' interested
-        neighbors come straight from the round's edge list — no seed
-        rows needed.  Each seed serves up to ``seed_upload_slots``
-        distinct receivers per round (rank filter = the object
-        backend's ``permutation(interested)[:slots]``).
+        Every (leecher, seed) relation appears exactly once, as a seed
+        entry in the leecher's row, so the seeds' interested neighbors
+        come from one scan of the neighbor matrix — no seed rows needed
+        (seed and free rows hold only padding).  Each seed serves up to
+        ``seed_upload_slots`` distinct receivers per round (rank filter
+        = the object backend's ``permutation(interested)[:slots]``).
         """
         config = self.config
         store = self.store
         slots = config.seed_upload_slots
-        if slots <= 0 or self._n_seeds == 0 or src.size == 0:
+        if slots <= 0 or self._n_seeds == 0:
             return 0
-        to_seed = store.is_seed[dst] & (
-            store.counts[src] < config.num_pieces
+        seed_mask = self.scratch.zeros(
+            "seed_mask", store.capacity + 1, np.bool_
         )
-        s_recv = src[to_seed]
-        s_seed = dst[to_seed]
+        np.logical_and(store.alive, store.is_seed, out=seed_mask[:-1])
+        s_recv, s_seed = entries_in(store.nbr, seed_mask)
+        wants = store.counts[s_recv] < config.num_pieces
+        s_recv = s_recv[wants]
+        s_seed = s_seed[wants]
         if s_recv.size == 0:
             return 0
         priority = self.rng.permutation(s_recv.size)
@@ -1742,28 +1701,26 @@ class SoaSwarm(CheckpointControl):
         donors = leech[donating]
         if donors.size == 0:
             return 0
-        d_src, d_dst, d_row = self._leech_edges(donors)
-        if d_src.size == 0:
-            return 0
-        to_leech = ~store.is_seed[d_dst]
+        deg = store.nbr_deg[donors]
+        nbr = store.nbr[donors, : int(deg.max())]
+        # A seed neighbor holds every piece, so neither target test can
+        # pick one.
         if config.optimistic_targets == "empty":
-            eligible = to_leech & (store.counts[d_dst] == 0)
+            eligible = (np.arange(nbr.shape[1]) < deg[:, None]) & (
+                store.counts[nbr] == 0
+            )
         else:
             # Starved: wants something from the donor but has nothing
             # novel to trade back (post-exchange bitfields, like the
             # object backend's donation pass).
-            give_dn, give_nd = interest_flags(
-                store.bits, d_src, d_dst,
-                counts=store.counts, num_pieces=config.num_pieces,
-            )
-            eligible = to_leech & give_dn & ~give_nd
-        per_donor = np.bincount(d_row[eligible], minlength=donors.size)
-        has_target = per_donor > 0
-        if not has_target.any():
+            give, take = row_interest(store.bits, donors, nbr, deg)
+            eligible = give & ~take
+        per_donor = eligible.sum(axis=1)
+        rows = np.flatnonzero(per_donor)
+        if rows.size == 0:
             return 0
-        pool_dst = d_dst[eligible]
+        pool_dst = nbr[eligible]
         starts = np.cumsum(per_donor) - per_donor
-        rows = np.flatnonzero(has_target)
         u = self.rng.random(rows.size)
         span = per_donor[rows]
         pick = starts[rows] + np.minimum(

@@ -18,7 +18,7 @@ drawn parameter sets:
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ModelParams
@@ -26,6 +26,9 @@ from repro.baselines.fluid import FluidModel
 from repro.core.meanfield import SwarmMeanField, solve_mean_field
 
 SETTINGS = dict(max_examples=15, deadline=None)
+
+#: Fluid-model reduction tolerance: 15x the widest measured gap.
+RTOL = 1e-10
 
 peer_params = st.builds(
     ModelParams,
@@ -113,6 +116,11 @@ def test_limiting_seed_count(arrival_rate, seed_departure_rate, levels,
     x0=st.floats(0.0, 10.0),
     y0=st.floats(0.0, 5.0),
 )
+# A capacity-limited state: the worst gap measured (6.7e-12 relative).
+@example(
+    arrival_rate=9.0, upload_rate=2.0, download_rate=2.0, efficiency=0.5,
+    abort_rate=0.0, seed_departure_rate=2.0, x0=0.4375, y0=0.0,
+)
 @settings(**SETTINGS)
 def test_single_level_swarm_is_qiu_srikant(
     arrival_rate, upload_rate, download_rate, efficiency, abort_rate,
@@ -139,11 +147,15 @@ def test_single_level_swarm_is_qiu_srikant(
     # Same state vector, same solver settings, same right-hand side up
     # to round-off: in capacity-limited states the per-level scaling
     # multiplies (``desired * cap/demand``) where the fluid model's
-    # min() substitutes ``cap``, an ulp-level difference — so equality
-    # holds to round-off, not bitwise.
+    # min() substitutes ``cap``, an ulp-level difference that the
+    # solver's step control carries along — so equality holds to
+    # round-off, not bitwise.  Over 6,000 measured examples (3,000
+    # drawn from these strategies, 3,000 on a grid of round values)
+    # the widest gap needed rtol 6.7e-12, at the pinned example above;
+    # RTOL leaves a 15x margin over it.
     np.testing.assert_allclose(
-        reduced.leechers[0], reference.leechers, rtol=1e-12, atol=1e-13,
+        reduced.leechers[0], reference.leechers, rtol=RTOL, atol=1e-13,
     )
     np.testing.assert_allclose(
-        reduced.seeds, reference.seeds, rtol=1e-12, atol=1e-13,
+        reduced.seeds, reference.seeds, rtol=RTOL, atol=1e-13,
     )

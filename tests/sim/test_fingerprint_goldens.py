@@ -8,9 +8,15 @@ completion and abort bookkeeping) all see realistic batch sizes.  Each
 case stores the run's :meth:`~repro.sim.swarm.SwarmResult.fingerprint`
 plus a few readable counters, so a drift names what moved.
 
+The flash-crowd cases pin the bootstrap-heavy regime instead: nearly
+every leecher starts with no piece, so the round skips most neighbor
+rows, and one case spreads each bitfield over two words.
+
 ``soa_100k_seed1.sha256`` beside the goldens holds the fingerprint of
 ``perfbench/run.py --workload soa-100k --seed 1``; CI compares the
-ledger entry of that run against it.
+ledger entry of that run against it.  ``sharded_1m_seed1.sha256``
+holds the fingerprint of perfbench's sharded-1m swarm at seed 1 on two
+shards, which CI recomputes and compares.
 
 Regenerate after an *intentional* behaviour change with::
 
@@ -24,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.sim.config import SimConfig
+from repro.sim.soa import words_for
 from repro.sim.swarm import Swarm
 
 GOLDEN_JSON = Path(__file__).parent / "goldens" / "fingerprints.json"
@@ -93,12 +100,38 @@ def sharded_config() -> SimConfig:
     )
 
 
+def flash_config(num_pieces: int = 20) -> SimConfig:
+    """perfbench's sharded-1m flash crowd at 20k peers, run past the
+    bootstrap phase: almost every leecher starts with an empty bitfield
+    (the paper's b + n <= 1 state), and completers leave at once.
+    ``num_pieces=70`` spreads each bitfield over two words."""
+    peers = 20_000
+    return SimConfig(
+        num_pieces=num_pieces,
+        max_conns=4,
+        ns_size=15,
+        arrival_process="flash",
+        arrival_rate=0.0,
+        flash_size=peers,
+        initial_leechers=0,
+        num_seeds=peers // 100,
+        seed_upload_slots=2,
+        completed_become_seeds=0.0,
+        piece_selection="rarest",
+        max_time=20.0,
+        seed=1,
+    )
+
+
 CASES = {
     "soa-departing": lambda: Swarm(soa_departing_config(), backend="soa"),
     "soa-lingering": lambda: Swarm(soa_lingering_config(), backend="soa"),
     "sharded-2": lambda: Swarm(
         sharded_config(), backend="sharded", shards=2, shard_mix=0.05
     ),
+    "soa-flash": lambda: Swarm(flash_config(), backend="soa"),
+    "sharded-flash": lambda: Swarm(flash_config(), backend="sharded", shards=2),
+    "soa-flash-w2": lambda: Swarm(flash_config(num_pieces=70), backend="soa"),
 }
 
 
@@ -173,3 +206,19 @@ def test_cases_exercise_their_departure_paths(results):
     sharded = results("sharded-2")
     assert sharded.comms["bytes_migrated"] > 0
     assert len(sharded.metrics.completed) > 0
+
+
+def test_flash_case_runs_through_the_bootstrap_phase(results):
+    """The flash goldens pin rounds where nearly every leecher row holds
+    no piece, then carry the swarm on to completions; the W = 2 case
+    really spans two words."""
+    swarm = Swarm(flash_config(), backend="soa")
+    empty_share = []
+    while len(empty_share) < 3 and swarm.step_round():
+        store = swarm.store
+        leech = store.alive & ~store.is_seed
+        empty_share.append(float((store.counts[leech] == 0).mean()))
+    assert max(empty_share) > 0.9
+    for name in ("soa-flash", "sharded-flash", "soa-flash-w2"):
+        assert len(results(name).metrics.completed) > 100
+    assert words_for(flash_config(num_pieces=70).num_pieces) == 2

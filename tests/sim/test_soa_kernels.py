@@ -24,8 +24,9 @@ from repro.sim.soa import (
     mask_from_words,
     pack_mask,
     pack_rows,
-    partner_edges,
+    partner_cells,
     popcount_rows,
+    row_interest,
     unpack_rows,
     weighted_pick_rows,
     words_for,
@@ -101,30 +102,42 @@ def test_interest_flags_matches_bitfield_reference():
         assert give_ds[k] == bool((d & ~s).any())
 
 
-def test_interest_flags_counts_path_is_exact():
-    """The empty/complete count shortcut agrees with the full XOR path."""
+def flatten_rows(owners, nbr, deg):
+    """The row cells as a flat ``(owner, neighbor)`` edge list, in
+    row-major order, with the mask of the real cells."""
+    valid = np.arange(nbr.shape[1])[None, :] < deg[:, None]
+    src = np.broadcast_to(owners[:, None], nbr.shape)[valid]
+    return src, nbr[valid], valid
+
+
+def test_row_interest_is_exact_on_empty_and_complete_endpoints():
+    """A flash-crowd mix of empty, complete and partial peers on both
+    sides of the rows: the row kernel equals the per-edge XOR path."""
     rng = np.random.default_rng(6)
     num_pieces = 40
     held = rng.random((50, num_pieces)) < 0.5
     held[:10, :] = False          # flash-crowd bootstrap: many empties
     held[10:14, :] = True
     bits = pack_rows(held)
-    counts = popcount_rows(bits)
-    src = rng.integers(0, 50, size=500)
-    dst = rng.integers(0, 50, size=500)
-    plain = interest_flags(bits, src, dst)
-    fast = interest_flags(bits, src, dst, counts=counts,
-                          num_pieces=num_pieces)
-    np.testing.assert_array_equal(fast[0], plain[0])
-    np.testing.assert_array_equal(fast[1], plain[1])
-
-
-def test_interest_flags_counts_requires_num_pieces():
-    bits = pack_rows(np.ones((2, 8), dtype=bool))
-    counts = popcount_rows(bits)
-    edge = np.array([0]), np.array([1])
-    with pytest.raises(ValueError):
-        interest_flags(bits, *edge, counts=counts)
+    owners = rng.permutation(50)[:30]
+    nbr = np.full((30, 8), -1, dtype=np.int64)
+    deg = rng.integers(0, 9, size=30)
+    for row, owner in enumerate(owners):
+        others = rng.permutation(np.delete(np.arange(50), owner))
+        nbr[row, : deg[row]] = others[: deg[row]]
+    give, take = row_interest(bits, owners, nbr, deg)
+    src, dst, valid = flatten_rows(owners, nbr, deg)
+    give_sd, give_ds = interest_flags(bits, src, dst)
+    np.testing.assert_array_equal(give[valid], give_sd)
+    np.testing.assert_array_equal(take[valid], give_ds)
+    assert not (give[~valid] | take[~valid]).any()
+    # The count rules: an empty peer offers nothing, a complete one
+    # wants nothing, whichever side of the row it sits on.
+    empty = ~held.any(axis=1)
+    complete = held.all(axis=1)
+    assert not give[empty[owners]].any() and not take[complete[owners]].any()
+    assert not (take & empty[nbr]).any() and not (give & complete[nbr]).any()
+    assert give[empty[nbr] & valid & ~empty[owners][:, None]].all()
 
 
 def _rank_reference(keys, priority):
@@ -224,34 +237,88 @@ def neighbor_rows(draw, max_slots=14, max_width=6):
     return nbr
 
 
-def leecher_edges(nbr, leech):
-    """The round's flattened edge list over the leecher rows, as
-    ``SoaSwarm._leech_edges`` builds it, plus each row's first edge."""
-    deg = (nbr[leech] >= 0).sum(axis=1)
-    src = np.repeat(leech, deg)
-    dst = nbr[leech][nbr[leech] >= 0]
-    return src, dst, np.cumsum(deg) - deg
+@st.composite
+def peer_rows(draw):
+    """Neighbor rows over peers whose bitfields span 1, 2 or 3 words.
+
+    Each slot holds no piece, every piece (a seed) or a random subset.
+    Row 0 always holds the last slot: that is the real peer a -1
+    padding cell's gather wraps to.
+    """
+    words = draw(st.sampled_from([1, 2, 3]))
+    num_pieces = draw(st.integers(64 * (words - 1) + 1, 64 * words))
+    nbr = draw(neighbor_rows(max_slots=10, max_width=6))
+    last = nbr.shape[0] - 1
+    if last not in nbr[0]:
+        nbr[0, 0] = last
+    held = np.zeros((nbr.shape[0], num_pieces), dtype=bool)
+    for slot in range(nbr.shape[0]):
+        kind = draw(st.sampled_from(["empty", "seed", "partial"]))
+        if kind == "seed":
+            held[slot] = True
+        elif kind == "partial":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            held[slot] = rng.random(num_pieces) < draw(st.floats(0.05, 0.95))
+    return pack_rows(held), nbr, num_pieces
 
 
-def isin_partner_mask(src, dst, pairs, cap):
-    """The sort-based reference: an edge is a partner edge when its
-    unordered endpoints are a current pair."""
-    edge_key = np.minimum(src, dst) * cap + np.maximum(src, dst)
-    return np.isin(edge_key, pairs[:, 0] * cap + pairs[:, 1])
+@settings(**KERNEL_SETTINGS)
+@given(rows=peer_rows())
+def test_row_interest_matches_bitfield_reference(rows):
+    """Every real cell equals the scalar ``Bitfield`` interest test in
+    both directions, and every padding cell is False."""
+    bits, nbr, num_pieces = rows
+    owners = np.arange(nbr.shape[0])
+    deg = (nbr >= 0).sum(axis=1)
+    give, take = row_interest(bits, owners, nbr, deg)
+    fields = [Bitfield(num_pieces, mask_from_words(row)) for row in bits]
+    for row, owner in enumerate(owners):
+        for col in range(nbr.shape[1]):
+            if col >= deg[row]:
+                assert not give[row, col] and not take[row, col]
+                continue
+            mine, theirs = fields[owner], fields[nbr[row, col]]
+            assert give[row, col] == theirs.interested_in(mine)
+            assert take[row, col] == mine.interested_in(theirs)
+
+
+def test_row_interest_masks_padding_not_the_wrapped_slot():
+    """The padding cell of row 0 gathers the last slot, a seed that the
+    empty owner would want: only the column mask keeps it False."""
+    held = np.zeros((3, 70), dtype=bool)
+    held[1, :5] = True
+    held[2, :] = True
+    nbr = np.array([[1, -1], [0, 2]], dtype=np.int64)
+    give, take = row_interest(
+        pack_rows(held), np.array([0, 1]), nbr, np.array([1, 2])
+    )
+    assert take.tolist() == [[True, False], [False, True]]
+    assert give.tolist() == [[False, False], [True, False]]
+
+
+def isin_partner_mask(owners, rows, pairs, cap):
+    """The sort-based reference: a row cell is a partner cell when its
+    owner and its entry are a current pair."""
+    lo = np.minimum(owners[:, None], rows)
+    hi = np.maximum(owners[:, None], rows)
+    key = lo * cap + hi
+    return np.isin(key, pairs[:, 0] * cap + pairs[:, 1]) & (rows >= 0)
 
 
 def partner_mask(nbr, leech, pairs):
-    src, dst, edge_start = leecher_edges(nbr, leech)
+    """The cells ``partner_cells`` clears in the leecher rows, and the
+    reference's."""
+    rows = nbr[leech]
     row_of = np.full(nbr.shape[0], -1, dtype=np.int64)
     row_of[leech] = np.arange(leech.size)
-    mask = np.zeros(src.size, dtype=bool)
-    mask[partner_edges(nbr, row_of, edge_start, pairs)] = True
-    return mask, isin_partner_mask(src, dst, pairs, nbr.shape[0])
+    mask = np.zeros(rows.shape, dtype=bool)
+    mask[partner_cells(rows, row_of, pairs)] = True
+    return mask, isin_partner_mask(leech, rows, pairs, nbr.shape[0])
 
 
 @settings(**KERNEL_SETTINGS)
 @given(data=st.data(), nbr=neighbor_rows())
-def test_partner_edges_match_isin_reference(data, nbr):
+def test_partner_cells_match_isin_reference(data, nbr):
     n = nbr.shape[0]
     is_leech = np.array(data.draw(
         st.lists(st.booleans(), min_size=n, max_size=n)
@@ -268,20 +335,22 @@ def test_partner_edges_match_isin_reference(data, nbr):
     np.testing.assert_array_equal(mask, reference)
 
 
-def test_partner_edges_skip_absent_entries_and_non_leechers():
+def test_partner_cells_skip_absent_entries_and_non_leechers():
     """Slot 3 is no leecher, and pair (0, 2) is in no row at all."""
     nbr = np.array([
         [1, 3, -1],
         [0, 2, 3],
         [1, -1, -1],
-        [0, 1, -1],  # a non-leecher's row is never an edge source
+        [0, 1, -1],  # a non-leecher's row is never searched
     ], dtype=np.int64)
     leech = np.array([0, 1, 2])
     pairs = np.array([[0, 1], [0, 2], [0, 3], [1, 3]], dtype=np.int64)
     mask, reference = partner_mask(nbr, leech, pairs)
     np.testing.assert_array_equal(mask, reference)
-    # Edges: 0->1, 0->3, 1->0, 1->2, 1->3, 2->1; (1, 2) is no pair.
-    assert mask.tolist() == [True, True, True, False, True, False]
+    # (1, 2) is no pair, so row 1's middle cell and row 2 stay clear.
+    assert mask.tolist() == [
+        [True, True, False], [True, False, True], [False, False, False]
+    ]
 
 
 def scalar_remove(rows, holders, values):
