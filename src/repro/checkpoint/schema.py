@@ -1,4 +1,4 @@
-"""Snapshot schema v1: full swarm state at a round boundary.
+"""Snapshot schema v2: full swarm state at a round boundary.
 
 The document captured here is everything a fresh process needs to
 continue a run so that the continuation is **bit-identical** to the
@@ -30,15 +30,20 @@ order, which lets the container serialize with ``sort_keys=True``.
 
 The soa backend (:mod:`repro.sim.soa`) writes a second document flavor
 under the same schema version, marked with a top-level
-``"backend": "soa"``: per-slot arrays for every alive slot plus the
-free-list order, which together rebuild the slot layout exactly (slot
-indices feed the backend's RNG-consuming shuffles, so layout is part of
-the deterministic state).  :func:`restore_swarm` dispatches on the
-marker; documents without it are object-backend snapshots.
+``"backend": "soa"``: per-slot numpy arrays for every alive slot plus
+the free-list order, which together rebuild the slot layout exactly
+(slot indices feed the backend's RNG-consuming shuffles, so layout is
+part of the deterministic state).  Its arrays — the peer-row columns,
+``slots``, ``free``, ``nbr_deg``, the leecher neighbor cells ``nbr``
+and the trading ``pairs`` — become binary sections of the container
+(:mod:`repro.checkpoint.format`); everything else is JSON.
+:func:`restore_swarm` dispatches on the marker; documents without it
+are object-backend snapshots.
 
-Schema changes MUST bump :data:`SCHEMA_VERSION`; the golden-format test
-(`tests/checkpoint/test_golden_format.py`) fails loudly when the
-emitted document drifts from the committed v1 fixture.
+Schema changes MUST bump :data:`SCHEMA_VERSION`; the golden-format tests
+(`tests/checkpoint/test_golden_format.py`,
+`tests/checkpoint/test_soa_golden_format.py`) fail loudly when the
+emitted document drifts from the committed fixtures.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ __all__ = [
 
 #: Version of the snapshot document layout (independent of the on-disk
 #: container version in ``repro.checkpoint.format``).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _num(value):
@@ -255,7 +260,7 @@ def _restore_metrics(doc: dict) -> MetricsCollector:
 # Swarm (top level)
 # ----------------------------------------------------------------------
 def snapshot_swarm(swarm: "Swarm") -> dict:
-    """Full snapshot document for ``swarm`` (schema v1).
+    """Full snapshot document for ``swarm`` (schema v2).
 
     Must be called at a round boundary (between engine events); the
     swarm's ``_maybe_checkpoint`` hook guarantees this.
@@ -332,7 +337,9 @@ def snapshot_soa_swarm(swarm) -> dict:
     slot order); free slots are fully reset on allocation, so alive
     rows plus the free-list order reconstruct the store exactly.
     The ``store`` block is :meth:`~repro.sim.soa.PeerStore.to_block`:
-    one list per :data:`~repro.sim.soa.PEER_COLUMNS` column.
+    one array per :data:`~repro.sim.soa.PEER_COLUMNS` column plus the
+    adjacency.  Every array is a copy, so the document stays valid
+    while the swarm runs on.
     """
     return {
         "schema_version": SCHEMA_VERSION,
@@ -360,7 +367,7 @@ def snapshot_soa_swarm(swarm) -> dict:
             "pending_announce": [int(s) for s in swarm._pending_announce],
             # Row order is deterministic state: maintenance and exchange
             # iterate pairs in storage order.
-            "pairs": [[int(a), int(b)] for a, b in swarm._pairs],
+            "pairs": swarm._pairs.copy(),
         },
         "engine": swarm.engine.snapshot_state(),
         "store": swarm.store.to_block(),
@@ -381,7 +388,7 @@ def _restore_soa_swarm(document: dict, swarm_cls=None, **swarm_kwargs):
     subclass with no extra snapshot state of its own).
     """
     from repro.faults.plan import FaultPlan
-    from repro.sim.soa import PeerStore, SoaSwarm
+    from repro.sim.soa import PeerStore, SoaSwarm, check_slot_array
 
     if swarm_cls is None:
         swarm_cls = SoaSwarm
@@ -406,13 +413,15 @@ def _restore_soa_swarm(document: dict, swarm_cls=None, **swarm_kwargs):
         swarm.fault_injector.restore_state(faults_doc)
     swarm.engine.restore_state(document["engine"])
 
-    store, slots = PeerStore.from_block(document["store"], config.num_pieces)
+    store, slots = PeerStore.from_block(document["store"], config)
     swarm.store = store
 
-    swarm._pairs = np.asarray(sw["pairs"], dtype=np.int64).reshape(-1, 2)
-    swarm._id_to_slot = {
-        int(store.peer_id[s]): int(s) for s in slots
-    }
+    swarm._pairs = np.array(check_slot_array(
+        sw["pairs"], "pairs", store.capacity, columns=2
+    ))
+    swarm._id_to_slot = dict(zip(
+        store.peer_id[slots].tolist(), slots.tolist()
+    ))
     swarm._next_id = int(sw["next_id"])
     swarm._n_leech = int(sw["n_leech"])
     swarm._n_seeds = int(sw["n_seeds"])

@@ -7,13 +7,18 @@ bit-for-bit reproducible for a fixed RNG seed.
 
 Handlers are registered per event kind; the swarm orchestrator
 registers one handler per protocol activity (rounds, arrivals, tracker
-announces, shakes).
+announces, shakes).  A bound-method handler is held weakly: the
+orchestrator owns the engine, so a strong reference back would make
+every swarm a reference cycle that only the cyclic garbage collector
+frees — a dropped 100k-peer swarm would stay resident until it ran.
 """
 
 from __future__ import annotations
 
 import heapq
+import inspect
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -46,7 +51,9 @@ class DiscreteEventEngine:
         # position for bit-identical resumes.
         self._next_seq = 0
         self._now = 0.0
-        self._handlers: Dict[str, Callable[[float, Event], None]] = {}
+        #: kind -> a call returning the handler, or None once a weakly
+        #: held handler's object is gone.
+        self._handlers: Dict[str, Callable[[], Optional[Callable]]] = {}
         self._pre_dispatch: List[Callable[[float, Event], None]] = []
         self._processed = 0
 
@@ -71,10 +78,17 @@ class DiscreteEventEngine:
     # Registration / scheduling
     # ------------------------------------------------------------------
     def register(self, kind: str, handler: Callable[[float, Event], None]) -> None:
-        """Register the handler for an event kind (one handler per kind)."""
+        """Register the handler for an event kind (one handler per kind).
+
+        A bound method is held weakly (see the module docstring); any
+        other callable is held as given.
+        """
         if kind in self._handlers:
             raise ParameterError(f"handler for event kind {kind!r} already registered")
-        self._handlers[kind] = handler
+        if inspect.ismethod(handler):
+            self._handlers[kind] = weakref.WeakMethod(handler)
+        else:
+            self._handlers[kind] = lambda: handler
 
     def add_pre_dispatch_hook(
         self, hook: Callable[[float, Event], None]
@@ -129,9 +143,15 @@ class DiscreteEventEngine:
                 f"(now={self._now}); event queue is corrupt"
             )
         self._now = time
-        handler = self._handlers.get(event.kind)
-        if handler is None:
+        handler_ref = self._handlers.get(event.kind)
+        if handler_ref is None:
             raise SimulationError(f"no handler registered for event {event.kind!r}")
+        handler = handler_ref()
+        if handler is None:
+            raise SimulationError(
+                f"the owner of the {event.kind!r} handler was garbage "
+                f"collected"
+            )
         # Count before dispatch: a checkpoint taken *inside* a handler
         # (the round hook) must include the event being handled, or the
         # resumed run's processed-event total comes up one short.

@@ -63,8 +63,7 @@ from repro.sim.shm import ShardFabric, WorkerFabric
 from repro.sim.soa import (
     PeerStore,
     SoaSwarm,
-    decode_peer_rows,
-    encode_peer_rows,
+    peer_rows,
     unpack_rows,
     words_for,
 )
@@ -1011,10 +1010,12 @@ class ShardedSwarm(CheckpointControl):
         )
         words = words_for(self.config.num_pieces)
         # In-flight migrant batches: slices of a store block, so the
-        # same decoder (and its row-count check) applies.
+        # same column check applies; copies, so the document can go.
         self._pending_rows = [
-            None if rows is None
-            else decode_peer_rows(rows, words, len(rows["peer_id"]))
+            None if rows is None else {
+                name: column.copy() for name, column in
+                peer_rows(rows, len(rows["peer_id"]), words).items()
+            }
             for rows in coord["pending_rows"]
         ]
         self._shard_state = [
@@ -1073,7 +1074,9 @@ class ShardedSwarm(CheckpointControl):
                 "global_next_id": self._global_next_id,
                 "next_arrival": self._next_arrival,
                 "pending_rows": [
-                    None if rows is None else encode_peer_rows(rows)
+                    None if rows is None else {
+                        name: column.copy() for name, column in rows.items()
+                    }
                     for rows in self._pending_rows
                 ],
                 "shard_state": [
@@ -1269,7 +1272,7 @@ def restore_sharded_swarm(
     # Shard documents restore inside the workers; check their store
     # blocks here so a damaged one fails now, as a CheckpointError.
     for shard_doc in document["shard_docs"]:
-        PeerStore.check_block(shard_doc["store"])
+        PeerStore.check_block(shard_doc["store"], config)
     if target == doc_shards:
         swarm = ShardedSwarm(
             config, shards=target, faults=plan, **swarm_kwargs,
@@ -1371,7 +1374,7 @@ def _repartition(
     # Gather every alive peer (plus in-flight migrants) and rehash.
     words = words_for(config.num_pieces)
     parts = [
-        decode_peer_rows(doc["store"], words, len(doc["store"]["slots"]))
+        peer_rows(doc["store"], len(doc["store"]["slots"]), words)
         for doc in document["shard_docs"]
     ]
     merged = _concat_rows(parts + swarm._pending_rows)

@@ -71,6 +71,8 @@ __all__ = [
     "PEER_COLUMNS",
     "PeerColumn",
     "PeerStore",
+    "check_slot_array",
+    "peer_rows",
     "ScratchArena",
     "SoaSwarm",
     "pack_rows",
@@ -374,56 +376,67 @@ PEER_COLUMNS = (
 _INVALID = "snapshot document is structurally invalid"
 
 
-def encode_peer_rows(rows: Dict[str, np.ndarray]) -> dict:
-    """JSON-safe encoding of peer rows: one list per table column.
+def _describe(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype} of shape {value.shape}"
+    return type(value).__name__
 
-    Bitfield words become JSON ints (values above ``2**63`` included)
-    and NaN floats become ``null``, since the checkpoint container's
-    canonical JSON forbids NaN.
+
+def peer_rows(doc: dict, count: int, words: int) -> Dict[str, np.ndarray]:
+    """The table columns of a checkpoint block (a store block or an
+    in-flight migrant batch), checked; views, not copies.
+
+    Raises :class:`~repro.errors.CheckpointError` unless every column is
+    present, has its column's dtype and holds exactly ``count`` rows
+    (of ``words`` words for a bitfield) — numpy would otherwise
+    broadcast a one-row column over every slot, or cast a mistyped one.
     """
-    doc = {}
-    for column in PEER_COLUMNS:
-        values = rows[column.name].tolist()
-        if column.dtype is np.float64:
-            values = [None if v != v else v for v in values]
-        doc[column.name] = values
-    return doc
-
-
-def decode_peer_rows(
-    doc: dict, words: int, count: int
-) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`encode_peer_rows` for a batch of ``count`` rows.
-
-    Raises :class:`~repro.errors.CheckpointError` when a column is
-    missing or does not hold exactly ``count`` rows — numpy would
-    otherwise broadcast a one-row column over every slot.
-    """
-    check_peer_rows(doc, count)
     rows = {}
-    for column in PEER_COLUMNS:
-        values = doc[column.name]
-        if column.dtype is np.float64:
-            values = [np.nan if v is None else v for v in values]
-        rows[column.name] = np.array(values, dtype=column.dtype).reshape(
-            column.shape(count, words)
-        )
-    return rows
-
-
-def check_peer_rows(doc: dict, count: int) -> None:
-    """Raise ``CheckpointError`` unless every column has ``count`` rows."""
     for column in PEER_COLUMNS:
         if column.name not in doc:
             raise CheckpointError(
                 f"{_INVALID}: peer rows lack column {column.name!r}"
             )
-        found = len(doc[column.name])
-        if found != count:
+        value = doc[column.name]
+        expected = column.shape(count, words)
+        if (
+            not isinstance(value, np.ndarray)
+            or value.dtype != column.dtype
+            or value.shape != expected
+        ):
             raise CheckpointError(
-                f"{_INVALID}: peer-row column {column.name!r} has "
-                f"{found} rows, expected {count}"
+                f"{_INVALID}: peer-row column {column.name!r} is "
+                f"{_describe(value)}, expected {np.dtype(column.dtype)} of "
+                f"shape {expected}"
             )
+        rows[column.name] = value
+    return rows
+
+
+def accept_cap(config: SimConfig) -> int:
+    """Width of a leecher's neighbor row: the tracker's accept cap."""
+    return max(int(config.ns_size * config.ns_accept_factor), config.ns_size)
+
+
+def check_slot_array(
+    value, name: str, capacity: int, columns: Optional[int] = None
+) -> np.ndarray:
+    """Raise ``CheckpointError`` unless ``value`` is an int64 array of
+    slots in ``[0, capacity)``: flat, or ``(rows, columns)``."""
+    shape_ok = isinstance(value, np.ndarray) and (
+        value.ndim == 1 if columns is None
+        else value.ndim == 2 and value.shape[1] == columns
+    )
+    if not shape_ok or value.dtype != np.int64:
+        raise CheckpointError(
+            f"{_INVALID}: {name!r} is {_describe(value)}, expected an "
+            f"int64 slot array"
+        )
+    if value.size and (value.min() < 0 or value.max() >= capacity):
+        raise CheckpointError(
+            f"{_INVALID}: {name!r} holds a slot outside [0, {capacity})"
+        )
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -508,59 +521,99 @@ class PeerStore:
             getattr(self, column.name)[slots] = rows[column.name]
 
     # -- the checkpoint ``store`` block --------------------------------
+    def _leech_cells(self) -> np.ndarray:
+        """``(capacity, nbr_width)`` mask of the filled neighbor cells of
+        alive leechers; row-major, it lists them in a block's order."""
+        deg = np.where(self.alive & ~self.is_seed, self.nbr_deg, 0)
+        return np.arange(self.nbr_width) < deg[:, None]
+
     def to_block(self) -> dict:
-        """The checkpoint ``store`` block: table rows of every alive slot
-        (ascending), their neighbor rows and the free-list order."""
+        """The checkpoint ``store`` block, as arrays that copy the store:
+        table rows of every alive slot (ascending), their ``nbr_deg``
+        (a seed's is its relation counter, which may exceed the row
+        width), the filled cells of the leecher rows (seed rows are all
+        padding) and the free-list order."""
         slots = np.flatnonzero(self.alive)
-        block = encode_peer_rows(self.rows(slots))
+        block = self.rows(slots)
         block.update(
             capacity=self.capacity,
             nbr_width=self.nbr_width,
             # LIFO pop order — the next allocation must hand out the
             # same slots the uninterrupted run would have.
-            free=[int(s) for s in self.free],
-            slots=slots.tolist(),
-            # Neighbor rows trimmed to their fill; in-row order is the
-            # append order the refill logic depends on.
-            nbr=[self.nbr[s, : self.nbr_deg[s]].tolist() for s in slots],
+            free=np.array(self.free, dtype=np.int64),
+            slots=slots,
+            nbr_deg=self.nbr_deg[slots],
+            # Row-major, so in-row order is the append order the refill
+            # logic depends on.
+            nbr=self.nbr[self._leech_cells()],
         )
         return block
 
     @staticmethod
-    def check_block(block: dict) -> int:
+    def check_block(block: dict, config: SimConfig) -> int:
         """Raise ``CheckpointError`` unless ``block`` is a whole store
-        block with one row per slot in every column; returns the count."""
-        for key in ("capacity", "nbr_width", "free", "slots", "nbr"):
+        block for ``config`` — every column one row per slot, slots
+        ascending, leecher degrees within the row width, neighbor cells
+        naming slots — and return its row count."""
+        for key in ("capacity", "nbr_width", "free", "slots", "nbr_deg", "nbr"):
             if key not in block:
                 raise CheckpointError(f"{_INVALID}: store block lacks {key!r}")
-        count = len(block["slots"])
-        check_peer_rows(block, count)
-        if len(block["nbr"]) != count:
+        capacity = int(block["capacity"])
+        width = int(block["nbr_width"])
+        if width != accept_cap(config):
             raise CheckpointError(
-                f"{_INVALID}: store column 'nbr' has "
-                f"{len(block['nbr'])} rows, expected {count}"
+                f"{_INVALID}: 'nbr_width' {width} is not the configured "
+                f"accept cap {accept_cap(config)}"
+            )
+        slots = check_slot_array(block["slots"], "slots", capacity)
+        free = check_slot_array(block["free"], "free", capacity)
+        count = slots.size
+        if count + free.size != capacity or np.any(np.diff(slots) <= 0):
+            raise CheckpointError(
+                f"{_INVALID}: 'slots' and 'free' do not partition "
+                f"{capacity} slots"
+            )
+        rows = peer_rows(block, count, words_for(config.num_pieces))
+        deg = block["nbr_deg"]
+        if not (
+            isinstance(deg, np.ndarray)
+            and deg.dtype == np.int64
+            and deg.shape == (count,)
+        ):
+            raise CheckpointError(
+                f"{_INVALID}: 'nbr_deg' is {_describe(deg)}, expected "
+                f"int64 of shape {(count,)}"
+            )
+        leech_deg = deg[~rows["is_seed"]]
+        if (deg.size and deg.min() < 0) or np.any(leech_deg > width):
+            raise CheckpointError(
+                f"{_INVALID}: 'nbr_deg' is negative, or above the row "
+                f"width {width} for a leecher"
+            )
+        nbr = check_slot_array(block["nbr"], "nbr", capacity)
+        if nbr.size != int(leech_deg.sum()):
+            raise CheckpointError(
+                f"{_INVALID}: store column 'nbr' has {nbr.size} cells, "
+                f"the leecher degrees need {int(leech_deg.sum())}"
             )
         return count
 
     @classmethod
     def from_block(
-        cls, block: dict, num_pieces: int
+        cls, block: dict, config: SimConfig
     ) -> Tuple["PeerStore", np.ndarray]:
-        """Rebuild a store from :meth:`to_block`'s output; returns it
-        with the alive slots in block order."""
-        count = cls.check_block(block)
+        """Rebuild a store from :meth:`to_block`'s output, copying every
+        array it keeps; returns it with the alive slots in block order."""
+        cls.check_block(block, config)
         store = cls(
-            int(block["capacity"]), num_pieces, int(block["nbr_width"])
+            int(block["capacity"]), config.num_pieces, accept_cap(config)
         )
-        store.free = [int(s) for s in block["free"]]
-        slots = np.asarray(block["slots"], dtype=np.int64)
-        if count:
-            store.alive[slots] = True
-            store.put_rows(slots, decode_peer_rows(block, store.words, count))
-            for slot, row in zip(slots, block["nbr"]):
-                if row:
-                    store.nbr[slot, : len(row)] = row
-                store.nbr_deg[slot] = len(row)
+        store.free = block["free"].tolist()
+        slots = np.array(block["slots"])
+        store.alive[slots] = True
+        store.put_rows(slots, block)
+        store.nbr_deg[slots] = block["nbr_deg"]
+        store.nbr[store._leech_cells()] = block["nbr"]
         return store, slots
 
     def release(self, slots: np.ndarray) -> None:
@@ -596,13 +649,21 @@ class PeerStore:
         """
         if holders.size == 0:
             return
-        col, found = row_columns(self.nbr[holders], values)
-        if not found.all():
-            miss = int(np.flatnonzero(~found)[0])
-            raise SimulationError(
-                f"neighbor row of slot {int(holders[miss])} has no entry "
-                f"{int(values[miss])} to remove"
+        # The lookup gathers one row per holder: chunk it, since a round
+        # that departs thousands of peers can name ~10^6 holders.
+        col = np.empty(holders.size, dtype=np.int64)
+        chunk = max(1, _CHUNK_CELLS // max(self.nbr_width, 1))
+        for start in range(0, holders.size, chunk):
+            part = slice(start, start + chunk)
+            col[part], found = row_columns(
+                self.nbr[holders[part]], values[part]
             )
+            if not found.all():
+                miss = start + int(np.flatnonzero(~found)[0])
+                raise SimulationError(
+                    f"neighbor row of slot {int(holders[miss])} has no "
+                    f"entry {int(values[miss])} to remove"
+                )
         mark = np.zeros(self.capacity, dtype=bool)
         mark[holders] = True
         rows = np.flatnonzero(mark)
@@ -721,9 +782,7 @@ class SoaSwarm(CheckpointControl):
         self.engine.register("round", self._on_round)
         self.engine.register("arrival", self._on_arrival)
 
-        self._accept_cap = max(
-            int(config.ns_size * config.ns_accept_factor), config.ns_size
-        )
+        self._accept_cap = accept_cap(config)
         expected = (
             config.num_seeds
             + config.initial_leechers

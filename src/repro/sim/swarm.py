@@ -848,7 +848,7 @@ class Swarm(CheckpointControl):
     # Checkpointing
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Full snapshot document (schema v1) of the current state.
+        """Full snapshot document (schema v2) of the current state.
 
         Valid between engine events — in practice, at round boundaries;
         the periodic ``checkpoint_every`` hook calls this at the end of

@@ -1,11 +1,12 @@
-"""Golden fixture for checkpoint format v1 + corrupt-file rejection.
+"""Golden fixture for checkpoint format v2 + corrupt-file rejection.
 
-A committed binary ``.ckpt`` fixture (container v1, schema v1) pins the
+A committed binary ``.ckpt`` fixture (container v2, schema v2) pins the
 on-disk format: a build that changes the header layout, the canonical
 JSON encoding, or the snapshot schema fails loudly here and must bump
 the relevant version (and regenerate) rather than silently emitting
-checkpoints old readers mis-parse.  Regenerate after an *intentional*
-format change with::
+checkpoints old readers mis-parse.  The object document holds no
+arrays, so its payload is a head with no sections.  Regenerate after an
+*intentional* format change with::
 
     REPRO_REGEN_GOLDENS=1 python -m pytest tests/checkpoint/test_golden_format.py
 
@@ -19,6 +20,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ckpt_helpers import replay_config, replay_fault_plan, snapshot_at_round
@@ -27,13 +29,19 @@ from repro.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.checkpoint.format import CHECKPOINT_MAGIC, _HEADER, dumps_payload
+from repro.checkpoint.format import (
+    CHECKPOINT_MAGIC,
+    _HEADER,
+    dumps_payload,
+    json_view,
+    loads_payload,
+)
 from repro.errors import CheckpointError
 from repro.sim.swarm import Swarm
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-GOLDEN_CKPT = GOLDEN_DIR / "checkpoint_v1.ckpt"
-GOLDEN_JSON = GOLDEN_DIR / "checkpoint_v1.json"
+GOLDEN_CKPT = GOLDEN_DIR / "checkpoint_v2.ckpt"
+GOLDEN_JSON = GOLDEN_DIR / "checkpoint_v2.json"
 REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 #: The fixture snapshot: round 10 of the replay swarm with the full
@@ -45,7 +53,7 @@ def generate_document() -> dict:
     document = snapshot_at_round(
         replay_config(), GOLDEN_ROUND, faults=replay_fault_plan()
     )
-    return json.loads(dumps_payload(document).decode("utf-8"))
+    return loads_payload(dumps_payload(document))
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +65,10 @@ def golden() -> dict:
         fingerprint = Swarm.resume(read_checkpoint(GOLDEN_CKPT)).run().fingerprint()
         GOLDEN_JSON.write_text(
             json.dumps(
-                {"document": document, "resumed_fingerprint": fingerprint},
+                {
+                    "document": json_view(document),
+                    "resumed_fingerprint": fingerprint,
+                },
                 sort_keys=True,
                 indent=1,
             )
@@ -74,19 +85,19 @@ def golden() -> dict:
 # Drift detection
 # ----------------------------------------------------------------------
 def test_container_reads_back_the_committed_document(golden):
-    assert read_checkpoint(GOLDEN_CKPT) == golden["document"]
+    assert json_view(read_checkpoint(GOLDEN_CKPT)) == golden["document"]
 
 
-def test_current_schema_matches_committed_v1_document(golden):
+def test_current_schema_matches_committed_document(golden):
     """Schema drift fails loudly.
 
     The snapshot this build emits for the fixture scenario must equal
-    the committed v1 document *exactly* — any added, removed, renamed,
+    the committed v2 document *exactly* — any added, removed, renamed,
     or reordered field (or behavioural drift in the simulator itself)
     lands here, and the fix is a deliberate SCHEMA_VERSION bump plus
     regeneration, never a silent change.
     """
-    assert generate_document() == golden["document"]
+    assert json_view(generate_document()) == golden["document"]
 
 
 def test_committed_container_bytes_are_stable(golden):
@@ -167,6 +178,35 @@ def test_structurally_gutted_document_rejected(golden):
     del document["engine"]
     with pytest.raises(CheckpointError, match="invalid"):
         Swarm.resume(document)
+
+
+def test_sections_round_trip_every_dtype_and_empty_shape(tmp_path):
+    document = {
+        "ints": np.arange(6, dtype=np.int64).reshape(3, 2),
+        "no_pairs": np.zeros((0, 2), dtype=np.int64),
+        "floats": np.array([np.nan, 1.5, -0.0]),
+        "no_flags": np.zeros(0, dtype=bool),
+        "words": np.array([2**64 - 1, 2**63], dtype=np.uint64),
+        "nested": [{"flags": np.array([True, False, True])}, 7],
+    }
+    path = tmp_path / "arrays.ckpt"
+    write_checkpoint(document, path)
+    loaded = read_checkpoint(path)
+    assert loaded["nested"][1] == 7
+    for key in ("ints", "no_pairs", "floats", "no_flags", "words"):
+        assert loaded[key].dtype == document[key].dtype
+        np.testing.assert_array_equal(loaded[key], document[key])
+    np.testing.assert_array_equal(
+        loaded["nested"][0]["flags"], document["nested"][0]["flags"]
+    )
+    assert dumps_payload(loaded) == path.read_bytes()[_HEADER.size:]
+    assert json_view(loaded)["floats"] == [None, 1.5, -0.0]
+
+
+def test_array_of_an_unlisted_dtype_is_refused(tmp_path):
+    with pytest.raises(CheckpointError, match="int32"):
+        write_checkpoint({"x": np.zeros(2, dtype=np.int32)}, tmp_path / "x")
+    assert not list(tmp_path.iterdir())
 
 
 def test_store_rejects_path_escaping_keys(tmp_path):

@@ -13,8 +13,6 @@ ways:
   serialize → CRC → deserialize cycle.
 """
 
-import json
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,7 +24,7 @@ from repro.checkpoint import (
     run_swarm_with_checkpoints,
     write_checkpoint,
 )
-from repro.checkpoint.format import dumps_payload
+from repro.checkpoint.format import dumps_payload, loads_payload
 from repro.errors import CheckpointError
 from repro.sim.swarm import Swarm, run_swarm
 
@@ -60,7 +58,7 @@ def test_resume_matches_uninterrupted_fingerprint(round_number, with_faults):
     )
     # Serialization round-trip in memory: the resumed swarm must work
     # from exactly what a reader would hand it, not live objects.
-    document = json.loads(dumps_payload(document).decode("utf-8"))
+    document = loads_payload(dumps_payload(document))
     resumed = Swarm.resume(document)
     result = resumed.run()
     assert result.fingerprint() == baseline_fingerprint(with_faults)

@@ -3,21 +3,19 @@
 Replay equivalence (``test_replay``) is the end-to-end guarantee; these
 tests localise it.  Each stateful component — RNG streams, Bitfield,
 event engine, tracker, choker counters, potential-set cache,
-FaultInjector — is snapshotted, pushed through the JSON layer, restored
+FaultInjector — is snapshotted, pushed through the container payload, restored
 into a *fresh* object, and then driven forward to show the restored
 copy behaves identically.  The headline property ties them together:
 re-snapshotting a restored swarm reproduces the original document
 byte-for-byte.
 """
 
-import json
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckpt_helpers import replay_config, replay_fault_plan, run_to_round
-from repro.checkpoint.format import dumps_payload
+from repro.checkpoint.format import dumps_payload, loads_payload
 from repro.checkpoint.schema import _sanitize_rng_state, snapshot_swarm
 from repro.faults.injector import FaultInjector
 from repro.sim.bitfield import Bitfield
@@ -26,8 +24,9 @@ from repro.sim.swarm import Swarm
 
 
 def json_trip(document: dict) -> dict:
-    """What a reader hands the restore path: canonical JSON round-trip."""
-    return json.loads(dumps_payload(document).decode("utf-8"))
+    """What a reader hands the restore path: a container-payload
+    round-trip."""
+    return loads_payload(dumps_payload(document))
 
 
 # ----------------------------------------------------------------------

@@ -14,13 +14,11 @@ trajectory.  Pinned here from both ends:
   the PR-2 per-attempt re-derivation.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 from ckpt_helpers import replay_config, replay_fault_plan, run_to_round
-from repro.checkpoint.format import dumps_payload
+from repro.checkpoint.format import dumps_payload, loads_payload
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.runtime.executor import _ATTEMPT_SALT, TaskSpec
@@ -46,7 +44,7 @@ def test_resumed_run_ends_on_identical_rng_states(with_faults, snapshot_round):
     uninterrupted.run()
 
     partial = run_to_round(config, snapshot_round, faults=faults)
-    document = json.loads(dumps_payload(partial.snapshot()).decode("utf-8"))
+    document = loads_payload(dumps_payload(partial.snapshot()))
     resumed = Swarm.resume(document)
     resumed.run()
 
@@ -57,7 +55,7 @@ def test_restore_does_not_advance_rng_before_run():
     """Restoring alone must not draw: state out == state in."""
     partial = run_to_round(replay_config(), 7)
     state_at_snapshot = partial.rng.bit_generator.state
-    document = json.loads(dumps_payload(partial.snapshot()).decode("utf-8"))
+    document = loads_payload(dumps_payload(partial.snapshot()))
     resumed = Swarm.resume(document)
     assert resumed.rng.bit_generator.state == state_at_snapshot
 

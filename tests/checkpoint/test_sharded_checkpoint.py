@@ -21,6 +21,7 @@ the guarantees under test compose the two:
 import os
 import signal
 
+import numpy as np
 import pytest
 
 from repro.checkpoint.format import read_checkpoint, write_checkpoint
@@ -313,3 +314,36 @@ def test_damaged_sharded_document_fails_at_restore(damage):
         batch["counts"] = batch["counts"][:-1]
     with pytest.raises(CheckpointError, match="structurally invalid"):
         restore_swarm(document)
+
+
+def test_restored_shard_stores_equal_their_documents_column_by_column():
+    """Every shard's store, restored inside its worker and snapshotted
+    again before any round, is its document's store block exactly —
+    seed relation counters above the row width included."""
+    from repro.sim.soa import PEER_COLUMNS
+
+    config = sharded_config(
+        ns_size=4, num_seeds=1, initial_leechers=150, arrival_rate=5.0,
+        completed_become_seeds=4.0, seed=3,
+    )
+    swarm = Swarm(config, backend="sharded", shards=2)
+    for _ in range(6):
+        assert swarm.step_round()
+    document = swarm.snapshot()
+    swarm.close()
+    crowded = 0
+    for shard_doc in document["shard_docs"]:
+        store = shard_doc["store"]
+        seed_deg = store["nbr_deg"][store["is_seed"]]
+        crowded += int((seed_deg > store["nbr_width"]).sum())
+    assert crowded > 0
+
+    restored = restore_sharded_swarm(document)
+    again = restored.snapshot()
+    restored.close()
+    names = ("capacity", "nbr_width", "free", "slots", "nbr_deg", "nbr")
+    for before, after in zip(document["shard_docs"], again["shard_docs"]):
+        for name in names + tuple(c.name for c in PEER_COLUMNS):
+            np.testing.assert_array_equal(
+                after["store"][name], before["store"][name], err_msg=name
+            )

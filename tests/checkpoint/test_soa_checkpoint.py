@@ -14,6 +14,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ckpt_helpers import replay_fault_plan
@@ -22,6 +23,7 @@ from repro.checkpoint.schema import restore_swarm
 from repro.checkpoint.store import run_swarm_with_checkpoints
 from repro.errors import CheckpointError
 from repro.sim.config import SimConfig
+from repro.sim.soa import PEER_COLUMNS
 from repro.sim.swarm import Swarm, run_swarm
 
 
@@ -77,7 +79,7 @@ def test_soa_resume_is_fingerprint_identical(boundary):
 
 
 def test_soa_snapshot_survives_the_container(tmp_path):
-    """NaN-able columns and uint64 bit words must pass canonical JSON."""
+    """NaN-able columns and uint64 bit words must pass the container."""
     config = soa_replay_config(seed=23)
     document = soa_snapshot_at_round(config, 8)
     path = tmp_path / "soa.ckpt"
@@ -191,3 +193,53 @@ def test_sigkilled_soa_run_resumes_on_relaunch(tmp_path):
     assert result.resumed_from_round is not None
     assert result.resumed_from_round >= 8  # two 4-round snapshots landed
     assert result.fingerprint() == run_swarm(config, backend="soa").fingerprint()
+
+
+def crowded_seed_config(seed: int = 3) -> SimConfig:
+    """A soa swarm whose seeds hold more relations than a row is wide:
+    a seed's ``nbr_deg`` is a bare counter, not bounded by the width."""
+    return SimConfig(
+        num_pieces=30,
+        max_conns=3,
+        ns_size=4,
+        arrival_process="poisson",
+        arrival_rate=5.0,
+        initial_leechers=150,
+        initial_distribution="uniform",
+        initial_fill=0.5,
+        num_seeds=1,
+        seed_upload_slots=2,
+        completed_become_seeds=4.0,
+        shake_threshold=0.9,
+        max_time=20.0,
+        seed=seed,
+    )
+
+
+def assert_stores_equal(restored, live):
+    """Column by column: adjacency and free list everywhere, the peer-row
+    table on alive slots (a released slot keeps stale table values)."""
+    np.testing.assert_array_equal(restored.alive, live.alive)
+    np.testing.assert_array_equal(restored.nbr, live.nbr)
+    np.testing.assert_array_equal(restored.nbr_deg, live.nbr_deg)
+    assert restored.free == live.free
+    alive = live.alive
+    for column in PEER_COLUMNS:
+        np.testing.assert_array_equal(
+            getattr(restored, column.name)[alive],
+            getattr(live, column.name)[alive],
+            err_msg=column.name,
+        )
+
+
+def test_restored_store_equals_the_live_store_column_by_column(tmp_path):
+    swarm = Swarm(crowded_seed_config(), backend="soa")
+    swarm.setup()
+    while swarm._rounds < 6:
+        swarm.engine.step()
+    live = swarm.store
+    seeds = live.alive & live.is_seed
+    assert (live.nbr_deg[seeds] > live.nbr_width).any()
+    path = tmp_path / "crowded.ckpt"
+    write_checkpoint(swarm.snapshot(), path)
+    assert_stores_equal(restore_swarm(read_checkpoint(path)).store, live)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.soa as soa_module
 from repro.errors import SimulationError
 from repro.sim.bitfield import Bitfield
 from repro.sim.config import SimConfig
@@ -407,6 +408,54 @@ def test_remove_row_entries_many_holders_per_row():
     for slot, row in enumerate(expected):
         assert store.nbr[slot, : store.nbr_deg[slot]].tolist() == row
         assert (store.nbr[slot, store.nbr_deg[slot]:] == -1).all()
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+def test_remove_row_entries_chunked_lookup_matches_unchunked(
+    monkeypatch, chunk_rows
+):
+    """The row lookup runs in chunks of ``_CHUNK_CELLS`` cells; chunk
+    boundaries, including ones inside one holder's run of entries, must
+    not change the result."""
+    rng = np.random.default_rng(9)
+    width = 12
+    rows = [
+        rng.permutation(60)[: rng.integers(0, width + 1)].tolist()
+        for _ in range(40)
+    ]
+    cells = [(h, v) for h, row in enumerate(rows) for v in row]
+    # Sorted picks list each holder's entries together.
+    pick = np.sort(rng.permutation(len(cells))[: (2 * len(cells)) // 3])
+    holders = np.array([cells[i][0] for i in pick], dtype=np.int64)
+    values = np.array([cells[i][1] for i in pick], dtype=np.int64)
+    boundaries = np.arange(chunk_rows, holders.size, chunk_rows)
+    assert (holders[boundaries - 1] == holders[boundaries]).any()
+    reference = store_with_rows(rows, width)
+    reference.remove_row_entries(holders, values)
+
+    monkeypatch.setattr(soa_module, "_CHUNK_CELLS", chunk_rows * width)
+    store = store_with_rows(rows, width)
+    store.remove_row_entries(holders, values)
+    np.testing.assert_array_equal(store.nbr, reference.nbr)
+    np.testing.assert_array_equal(store.nbr_deg, reference.nbr_deg)
+    expected = scalar_remove(rows, holders.tolist(), values.tolist())
+    for slot, row in enumerate(expected):
+        assert store.nbr[slot, : store.nbr_deg[slot]].tolist() == row
+
+
+def test_remove_row_entries_chunked_lookup_names_the_missing_entry(
+    monkeypatch,
+):
+    """A miss in a later chunk names its own holder and changes nothing."""
+    monkeypatch.setattr(soa_module, "_CHUNK_CELLS", 3)  # one row a chunk
+    store = store_with_rows([[1, 2], [0], [0]], width=3)
+    before = store.nbr.copy()
+    with pytest.raises(SimulationError, match=r"slot 2 has no entry 1"):
+        store.remove_row_entries(
+            np.array([0, 1, 2], dtype=np.int64),
+            np.array([1, 0, 1], dtype=np.int64),
+        )
+    np.testing.assert_array_equal(store.nbr, before)
 
 
 def test_remove_row_entries_missing_entry_fails_loudly():
