@@ -60,9 +60,9 @@ SOA_STAGES = (
     "bookkeeping",
 )
 
-#: Stage names of the sharded coordinator's cycle: ``comms`` (fabric
-#: writes/reads, step dispatch, and the barrier wait net of the slowest
-#: worker's compute time) and ``bookkeeping`` (metrics fold, population
+#: Stage names of the sharded coordinator's cycle: ``comms`` (building
+#: and sending the step messages, routing the migrant rows, and the
+#: barrier wait net of the slowest worker's compute time) and ``bookkeeping`` (metrics fold, population
 #: log, checkpoint cadence).  Worker-side round stages keep the
 #: ``SOA_STAGES`` names, so a merged sharded profile shows both layers.
 SHARD_COORD_STAGES = (

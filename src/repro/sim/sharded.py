@@ -9,17 +9,17 @@ collector, and coordinated checkpoints.
 
 Design contract (mirrors ``docs/RUNTIME.md``):
 
-* **Lockstep rounds over a zero-copy data plane.** Every shard
-  advances exactly one protocol round per coordinator cycle.  The hot
-  per-round payloads — the global replication-count broadcast (for
-  rarest-first), immigrant peer rows, the shard's round report, and
-  its emigrant rows — travel through the preallocated shared-memory
-  fabric of :mod:`repro.sim.shm` (double-buffered numpy views, stamped
-  per round); the pipe carries only the low-rate control plane
-  (init / step barrier with arrivals + quotas / snapshot / stop).
+* **Lockstep rounds over one pipe per worker.** Workers are forked:
+  the ``fork`` start method is the engine's one environment
+  assumption, checked at construction.  Every shard advances
+  exactly one protocol round per coordinator cycle.  The step message
+  carries the global replication counts (for rarest-first), the
+  shard's immigrant peer rows, its arrivals and its emigrant quota;
+  the reply is the shard's whole round report, emigrant rows included.
   Rows are the :data:`~repro.sim.soa.PEER_COLUMNS` table, the same
   columns and encoding as the checkpoint store block, so a migration
-  batch *is* a slice of a snapshot.
+  batch *is* a slice of a snapshot, and it pickles as raw column
+  buffers.
 * **Splittable seeding.** Shard ``i`` of generation ``g`` seeds its
   engine from ``derive_seed(seed, SHARD_NS, 1 + g, shards, i)``; the
   coordinator's tracker stream is ``derive_seed(seed, SHARD_NS, 0)``.
@@ -47,7 +47,6 @@ from __future__ import annotations
 import multiprocessing
 import time as _time
 import traceback
-from multiprocessing import resource_tracker as _resource_tracker
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,7 +58,6 @@ from repro.runtime.seeding import derive_seed
 from repro.sim.config import SimConfig
 from repro.sim.engine import Event
 from repro.sim.metrics import MetricsCollector
-from repro.sim.shm import ShardFabric, WorkerFabric
 from repro.sim.soa import (
     PeerStore,
     SoaSwarm,
@@ -132,6 +130,13 @@ def _concat_rows(parts: List[dict]) -> Optional[dict]:
     return {
         name: np.concatenate([p[name] for p in parts]) for name in parts[0]
     }
+
+
+def _rows_nbytes(rows: Optional[dict]) -> int:
+    """Bytes a migrant batch moves over the pipe (its column buffers)."""
+    if rows is None:
+        return 0
+    return sum(column.nbytes for column in rows.values())
 
 
 def _select_rows(rows: dict, mask: np.ndarray) -> Optional[dict]:
@@ -302,16 +307,8 @@ def _shard_metrics(max_conns: int, opts: dict) -> MetricsCollector:
 # Worker process
 # ----------------------------------------------------------------------
 def _shard_worker(conn) -> None:
-    """Shard worker main loop: one command in, one reply out.
-
-    Control messages (and the variable-size completion/abort records)
-    ride the pipe; the per-round broadcast, migration rows, and the
-    integer round report go through the attached :class:`WorkerFabric`.
-    The worker only ever closes its attached segments — the
-    coordinator owns and unlinks them.
-    """
+    """Shard worker main loop: one command in, one reply out."""
     engine: Optional[ShardEngine] = None
-    fabric: Optional[WorkerFabric] = None
     try:
         while True:
             try:
@@ -334,7 +331,6 @@ def _shard_worker(conn) -> None:
                     )
                     engine._next_id = payload["id_start"]
                     engine.setup()
-                    fabric = WorkerFabric(payload["fabric"])
                     conn.send(("ok", engine.state_summary()))
                 elif command == "restore":
                     from repro.checkpoint.schema import _restore_soa_swarm
@@ -346,7 +342,6 @@ def _shard_worker(conn) -> None:
                     )
                     engine._completed_reported = len(engine.metrics.completed)
                     engine._aborted_reported = len(engine.metrics.aborted)
-                    fabric = WorkerFabric(payload["fabric"])
                     conn.send(("ok", engine.state_summary()))
                 elif command == "adopt":
                     engine = ShardEngine(
@@ -369,29 +364,17 @@ def _shard_worker(conn) -> None:
                     engine.engine.schedule_at(
                         payload["next_round_time"], Event("round")
                     )
-                    fabric = WorkerFabric(payload["fabric"])
                     conn.send(("ok", engine.state_summary()))
                 elif command == "step":
-                    fabric.apply_updates(payload.get("fabric_updates"))
-                    round_index = payload["round"]
                     busy_start = _time.perf_counter()
                     report = engine.lockstep_round(
-                        fabric.read_broadcast(round_index),
-                        fabric.read_inbox(round_index),
+                        payload["counts"],
+                        payload["immigrants"],
                         payload["arrivals"],
                         payload["emigrate"],
                     )
-                    busy = _time.perf_counter() - busy_start
-                    fabric.write_outbox(
-                        report.pop("emigrants"), round_index
-                    )
-                    fabric.write_report(report, round_index)
-                    conn.send(("report", {
-                        "time": report["time"],
-                        "completed": report["completed"],
-                        "aborted": report["aborted"],
-                        "busy": busy,
-                    }))
+                    report["busy"] = _time.perf_counter() - busy_start
+                    conn.send(("report", report))
                 elif command == "snapshot":
                     from repro.checkpoint.schema import snapshot_soa_swarm
 
@@ -416,12 +399,6 @@ def _shard_worker(conn) -> None:
                 conn.send(("error", traceback.format_exc()))
                 return
     finally:
-        if engine is not None:
-            # Drop the broadcast view so the fabric's mappings close
-            # cleanly (a live numpy view would pin the mmap).
-            engine._global_counts = None
-        if fabric is not None:
-            fabric.close()
         conn.close()
 
 
@@ -487,6 +464,12 @@ class ShardedSwarm(CheckpointControl):
         SoaSwarm._check_supported(
             config, instrument_first, instrumented_avoid_seeds, rarity_view
         )
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ParameterError(
+                "the sharded engine forks its shard workers, and this "
+                "platform has no 'fork' start method; run the same "
+                "config with backend=\"soa\" (or shards=1) instead"
+            )
         super().__init__(checkpoint_every, checkpoint_path)
         self.backend = "sharded"
         self.config = config
@@ -508,7 +491,6 @@ class ShardedSwarm(CheckpointControl):
         self._restore_docs: Optional[List[dict]] = None
         self._adopt_rows: Optional[List[Optional[dict]]] = None
         self._last_document: Optional[dict] = None
-        self._fabric: Optional[ShardFabric] = None
         self._bytes_broadcast = 0
         self._bytes_migrated = 0
         self._comms_profiler: Optional[RoundProfiler] = None
@@ -590,11 +572,6 @@ class ShardedSwarm(CheckpointControl):
     # ------------------------------------------------------------------
     def _spawn_processes(self) -> None:
         context = multiprocessing.get_context("fork")
-        # Start the resource tracker *before* forking so every worker
-        # shares the coordinator's tracker: attach registrations and the
-        # coordinator's unlink then net out in one ledger instead of a
-        # per-child tracker unlinking live segments at worker exit.
-        _resource_tracker.ensure_running()
         self._procs = []
         self._conns = []
         for _ in range(self.shards):
@@ -629,7 +606,7 @@ class ShardedSwarm(CheckpointControl):
         return [process.pid for process in self._procs]
 
     def close(self) -> None:
-        """Tear down workers and unlink the fabric (idempotent)."""
+        """Stop and reap every worker (idempotent)."""
         for index, conn in enumerate(self._conns):
             try:
                 conn.send(("stop", None))
@@ -643,30 +620,17 @@ class ShardedSwarm(CheckpointControl):
                 process.join(timeout=2.0)
         self._procs = []
         self._conns = []
-        if self._fabric is not None:
-            self._fold_fabric_bytes()
-            self._fabric.close()
-            self._fabric = None
-
-    def _fold_fabric_bytes(self) -> None:
-        """Accumulate the fabric's byte counters (survives recovery)."""
-        fabric = self._fabric
-        if fabric is None:
-            return
-        self._bytes_broadcast += fabric.bytes_broadcast
-        self._bytes_migrated += fabric.bytes_migrated
-        fabric.bytes_broadcast = 0
-        fabric.bytes_migrated = 0
 
     def fabric_segment_names(self) -> List[str]:
-        """Names of the live shared-memory segments (lifecycle tests)."""
-        if self._fabric is None:
-            return []
-        return self._fabric.segment_names()
+        """Always ``[]``: the engine creates no shared-memory segment.
+
+        Kept because ``perfbench/workloads.py`` still calls it.
+        """
+        return []
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:
-            if self._procs or getattr(self, "_fabric", None) is not None:
+            if self._procs:
                 self.close()
         except Exception:  # noqa: BLE001
             pass
@@ -674,35 +638,6 @@ class ShardedSwarm(CheckpointControl):
     # ------------------------------------------------------------------
     # Startup
     # ------------------------------------------------------------------
-    def _create_fabric(self) -> None:
-        """Allocate the shared-memory fabric, sized for this start.
-
-        Sizing is only a head start — the per-round
-        :meth:`ShardFabric.ensure` call is the hard guarantee, growing
-        any block whose coming round would not fit.
-        """
-        config = self.config
-        expected = (
-            config.num_seeds + config.initial_leechers + config.flash_size
-        ) // self.shards + 1
-        conn_rows = max(64, expected)
-        for state in self._shard_state:
-            if state is not None:
-                conn_rows = max(
-                    conn_rows, state["n_leech"] + state["n_seeds"]
-                )
-        if self._adopt_rows is not None:
-            for rows in self._adopt_rows:
-                if rows is not None:
-                    conn_rows = max(conn_rows, int(rows["peer_id"].size))
-        self._fabric = ShardFabric(
-            self.shards,
-            config.num_pieces,
-            words_for(config.num_pieces),
-            conn_rows=conn_rows,
-            migration_rows=64,
-        )
-
     def setup(self) -> None:
         """Fork the workers and start every shard.
 
@@ -714,17 +649,12 @@ class ShardedSwarm(CheckpointControl):
             return
         self._started = True
         self._spawn_processes()
-        # The fabric is created *after* the fork so children never
-        # inherit coordinator-owned SharedMemory objects; workers
-        # attach by name from the spec in their init payload.
-        self._create_fabric()
         if self.profile and self._comms_profiler is None:
             self._comms_profiler = RoundProfiler(SHARD_COORD_STAGES)
         if self._restore_docs is not None:
             for index, document in enumerate(self._restore_docs):
                 self._send(index, ("restore", {
                     "document": document, "profile": self.profile,
-                    "fabric": self._fabric.spec(index),
                 }))
         elif self._adopt_rows is not None:
             for index in range(self.shards):
@@ -736,7 +666,6 @@ class ShardedSwarm(CheckpointControl):
                     "rows": self._adopt_rows[index],
                     "rounds": self._rounds,
                     "next_round_time": self._next_round_time,
-                    "fabric": self._fabric.spec(index),
                 }))
         else:
             id_start = 0
@@ -748,7 +677,6 @@ class ShardedSwarm(CheckpointControl):
                     "faults": self.fault_plan,
                     "profile": self.profile,
                     "id_start": id_start,
-                    "fabric": self._fabric.spec(index),
                 }))
                 id_start += (
                     shard_config.num_seeds
@@ -841,12 +769,12 @@ class ShardedSwarm(CheckpointControl):
                         self._tracker_rng.binomial(population, self.shard_mix)
                     )
 
-        fabric = self._fabric
         prof = self._comms_profiler
-        round_index = self._rounds + 1
         if prof is not None:
             prof.begin_round()
-        fabric.write_broadcast(self._global_counts(), round_index)
+        counts = self._global_counts()
+        # Delivered once per shard: each worker receives the full array.
+        self._bytes_broadcast += self.shards * counts.nbytes
         for index in range(self.shards):
             arrivals = None
             if arrival_times[index]:
@@ -855,50 +783,33 @@ class ShardedSwarm(CheckpointControl):
                     np.asarray(arrival_ids[index], dtype=np.int64),
                 )
             pending = self._pending_rows[index]
-            incoming = (
-                0 if pending is None else int(pending["peer_id"].size)
-            )
-            state = self._shard_state[index]
-            # The coordinator knows every upcoming row count before the
-            # step message goes out, so growth is always pre-arranged.
-            updates = fabric.ensure(
-                index,
-                conn_rows=(state["n_leech"] + state["n_seeds"]
-                           + incoming + len(arrival_times[index])),
-                inbox_rows=incoming,
-                outbox_rows=quotas[index],
-            )
-            fabric.write_inbox(index, pending, round_index)
+            self._bytes_migrated += _rows_nbytes(pending)
             self._send(index, ("step", {
-                "round": round_index,
+                "counts": counts,
+                "immigrants": pending,
                 "arrivals": arrivals,
                 "emigrate": quotas[index],
-                "fabric_updates": updates,
             }))
         if prof is not None:
             prof.lap("comms")
         wait_start = _time.perf_counter()
-        replies = [self._recv(index) for index in range(self.shards)]
+        reports = [self._recv(index) for index in range(self.shards)]
         if prof is not None:
             # The barrier wait minus the slowest worker's compute is
-            # fabric overhead; the compute itself is the shards' work.
+            # transport overhead; the compute itself is the shards' work.
             waited = _time.perf_counter() - wait_start
-            busy = max(reply["busy"] for reply in replies)
+            busy = max(report["busy"] for report in reports)
             prof.charge("comms", max(waited - busy, 0.0))
             prof.mark()
 
         # -- all replies in hand: commit the round
         self._pending_rows = [None] * self.shards
         outbound: List[List[dict]] = [[] for _ in range(self.shards)]
-        reports: List[dict] = []
-        for index, reply in enumerate(replies):
-            report = fabric.read_report(index, round_index)
-            report["time"] = reply["time"]
-            report["completed"] = reply["completed"]
-            report["aborted"] = reply["aborted"]
-            reports.append(report)
+        for index, report in enumerate(reports):
+            del report["busy"]
+            emigrants = report.pop("emigrants")
+            self._bytes_migrated += _rows_nbytes(emigrants)
             self._shard_state[index] = report
-            emigrants = fabric.read_outbox(index, round_index)
             if emigrants is not None and self.shards > 1:
                 destinations = self._tracker_rng.integers(
                     0, self.shards - 1, size=emigrants["peer_id"].size
@@ -935,10 +846,6 @@ class ShardedSwarm(CheckpointControl):
         metrics.record_round(
             time, n_leech, n_seeds, degrees=degrees, conn_counts=conn_counts
         )
-        # Connection counts are views into the report blocks; drop them
-        # now so block growth / close never has a dangling export.
-        for report in reports:
-            report["conn_counts"] = None
         if prof is not None:
             prof.lap("bookkeeping")
 
@@ -1168,7 +1075,6 @@ class ShardedSwarm(CheckpointControl):
             profiles["coordinator"] = dict(coord_profile)
             for stage, seconds in coord_profile.items():
                 aggregate[stage] = aggregate.get(stage, 0.0) + seconds
-        self._fold_fabric_bytes()
         comms = {
             "bytes_broadcast": self._bytes_broadcast,
             "bytes_migrated": self._bytes_migrated,
@@ -1251,10 +1157,6 @@ def restore_sharded_swarm(
     """
     from repro.checkpoint.schema import _restore_soa_swarm
 
-    if "solo" in document:
-        # Older releases wrapped the soa document of a shards=1 run in
-        # a sharded envelope; the embedded document is all it holds.
-        document = document["solo"]
     if document.get("backend") == "soa":
         if shards is None or int(shards) == 1:
             return _restore_soa_swarm(document, **swarm_kwargs)

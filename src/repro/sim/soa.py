@@ -349,9 +349,9 @@ class PeerColumn(NamedTuple):
 #: its own adjacency (``alive``, ``nbr``, ``nbr_deg``).  The paper's
 #: §4.1 peer state and the §3.2 phase boundaries (``first_piece_at``,
 #: ``prelast_at``) live here.  One row of these columns is what a
-#: checkpoint's ``store`` block holds per alive slot, what a migrating
-#: peer carries between shards, and what a shared-memory migration plane
-#: lays out — all three read this tuple, so a new column is one entry.
+#: checkpoint's ``store`` block holds per alive slot and what a
+#: migrating peer carries between shards — both read this tuple, so a
+#: new column is one entry.
 PEER_COLUMNS = (
     PeerColumn("peer_id", np.int64, False, -1),
     PeerColumn("counts", np.int64, False, 0),

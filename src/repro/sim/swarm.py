@@ -114,8 +114,9 @@ class SwarmResult:
     #: with ``profile=True`` only; excluded from the fingerprint like
     #: every other wall-clock observable).
     shard_profiles: Optional[Dict[str, Dict[str, float]]] = None
-    #: Shared-memory fabric byte accounting (``bytes_broadcast``,
-    #: ``bytes_migrated``, ``bytes_per_round``) for multi-shard runs;
+    #: Bytes of per-round payload arrays the coordinator moves over the
+    #: worker pipes (``bytes_broadcast``, ``bytes_migrated``,
+    #: ``bytes_per_round``) for multi-shard runs;
     #: None elsewhere.  A wall-clock-adjacent observable, excluded from
     #: the fingerprint.
     comms: Optional[Dict[str, float]] = None

@@ -13,9 +13,9 @@ the guarantees under test compose the two:
   (checkpoint -> repartition -> resume) deterministically, conserving
   every peer id;
 * ``shards=1`` is the soa engine, so it writes soa checkpoints, and a
-  soa checkpoint (or a container from the older ``shards=1`` wrapper)
-  resumes at one shard exactly and at ``shards >= 2`` through the same
-  repartition.
+  soa checkpoint resumes at one shard exactly and at ``shards >= 2``
+  through the same repartition; a container from the older
+  ``shards=1`` wrapper is refused.
 """
 
 import os
@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.checkpoint.format import read_checkpoint, write_checkpoint
+from repro.checkpoint.schema import restore_swarm
 from repro.checkpoint.store import run_swarm_with_checkpoints
 from repro.errors import CheckpointError, SimulationError
 from repro.sim.config import SimConfig
@@ -190,11 +191,11 @@ def test_soa_checkpoint_lifts_onto_two_shards(tmp_path):
     assert second.fingerprint() == first.fingerprint()
 
 
-def test_legacy_single_shard_container_still_resumes(tmp_path):
-    """Containers from the old ``shards=1`` wrapper (a soa document
-    under a sharded envelope) resume at one shard and at two."""
+def test_legacy_single_shard_container_is_refused(tmp_path):
+    """A soa document under a sharded ``solo`` envelope (the shape the
+    old ``shards=1`` wrapper wrote, which no current writer produces)
+    is refused with a typed error, at one shard and at two."""
     config = sharded_config(max_time=20.0)
-    baseline = run_swarm(config, backend="soa")
     soa_document = read_checkpoint(_soa_checkpoint(tmp_path, config, 7, 10))
     legacy = tmp_path / "legacy.repro-ckpt"
     write_checkpoint({
@@ -206,18 +207,10 @@ def test_legacy_single_shard_container_still_resumes(tmp_path):
         "solo": soa_document,
     }, legacy)
 
-    result = run_swarm_with_checkpoints(
-        config, checkpoint_path=legacy, backend="sharded", shards=1
-    )
-    assert result.resumed_from_round == 7
-    assert result.fingerprint() == baseline.fingerprint()
-
-    resharded = Swarm.resume(read_checkpoint(legacy), shards=2)
-    resharded.setup()
-    assert _peer_ids(resharded.snapshot()) == sorted(
-        soa_document["store"]["peer_id"]
-    )
-    assert resharded.run().total_rounds == int(config.max_time)
+    with pytest.raises(CheckpointError, match="structurally invalid"):
+        restore_swarm(read_checkpoint(legacy))
+    with pytest.raises(CheckpointError, match="structurally invalid"):
+        restore_swarm(read_checkpoint(legacy), shards=2)
 
 
 def test_reshard_on_resume_two_to_four(tmp_path):

@@ -16,14 +16,15 @@ snapshot documents:
 * deterministic fingerprints for fixed seeds, with and without fault
   plans, and across mid-run re-sharding.
 
-It also probes the shared-memory fabric's segment lifecycle, and checks
-a sharded flash crowd's mean piece level against a calibrated
+It also checks that no worker process outlives its swarm, the
+coordinator's byte accounting and its refusal to run without ``fork``,
+and a sharded flash crowd's mean piece level against a calibrated
 mean-field integration.
 """
 
+import multiprocessing
 import os
 import signal
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -32,10 +33,10 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from repro.core.meanfield import SwarmMeanField
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.faults.plan import FaultPlan
 from repro.sim.config import SimConfig
-from repro.sim.sharded import restore_sharded_swarm
+from repro.sim.sharded import ShardedSwarm, restore_sharded_swarm
 from repro.sim.soa import popcount_rows, words_for
 from repro.sim.swarm import Swarm
 
@@ -300,15 +301,14 @@ def test_sharded_runs_are_deterministic_per_seed(config, shards):
 
 
 # ----------------------------------------------------------------------
-# Shared-memory fabric lifecycle: no segment may outlive its swarm.
+# Worker lifecycle: no worker process may outlive its swarm.
 # ----------------------------------------------------------------------
-def _segment_exists(name: str) -> bool:
-    """Whether ``name`` still exists in the OS shm namespace."""
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` names a live (or unreaped) process."""
     try:
-        probe = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
+        os.kill(pid, 0)
+    except ProcessLookupError:
         return False
-    probe.close()
     return True
 
 
@@ -332,93 +332,138 @@ def _lifecycle_config(**overrides) -> SimConfig:
     return SimConfig(**base)
 
 
-def test_fabric_segments_unlinked_after_normal_close():
+def test_workers_exit_after_normal_close():
     swarm = Swarm(_lifecycle_config(), backend="sharded", shards=2)
     assert swarm.step_round()
-    names = swarm.fabric_segment_names()
-    assert len(names) == 1 + 3 * 2  # broadcast + per-shard triples
-    assert all(_segment_exists(name) for name in names)
+    pids = swarm.worker_pids()
+    assert len(pids) == 2 and all(_pid_alive(pid) for pid in pids)
     swarm.close()
-    for name in names:
-        assert not _segment_exists(name)
+    assert swarm.worker_pids() == []
+    assert not any(_pid_alive(pid) for pid in pids)
 
 
 def test_explicit_setup_starts_workers_once():
-    """``setup()`` forks the workers; ``run()`` reuses them and still
-    unlinks every segment."""
+    """``setup()`` forks the workers; ``run()`` reuses them, reaps them
+    on the way out, and matches a run without the explicit call."""
     config = _lifecycle_config()
     baseline = Swarm(config, backend="sharded", shards=2).run()
     swarm = Swarm(config, backend="sharded", shards=2)
     swarm.setup()
     pids = swarm.worker_pids()
-    names = swarm.fabric_segment_names()
-    assert len(pids) == 2 and names
-    assert all(name.startswith("rbt-") for name in names)
+    assert len(pids) == 2
     assert swarm.step_round()
     assert swarm.worker_pids() == pids
     result = swarm.run()
     assert result.fingerprint() == baseline.fingerprint()
-    assert not any(_segment_exists(name) for name in names)
+    assert not any(_pid_alive(pid) for pid in pids)
 
 
-def test_fabric_segments_recreated_after_sigkilled_worker():
-    """Recovery tears the whole fabric down and builds a fresh one; the
-    dead generation's segments must be gone the moment recovery ends."""
+def test_dead_generation_reaped_after_sigkilled_worker():
+    """Recovery stops every worker of the dead generation, survivors
+    included, before the fresh generation takes over."""
     swarm = Swarm(_lifecycle_config(), backend="sharded", shards=2)
     try:
         for _ in range(3):
             assert swarm.step_round()
-        old_names = swarm.fabric_segment_names()
-        os.kill(swarm.worker_pids()[0], signal.SIGKILL)
+        old_pids = swarm.worker_pids()
+        os.kill(old_pids[0], signal.SIGKILL)
         assert swarm.step_round()  # notices the death, recovers, steps
         assert swarm.worker_restarts == 1
-        new_names = swarm.fabric_segment_names()
-        assert set(old_names).isdisjoint(new_names)
-        for name in old_names:
-            assert not _segment_exists(name)
-        assert all(_segment_exists(name) for name in new_names)
+        new_pids = swarm.worker_pids()
+        assert set(old_pids).isdisjoint(new_pids)
+        assert not any(_pid_alive(pid) for pid in old_pids)
+        assert all(_pid_alive(pid) for pid in new_pids)
     finally:
         swarm.close()
-    for name in new_names:
-        assert not _segment_exists(name)
+    assert not any(_pid_alive(pid) for pid in new_pids)
 
 
-def test_fabric_segments_unlinked_after_coordinator_exception():
-    """``run()`` must clean the fabric even when it dies mid-flight —
-    here via restart-budget exhaustion with every worker SIGKILLed."""
+def test_workers_exit_after_coordinator_exception():
+    """``run()`` stops every worker even when it dies mid-flight — here
+    via an exhausted restart budget, with one worker SIGKILLed and the
+    other still running."""
     swarm = Swarm(
         _lifecycle_config(), backend="sharded", shards=2,
         max_worker_restarts=0,
     )
     assert swarm.step_round()
-    names = swarm.fabric_segment_names()
-    assert all(_segment_exists(name) for name in names)
-    for pid in swarm.worker_pids():
-        os.kill(pid, signal.SIGKILL)
+    pids = swarm.worker_pids()
+    os.kill(pids[0], signal.SIGKILL)
     with pytest.raises(SimulationError, match="restart budget"):
         swarm.run()
-    for name in names:
-        assert not _segment_exists(name)
+    assert not any(_pid_alive(pid) for pid in pids)
 
 
-def test_fabric_growth_unlinks_replaced_segments():
-    """A migration burst beyond the initial row capacity grows blocks
-    in place; the replaced segments disappear immediately."""
+def test_migration_burst_reaches_horizon_conserving_peers():
+    """Half of every shard migrates each round: the run still reaches
+    its horizon, and every peer id is alive or recorded as completed."""
     config = _lifecycle_config(
         initial_leechers=400, arrival_process="none", arrival_rate=0.0,
         max_time=4.0,
     )
     swarm = Swarm(config, backend="sharded", shards=2, shard_mix=0.5)
     try:
-        for _ in range(2):
-            assert swarm.step_round()
-        assert swarm._fabric.grows >= 1
-        names = swarm.fabric_segment_names()
-        assert all(_segment_exists(name) for name in names)
+        while swarm.step_round():
+            pass
+        document = swarm.snapshot()
+        result = swarm.run()
     finally:
         swarm.close()
-    for name in names:
-        assert not _segment_exists(name)
+    assert result.total_rounds == 4
+    _check_document_invariants(document)
+    alive = [int(v) for v in _document_peers(document)[0]]
+    departed = [int(record.peer_id) for record in result.metrics.completed]
+    assert sorted(alive + departed) == list(range(402))
+
+
+def test_comms_bytes_count_the_step_and_reply_arrays(monkeypatch):
+    """``SwarmResult.comms`` counts the broadcast once per shard per
+    round, and every migrant row twice: leaving one shard in a reply
+    and entering the next in a step message."""
+    config = _lifecycle_config(initial_leechers=60)
+    immigrant_rows = []
+    immigrant_bytes = []
+    send = ShardedSwarm._send
+
+    def recording_send(self, index, message):
+        command, payload = message
+        rows = payload["immigrants"] if command == "step" else None
+        if rows is not None:
+            immigrant_rows.append(int(rows["peer_id"].size))
+            immigrant_bytes.append(
+                sum(column.nbytes for column in rows.values())
+            )
+        send(self, index, message)
+
+    monkeypatch.setattr(ShardedSwarm, "_send", recording_send)
+    result = Swarm(config, backend="sharded", shards=2, shard_mix=0.2).run()
+    comms = result.comms
+    row_bytes = 66 + 16 * words_for(config.num_pieces)
+    assert comms["bytes_broadcast"] == (
+        result.total_rounds * 2 * 8 * config.num_pieces
+    )
+    assert sum(immigrant_rows) > 0
+    assert sum(immigrant_bytes) == sum(immigrant_rows) * row_bytes
+    assert comms["bytes_migrated"] == 2 * sum(immigrant_bytes)
+    assert comms["bytes_migrated"] % row_bytes == 0
+    assert comms["bytes_per_round"] == pytest.approx(
+        (comms["bytes_broadcast"] + comms["bytes_migrated"])
+        / result.total_rounds
+    )
+
+
+def test_missing_fork_start_method_is_a_parameter_error(monkeypatch):
+    """Without ``fork`` the sharded engine refuses at construction and
+    points at the soa engine; ``shards=1`` (which is soa) still runs."""
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods",
+        lambda: ["spawn", "forkserver"],
+    )
+    config = _lifecycle_config(max_time=3.0)
+    with pytest.raises(ParameterError, match='backend="soa"'):
+        Swarm(config, backend="sharded", shards=2)
+    result = Swarm(config, backend="sharded", shards=1).run()
+    assert result.backend == "soa"
 
 
 # ----------------------------------------------------------------------
