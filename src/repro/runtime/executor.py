@@ -152,6 +152,28 @@ def _execute_task(task: TaskSpec) -> tuple:
     return result, after.delta(before)
 
 
+def _process_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    """A pool of ``workers`` forked processes.
+
+    The start method is explicit, not the platform default: the
+    cache-stat deltas a task reports assume its worker inherited the
+    parent's cache totals, which only ``fork`` gives.  A platform
+    without ``fork`` gets a :class:`~repro.errors.ParameterError`.
+    """
+    # Imported here: ``import repro`` loads this module, and only a
+    # pool needs multiprocessing.
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ParameterError(
+            "the executor forks its worker processes, and this platform "
+            "has no 'fork' start method; run with workers=1 instead"
+        )
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork")
+    )
+
+
 class ExperimentExecutor:
     """Deterministic fan-out of experiment tasks over worker processes.
 
@@ -240,9 +262,7 @@ class ExperimentExecutor:
                 # Fast path: chunked pool.map amortises IPC for large
                 # replication fans (collection order stays task order).
                 chunksize = max(1, len(tasks) // (self.workers * 4))
-                with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(tasks))
-                ) as pool:
+                with _process_pool(min(self.workers, len(tasks))) as pool:
                     outcomes[:] = pool.map(
                         _execute_task, tasks, chunksize=chunksize
                     )
@@ -380,10 +400,9 @@ class ExperimentExecutor:
                     if attempt > 1:
                         self._note_retry_resume(tasks[index], batch)
                     spec = tasks[index].for_attempt(attempt)
+                    solo = _process_pool(1)
                     try:
-                        with concurrent.futures.ProcessPoolExecutor(
-                            max_workers=1
-                        ) as solo:
+                        with solo:
                             outcomes[index] = solo.submit(
                                 _execute_task, spec
                             ).result()
@@ -393,9 +412,7 @@ class ExperimentExecutor:
                         )
                 isolate = False
             else:
-                pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(pending))
-                )
+                pool = _process_pool(min(self.workers, len(pending)))
                 for i, a in pending:
                     if a > 1:
                         self._note_retry_resume(tasks[i], batch)

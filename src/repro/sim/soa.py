@@ -83,6 +83,8 @@ __all__ = [
     "interest_flags",
     "row_interest",
     "group_ranks",
+    "occurrence_ranks",
+    "first_pairs",
     "weighted_pick_rows",
     "row_columns",
     "partner_cells",
@@ -213,29 +215,15 @@ def group_ranks(keys: np.ndarray, priority: np.ndarray) -> np.ndarray:
     n = keys.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    if n == 1 or bool((priority[1:] > priority[:-1]).all()):
-        # Ascending priority: a stable sort on keys alone keeps the
-        # within-group priority order.
-        order = np.argsort(keys, kind="stable")
+    pmax = int(priority.max())
+    if int(priority.min()) >= 0 and int(keys.max()) < (1 << 62) // (pmax + 1):
+        # Fuse (key, priority) into one int64 so a single argsort
+        # replaces the two-key lexsort.
+        order = np.argsort(keys * np.int64(pmax + 1) + priority, kind="stable")
     else:
-        kmax = int(keys.max())
-        pmax = int(priority.max())
-        if int(priority.min()) >= 0 and kmax < (1 << 62) // (pmax + 1):
-            # Fuse (key, priority) into one int64 so a single argsort
-            # replaces the two-key lexsort.
-            order = np.argsort(
-                keys * np.int64(pmax + 1) + priority, kind="stable"
-            )
-        else:
-            order = np.lexsort((priority, keys))
-    sorted_keys = keys[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    positions = np.arange(n, dtype=np.int64)
-    group_start = np.maximum.accumulate(np.where(boundary, positions, 0))
+        order = np.lexsort((priority, keys))
     ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = positions - group_start
+    ranks[order] = _contiguous_ranks(keys[order])
     return ranks
 
 
@@ -257,6 +245,68 @@ def _contiguous_ranks(keys: np.ndarray) -> np.ndarray:
     return positions - np.maximum.accumulate(
         np.where(boundary, positions, 0)
     )
+
+
+def occurrence_ranks(keys: np.ndarray) -> np.ndarray:
+    """Rank of each key among the equal keys before it, in array order.
+
+    :func:`group_ranks` with array position as the priority, without an
+    int64 sort: two stable LSD passes over 16-bit digits (numpy's
+    stable argsort of ``uint16`` is a radix sort) give the stable
+    order.  Keys must lie in ``[0, 2**32)``; others raise ``ValueError``.
+    """
+    if keys.size and (int(keys.min()) < 0 or int(keys.max()) >> 32):
+        raise ValueError("occurrence_ranks needs keys in [0, 2**32)")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    ordered = keys[order]
+    high = (ordered >> 16).astype(np.uint16)
+    if high.any():
+        second = np.argsort(high, kind="stable")
+        order = order[second]
+        ordered = ordered[second]
+    ranks = np.empty(keys.size, dtype=np.int64)
+    ranks[order] = _contiguous_ranks(ordered)
+    return ranks
+
+
+def first_pairs(
+    owners: np.ndarray, values: np.ndarray, cols: np.ndarray, row_of: np.ndarray
+) -> np.ndarray:
+    """Mask of the first occurrence of each unordered pair
+    ``{owners[i], values[i]}``, by row lookup.
+
+    The pairs come grouped by owner, one group per row: ``row_of`` maps
+    an owner to its row (-1 for a slot that owns none), rows ascend
+    along the array, and ``cols`` is each pair's position in its group.
+    A pair repeats either in an earlier column of its own row, or as
+    ``(value, owner)`` in an earlier row, the one of ``value``.  A
+    64-bit signature per row rules out most of the second lookups.
+    """
+    if owners.size == 0:
+        return np.zeros(0, dtype=bool)
+    row = row_of[owners]
+    cells = np.full(
+        (int(cols.max()) + 1, int(row.max()) + 1), -1, dtype=np.int64
+    )
+    cells[cols, row] = values
+    repeat = np.zeros(cells.shape, dtype=bool)
+    signature = np.zeros(cells.shape[1], dtype=np.int64)
+    for col, column in enumerate(cells):
+        for earlier in cells[:col]:
+            repeat[col] |= earlier == column
+        signature |= 1 << (column & 63)
+    keep = ~repeat[cols, row]
+    back = row_of[values]
+    back[back >= row] = -1
+    maybe = signature[back] >> (owners & 63) & 1
+    ask = np.flatnonzero((back >= 0) & (maybe > 0))
+    back = back[ask]
+    asker = owners[ask]
+    found = np.zeros(ask.size, dtype=bool)
+    for column in cells:
+        found |= column[back] == asker
+    keep[ask[found]] = False
+    return keep
 
 
 def weighted_pick_rows(
@@ -624,17 +674,6 @@ class PeerStore:
         self.nbr_deg[slots] = 0
         self.free.extend(np.sort(slots).tolist())
 
-    def append_neighbor(self, row: int, value: int) -> None:
-        """Append ``value`` to a leecher's neighbor row."""
-        deg = int(self.nbr_deg[row])
-        if deg >= self.nbr_width:
-            raise SimulationError(
-                f"neighbor row overflow at slot {row} "
-                f"(width {self.nbr_width})"
-            )
-        self.nbr[row, deg] = value
-        self.nbr_deg[row] = deg + 1
-
     def remove_row_entries(
         self, holders: np.ndarray, values: np.ndarray
     ) -> None:
@@ -966,12 +1005,13 @@ class SoaSwarm(CheckpointControl):
         The tracker's sequential permutation walk becomes rejection
         sampling over the whole announcer batch: every announcer draws
         an oversampled batch of uniform candidates, invalid draws
-        (self, duplicates, existing neighbors, at-cap leechers) are
-        masked, and per-endpoint rank filters enforce the announce
-        quota and the row-space cap; unfilled announcers redraw for a
-        few passes.  A near-saturated swarm can leave an announcer
-        slightly under-filled where the sequential walk would have
-        scanned every peer — it retries at the next refill interval.
+        (self, repeated pairs, existing neighbors, at-cap leechers) are
+        dropped, and the announce quota and the row-space cap keep each
+        announcer's and each candidate's earliest draws; unfilled
+        announcers redraw for a few passes.  A near-saturated swarm can
+        leave an announcer slightly under-filled where the sequential
+        walk would have scanned every peer — it retries at the next
+        refill interval.
         """
         store = self.store
         config = self.config
@@ -991,8 +1031,7 @@ class SoaSwarm(CheckpointControl):
         alive = self._alive_slots()
         if alive.size <= 1:
             return
-        need = config.ns_size - store.nbr_deg[slots]
-        ann = slots[need > 0]
+        ann = slots
         for _ in range(3):
             need = config.ns_size - store.nbr_deg[ann]
             ann = ann[need > 0]
@@ -1006,126 +1045,87 @@ class SoaSwarm(CheckpointControl):
     def _announce_pass(
         self, ann: np.ndarray, need: np.ndarray, alive: np.ndarray
     ) -> int:
-        """One oversampled draw-filter-admit pass; returns additions.
+        """One oversampled draw-filter-admit pass over the distinct
+        announcers ``ann``; returns the relations added.
 
-        Two structural facts keep this cheap: proposals are generated
-        grouped by announcer (``repeat``), so the announce-quota rank
-        needs no sort; and the announcer's row always has room for its
-        quota (``accept_cap >= ns_size``), so row space only binds on
-        the *candidate* role — and only for the handful of candidates
-        actually oversubscribed this pass, which are rank-filtered in
-        isolation.
+        Proposals are generated grouped by announcer (``repeat``), and
+        every limit is a lookup: the announce quota is a proposal's
+        position in its group, a repeated pair is found in the
+        announcers' proposal rows (:func:`first_pairs`), and one
+        occurrence rank (:func:`occurrence_ranks`) gives both a
+        candidate's row-space limit and the columns its new entries
+        take.  An announcer's row always has room for its quota
+        (``accept_cap >= ns_size``), so row space binds only on the
+        candidate role.
         """
         store = self.store
         cap = store.capacity
         oversample = np.maximum((3 * need) // 2, 4)
         prop_ann = np.repeat(ann, oversample)
-        n_prop = prop_ann.size
-        cand = alive[self.rng.integers(0, alive.size, size=n_prop)]
-        ok = cand != prop_ann
-        if int(store.nbr_deg.sum()) > 0:
-            # Existing-relation check against the announcer's row
-            # (chunked: the row slice is n_prop x accept_cap).  The
-            # relation is symmetric, so one side suffices — unless the
-            # announcer is a seed (counter-only, no row), where the
-            # candidate's row is the only record.  A fresh swarm (flash
-            # setup) has no relations at all and skips the gather.
-            chunk = max(1, _CHUNK_CELLS // max(store.nbr_width, 1))
-            seed_ann = store.is_seed[prop_ann]
-            for lo in range(0, n_prop, chunk):
-                hi = min(n_prop, lo + chunk)
-                side = np.where(
-                    seed_ann[lo:hi], cand[lo:hi], prop_ann[lo:hi]
-                )
-                other = np.where(
-                    seed_ann[lo:hi], prop_ann[lo:hi], cand[lo:hi]
-                )
-                known = (store.nbr[side] == other[:, None]).any(axis=1)
-                ok[lo:hi] &= ~known
+        cand = alive[self.rng.integers(0, alive.size, size=prop_ann.size)]
         # Leecher candidates with a full row decline.
-        ok &= store.is_seed[cand] | (
-            store.nbr_deg[cand] < self._accept_cap
+        ok = (cand != prop_ann) & (
+            store.is_seed[cand] | (store.nbr_deg[cand] < self._accept_cap)
         )
+        # Existing relations, in chunks of proposals: the announcer's
+        # row holds them, or the candidate's when the announcer is a
+        # (row-less) seed.  Seed rows are all -1 and leecher rows are -1
+        # past their degree, so only leecher rows with entries are
+        # gathered, up to the largest such degree.
+        seed_ann = store.is_seed[prop_ann]
+        chunk = max(1, _CHUNK_CELLS // store.nbr_width)
+        for lo in range(0, prop_ann.size, chunk):
+            part = slice(lo, lo + chunk)
+            side = np.where(seed_ann[part], cand[part], prop_ann[part])
+            other = np.where(seed_ann[part], prop_ann[part], cand[part])
+            deg = store.nbr_deg[side]
+            look = np.flatnonzero(ok[part] & (deg > 0) & ~store.is_seed[side])
+            if look.size:
+                rows = store.nbr[side[look], : int(deg[look].max())]
+                ok[lo + look] = ~(rows == other[look, None]).any(axis=1)
         idx = np.flatnonzero(ok)
-        if idx.size == 0:
-            return 0
         p_ann = prop_ann[idx]
         p_cand = cand[idx]
-        # Announce quota: proposals stay grouped by announcer in draw
-        # order, so the within-group rank is position minus group start.
+        # Announce quota: the first ``need`` surviving draws per group.
         quota = self.scratch.zeros("announce_quota", cap)
         quota[ann] = need
-        admit = _contiguous_ranks(p_ann) < quota[p_ann]
-        p_ann = p_ann[admit]
-        p_cand = p_cand[admit]
-        if p_ann.size == 0:
-            return 0
-        # Dedupe repeated unordered pairs within the batch (keep the
-        # earliest draw, like the tracker's walk visiting each peer
-        # once).  A duplicate inside the quota window wastes its slot —
-        # the next pass redraws it.
-        key = (
-            np.minimum(p_ann, p_cand) * cap
-            + np.maximum(p_ann, p_cand)
-        )
-        _, first = np.unique(key, return_index=True)
-        first.sort()
-        p_ann = p_ann[first]
-        p_cand = p_cand[first]
+        cols = _contiguous_ranks(p_ann)
+        admit = cols < quota[p_ann]
+        p_ann, p_cand, cols = p_ann[admit], p_cand[admit], cols[admit]
+        # Keep the earliest draw of each unordered pair, like the
+        # tracker's walk visiting each peer once.  A duplicate inside
+        # the quota window wastes its slot — the next pass redraws it.
+        row_of = self.scratch.full("announce_row", cap, -1)
+        row_of[ann] = np.arange(ann.size)
+        first = first_pairs(p_ann, p_cand, cols, row_of)
+        p_ann, p_cand = p_ann[first], p_cand[first]
         # Candidate-role row space: capacity left after this pass's own
-        # announcer-role additions.  Only oversubscribed candidates
-        # (rare outside flash setup) need the rank filter.
+        # announcer-role additions.  A candidate keeps its first
+        # ``space`` proposals, a prefix, so the kept ranks stay exact.
         space = self.scratch.take("announce_space", cap)
         np.subtract(self._accept_cap, store.nbr_deg, out=space)
         space[store.is_seed] = np.iinfo(np.int64).max
         space -= np.bincount(p_ann, minlength=cap)
-        load = np.bincount(p_cand, minlength=cap)
-        over = load > space
-        if over.any():
-            viol = over[p_cand]
-            v_idx = np.flatnonzero(viol)
-            ranks = group_ranks(p_cand[v_idx], v_idx)
-            keep = np.ones(p_ann.size, dtype=bool)
-            keep[v_idx] = ranks < space[p_cand[v_idx]]
-            p_ann = p_ann[keep]
-            p_cand = p_cand[keep]
-        if p_ann.size == 0:
-            return 0
-        self._append_relations(p_ann, p_cand, grouped=True)
-        self._append_relations(p_cand, p_ann)
+        rank = occurrence_ranks(p_cand)
+        keep = rank < space[p_cand]
+        p_ann, p_cand, rank = p_ann[keep], p_cand[keep], rank[keep]
+        self._append_relations(p_ann, p_cand, _contiguous_ranks(p_ann))
+        self._append_relations(p_cand, p_ann, rank)
         return p_ann.size
 
     def _append_relations(
-        self,
-        holders: np.ndarray,
-        values: np.ndarray,
-        *,
-        grouped: bool = False,
+        self, holders: np.ndarray, values: np.ndarray, ranks: np.ndarray
     ) -> None:
         """Record one direction of new relations (holders may repeat).
 
-        Seed holders are counter-only; leecher holders get the values
-        scattered into their rows at their current fill positions.
-        ``grouped=True`` asserts equal holders are already contiguous
-        (announce proposals are generated that way), skipping the sort.
+        ``ranks[i]`` counts the earlier entries of ``holders`` equal to
+        ``holders[i]``.  A leecher holder gets ``values[i]`` at column
+        ``nbr_deg + ranks[i]`` of its row; a seed holder is counter-only.
         """
         store = self.store
-        seed_side = store.is_seed[holders]
-        if seed_side.any():
-            np.add.at(store.nbr_deg, holders[seed_side], 1)
-            holders = holders[~seed_side]
-            values = values[~seed_side]
-        if holders.size == 0:
-            return
-        if grouped:
-            h = holders
-            v = values
-        else:
-            order = np.argsort(holders, kind="stable")
-            h = holders[order]
-            v = values[order]
-        pos = store.nbr_deg[h] + _contiguous_ranks(h)
-        store.nbr[h, pos] = v
+        leech = ~store.is_seed[holders]
+        h = holders[leech]
+        store.nbr[h, store.nbr_deg[h] + ranks[leech]] = values[leech]
         np.add.at(store.nbr_deg, holders, 1)
 
     def _announce_stale(self, slot: int, deficit: int, outage) -> int:
@@ -1161,21 +1161,10 @@ class SoaSwarm(CheckpointControl):
                 and store.nbr_deg[cand_slot] >= self._accept_cap
             ):
                 continue
-            self._add_relation(slot, int(cand_slot))
+            pair = np.array([slot, cand_slot], dtype=np.int64)
+            self._append_relations(pair, pair[::-1], np.zeros(2, np.int64))
             added += 1
         return added
-
-    def _add_relation(self, a: int, b: int) -> None:
-        """Record the symmetric neighbor relation between two slots."""
-        store = self.store
-        if store.is_seed[a]:
-            store.nbr_deg[a] += 1
-        else:
-            store.append_neighbor(a, b)
-        if store.is_seed[b]:
-            store.nbr_deg[b] += 1
-        else:
-            store.append_neighbor(b, a)
 
     def _alive_slots(self) -> np.ndarray:
         if self._alive_dirty:

@@ -5,6 +5,10 @@ The heart of the runtime contract: a run with ``workers=N`` must be
 results and for raw task fans alike.
 """
 
+import concurrent.futures
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -130,3 +134,78 @@ class TestTasks:
         a = first_passage_task(params, derive_seed(1, 0))
         b = first_passage_task(params, derive_seed(1, 1))
         assert not np.array_equal(a[0], b[0])
+
+
+# ----------------------------------------------------------------------
+# The process model: every pool forks, or the run refuses.
+# ----------------------------------------------------------------------
+def exit_in_worker(seed):
+    """Hard-kills its worker for seed 13, breaking the whole pool."""
+    if seed == 13:
+        os._exit(17)
+    return seed
+
+
+class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    """A real pool that records the start method it was built with."""
+
+    methods: list = []
+
+    def __init__(self, *args, mp_context=None, **kwargs):
+        RecordingPool.methods.append(
+            None if mp_context is None else mp_context.get_start_method()
+        )
+        super().__init__(*args, mp_context=mp_context, **kwargs)
+
+
+#: One executor per pool site: the chunked fast path, the resilient
+#: round, and the single-worker isolation round after a worker death.
+POOL_PATHS = {
+    "fast": (
+        dict(workers=2), [TaskSpec(divmod, (n, 3)) for n in range(4)]
+    ),
+    "resilient": (
+        dict(workers=2, max_attempts=2),
+        [TaskSpec(divmod, (n, 3)) for n in range(4)],
+    ),
+    "isolation": (
+        dict(workers=2, max_attempts=2, on_error="partial"),
+        [TaskSpec(exit_in_worker, (s,), seed_index=0) for s in (1, 13, 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(POOL_PATHS))
+def test_every_pool_forks_its_workers(monkeypatch, path):
+    monkeypatch.setattr(RecordingPool, "methods", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    kwargs, tasks = POOL_PATHS[path]
+    ExperimentExecutor(**kwargs).run(tasks)
+    assert RecordingPool.methods and set(RecordingPool.methods) == {"fork"}
+    if path == "isolation":
+        # The broken round's pool, then one solo pool per unresolved task.
+        assert len(RecordingPool.methods) >= 2
+
+
+@pytest.mark.parametrize("path", sorted(POOL_PATHS))
+def test_missing_fork_start_method_is_a_parameter_error(monkeypatch, path):
+    """Each pool site refuses a platform without ``fork`` and points at
+    ``workers=1``; the isolation site is reached with ``fork`` present
+    for the first pool only, so its refusal is not charged to a task."""
+    calls = []
+
+    def start_methods():
+        calls.append(None)
+        if path == "isolation" and len(calls) == 1:
+            return ["fork", "spawn", "forkserver"]
+        return ["spawn", "forkserver"]
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", start_methods)
+    kwargs, tasks = POOL_PATHS[path]
+    with pytest.raises(ParameterError, match="workers=1"):
+        ExperimentExecutor(**kwargs).run(tasks)
+    assert len(calls) == (2 if path == "isolation" else 1)
+    # The serial reference needs no pool and still runs.
+    assert ExperimentExecutor(workers=1).run(tasks[:1]) == [
+        tasks[0].fn(*tasks[0].args)
+    ]

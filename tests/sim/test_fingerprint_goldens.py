@@ -25,10 +25,13 @@ Regenerate after an *intentional* behaviour change with::
 
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro.sim.soa as soa_module
 from repro.sim.config import SimConfig
 from repro.sim.soa import words_for
 from repro.sim.swarm import Swarm
@@ -222,3 +225,41 @@ def test_flash_case_runs_through_the_bootstrap_phase(results):
     for name in ("soa-flash", "sharded-flash", "soa-flash-w2"):
         assert len(results(name).metrics.completed) > 100
     assert words_for(flash_config(num_pieces=70).num_pieces) == 2
+
+
+def test_flash_case_takes_every_announce_branch(monkeypatch, goldens):
+    """The soa-flash golden guards each lookup of the tracker announce
+    only if its run takes it: a pair drawn twice in one announcer's row,
+    a pair drawn in both directions by two announcers, a candidate with
+    more proposals than row space, and a relation check that reads a
+    non-empty leecher row.  A spy on ``first_pairs`` sees every pass
+    after its relation check and before its row-space filter."""
+    swarm = CASES["soa-flash"]()
+    store = swarm.store
+    taken = Counter()
+    real = soa_module.first_pairs
+
+    def spy(owners, values, cols, row_of):
+        keep = real(owners, values, cols, row_of)
+        drawn = Counter(zip(owners.tolist(), values.tolist()))
+        for a, c in zip(owners[~keep].tolist(), values[~keep].tolist()):
+            taken["row repeat"] += drawn[a, c] > 1
+            taken["reverse pair"] += (c, a) in drawn
+        cap = store.capacity
+        space = swarm._accept_cap - store.nbr_deg
+        space[store.is_seed] = np.iinfo(np.int64).max
+        space -= np.bincount(owners[keep], minlength=cap)
+        load = np.bincount(values[keep], minlength=cap)
+        taken["oversubscribed"] += int((load > space).sum())
+        side = np.where(store.is_seed[owners], values, owners)
+        taken["row read"] += int(
+            (~store.is_seed[side] & (store.nbr_deg[side] > 0)).sum()
+        )
+        return keep
+
+    monkeypatch.setattr(soa_module, "first_pairs", spy)
+    result = swarm.run()
+    branches = ("row repeat", "reverse pair", "oversubscribed", "row read")
+    assert all(taken[name] > 0 for name in branches), taken
+    if not REGEN:
+        assert summary(result) == goldens["soa-flash"]

@@ -20,9 +20,11 @@ from repro.sim.soa import (
     SoaSwarm,
     _contiguous_ranks,
     entries_in,
+    first_pairs,
     group_ranks,
     interest_flags,
     mask_from_words,
+    occurrence_ranks,
     pack_mask,
     pack_rows,
     partner_cells,
@@ -161,12 +163,16 @@ def test_group_ranks_matches_reference():
 
 
 def test_group_ranks_ascending_priority_fast_path():
-    """Already-ascending priorities take the single-sort branch."""
+    """Already-ascending priorities rank each key's copies in array
+    order, the ranks ``occurrence_ranks`` gives."""
     rng = np.random.default_rng(8)
     keys = rng.integers(0, 9, size=120)
     priority = np.arange(120)
     np.testing.assert_array_equal(
         group_ranks(keys, priority), _rank_reference(keys, priority)
+    )
+    np.testing.assert_array_equal(
+        group_ranks(keys, priority), occurrence_ranks(keys)
     )
 
 
@@ -193,6 +199,149 @@ def test_contiguous_ranks_matches_group_ranks():
     expected = group_ranks(keys, np.arange(keys.size))
     np.testing.assert_array_equal(_contiguous_ranks(keys), expected)
     assert _contiguous_ranks(np.zeros(0, np.int64)).size == 0
+
+
+# ----------------------------------------------------------------------
+# Announce kernels: occurrence ranks and the first-pair dedupe
+# ----------------------------------------------------------------------
+def occurrence_reference(keys):
+    """Ranks from an int64 stable argsort: position in the sorted array
+    minus the position of the key's first copy there."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    ranks = np.empty(keys.size, dtype=np.int64)
+    ranks[order] = np.arange(keys.size) - np.searchsorted(ordered, ordered)
+    return ranks
+
+
+@settings(**KERNEL_SETTINGS)
+@given(keys=st.one_of(
+    st.lists(st.integers(0, 6), max_size=60),
+    st.lists(st.integers(0, 2**16 + 40), max_size=60),
+    # Low digits that collide across different high digits.
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 4))
+        .map(lambda hl: hl[0] * 2**16 + hl[1]),
+        max_size=60,
+    ),
+    st.lists(st.integers(0, 2**32 - 1), max_size=30),
+))
+def test_occurrence_ranks_match_stable_argsort_reference(keys):
+    keys = np.array(keys, dtype=np.int64)
+    np.testing.assert_array_equal(
+        occurrence_ranks(keys), occurrence_reference(keys)
+    )
+
+
+@pytest.mark.parametrize("keys", [
+    [],
+    [7],
+    [5] * 9,
+    [70_000, 5, 70_000, 2**16 + 5, 5, 2**16 + 5, 2**32 - 1],
+])
+def test_occurrence_ranks_edge_cases(keys):
+    keys = np.array(keys, dtype=np.int64)
+    ranks = occurrence_ranks(keys)
+    assert ranks.dtype == np.int64
+    np.testing.assert_array_equal(ranks, occurrence_reference(keys))
+    np.testing.assert_array_equal(
+        ranks, group_ranks(keys, np.arange(keys.size))
+    )
+
+
+@pytest.mark.parametrize("bad", [[3, 2**32], [-1, 4]])
+def test_occurrence_ranks_refuse_keys_outside_two_digits(bad):
+    """Two 16-bit digits rank keys below 2**32 only: a key outside that
+    range must fail loudly, not be ranked by its low digits."""
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        occurrence_ranks(np.array(bad, dtype=np.int64))
+
+
+def unique_first_reference(owners, values, capacity):
+    """The sorting dedupe: keep each unordered pair's first occurrence
+    via ``np.unique(return_index=True)``."""
+    key = np.minimum(owners, values) * capacity + np.maximum(owners, values)
+    _, first = np.unique(key, return_index=True)
+    first.sort()
+    keep = np.zeros(owners.size, dtype=bool)
+    keep[first] = True
+    return keep
+
+
+def grouped_pairs(ann, groups, capacity):
+    """Proposals grouped by announcer, as the announce pass builds them:
+    ``(owners, values, cols, row_of)`` for ``first_pairs``."""
+    owners = np.repeat(np.array(ann, dtype=np.int64), [len(g) for g in groups])
+    values = np.array([v for g in groups for v in g], dtype=np.int64)
+    row_of = np.full(capacity, -1, dtype=np.int64)
+    row_of[np.array(ann, dtype=np.int64)] = np.arange(len(ann))
+    return owners, values, _contiguous_ranks(owners), row_of
+
+
+@st.composite
+def announce_groups(draw):
+    """Distinct announcers in any order, each with 0..5 candidates that
+    are other slots, repeats allowed; an empty group may sit anywhere,
+    the last row included."""
+    capacity = draw(st.integers(2, 10))
+    ann = draw(st.permutations(range(capacity)))
+    ann = ann[: draw(st.integers(1, capacity))]
+    groups = [
+        draw(st.lists(
+            st.integers(0, capacity - 1).filter(lambda v, a=a: v != a),
+            max_size=5,
+        ))
+        for a in ann
+    ]
+    return ann, groups, capacity
+
+
+@settings(**KERNEL_SETTINGS)
+@given(case=announce_groups())
+def test_first_pairs_match_unique_reference(case):
+    ann, groups, capacity = case
+    owners, values, cols, row_of = grouped_pairs(ann, groups, capacity)
+    np.testing.assert_array_equal(
+        first_pairs(owners, values, cols, row_of),
+        unique_first_reference(owners, values, capacity),
+    )
+
+
+@pytest.mark.parametrize("ann, groups, expected", [
+    # A repeat inside one row keeps its first column.
+    ([0], [[1, 1, 2, 1]], [True, False, True, False]),
+    # A reverse pair: the earlier group wins, in either group order.
+    ([0, 1], [[1], [0]], [True, False]),
+    ([1, 0], [[0], [1]], [True, False]),
+    ([1, 0], [[2, 0], [1, 2]], [True, True, False, True]),
+    # Repeated and reversed: only the very first draw survives.
+    ([0, 1], [[1, 1], [0, 0]], [True, False, False, False]),
+    ([2, 0], [[0], [2, 2, 1]], [True, False, False, True]),
+    # The last announcer drew nothing but was drawn: its row is empty.
+    ([0, 1, 2], [[2, 1], [0], []], [True, True, False]),
+])
+def test_first_pairs_cases(ann, groups, expected):
+    owners, values, cols, row_of = grouped_pairs(ann, groups, 4)
+    keep = first_pairs(owners, values, cols, row_of)
+    assert keep.tolist() == expected
+    np.testing.assert_array_equal(
+        keep, unique_first_reference(owners, values, 4)
+    )
+
+
+def test_first_pairs_signature_collisions_still_look_up_the_row():
+    """Slots 64 apart share a signature bit: the signature only rules a
+    lookup out, and the row lookup decides.  Row 0 holds 64 and 192, so
+    its bit for 128 is set although 128 is not there."""
+    ann = [0, 64, 128]
+    groups = [[64, 192], [128, 0], [0, 256]]
+    owners, values, cols, row_of = grouped_pairs(ann, groups, 300)
+    keep = first_pairs(owners, values, cols, row_of)
+    assert keep.tolist() == [True, True, True, False, True, True]
+    np.testing.assert_array_equal(
+        keep, unique_first_reference(owners, values, 300)
+    )
+    assert first_pairs(*grouped_pairs([3], [[]], 5)).size == 0
 
 
 def test_weighted_pick_rows_zero_rows_and_point_masses():
