@@ -92,8 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "swarm engine for simulation-backed experiments: 'object' "
             "(per-peer reference engine, the default), 'soa' "
-            "(vectorized structure-of-arrays engine; statistically "
-            "equivalent and ~10x+ faster on large swarms), or 'sharded' "
+            "(vectorized structure-of-arrays engine, ~10x+ faster on "
+            "large swarms; agrees with 'object' on ensemble means in the "
+            "three regimes of tests/sim/test_soa_equivalence.py, but "
+            "settles about 1.8x higher in population at the paper's "
+            "B=10 stability point), or 'sharded' "
             "(the soa slab partitioned over --shards worker processes; "
             "million-peer scale); unknown values list the valid choices"
         ),

@@ -262,19 +262,30 @@ class ShardEngine(SoaSwarm):
         arrivals: Optional[Tuple[np.ndarray, np.ndarray]],
         emigrate: int,
     ) -> dict:
-        """Run exactly one round under the coordinator's instructions."""
+        """Run exactly one round under the coordinator's instructions.
+
+        Migration runs outside the round's own stages, so its time (the
+        immigrants' rows and the emigrants' departure) is charged to
+        the profiler's ``store`` stage here.
+        """
         self._global_counts = global_counts
+        start = _time.perf_counter()
         if immigrants is not None:
             self.absorb_rows(immigrants)
+        migrating = _time.perf_counter() - start
         if arrivals is not None:
             self.spawn_arrivals(arrivals[0], arrivals[1])
         if self.engine.step() is None:
             raise SimulationError("shard round queue drained unexpectedly")
         report = self._round_report
         self._round_report = None
+        start = _time.perf_counter()
         report["emigrants"] = (
             self.extract_emigrants(emigrate) if emigrate > 0 else None
         )
+        migrating += _time.perf_counter() - start
+        if self.profiler is not None:
+            self.profiler.charge("store", migrating)
         return report
 
     def state_summary(self, **round_fields) -> dict:

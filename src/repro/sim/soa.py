@@ -27,10 +27,12 @@ the same protocol round as flat numpy arrays:
 
 The backend is selected with ``Swarm(config, backend="soa")`` (see
 :meth:`~repro.sim.swarm.Swarm.__new__`; ``backend="sharded", shards=1``
-builds this engine too) and is *statistically*
-equivalent to the object engine — same protocol decisions with the same
-probabilities, different RNG stream consumption — verified by
-``tests/sim/test_soa_equivalence.py``.  Within the soa backend itself,
+builds this engine too).  It makes the object engine's protocol
+decisions with different RNG stream consumption, and its ensemble means
+match the object engine's in the three regimes of
+``tests/sim/test_soa_equivalence.py``; at the paper's B = 10 stability
+point, though, it settles at about 1.8x the object engine's population,
+and no test covers that point yet.  Within the soa backend itself,
 runs are deterministic and checkpoint/resume is fingerprint-identical
 (``tests/checkpoint/test_soa_checkpoint.py``).
 
@@ -93,9 +95,13 @@ __all__ = [
 
 _ONE = np.uint64(1)
 
-#: Unpack/selection work is chunked to roughly this many matrix cells so
-#: a 100k-transfer round never materialises a multi-GB boolean matrix.
-_CHUNK_CELLS = 1 << 22
+#: Every cell kernel (interest, selection, the announce relation check,
+#: partner and entry lookups, row deletion) runs in blocks of about this
+#: many matrix cells: 2**18 float64 cells are 2 MiB, a core's L2 on the
+#: Xeon this was timed on, so a block's temporaries stay cache-resident
+#: however large the round.
+#: Blocks are bit-invisible (consecutive ``rng.random`` draws equal one).
+_CHUNK_CELLS = 1 << 18
 
 
 # ----------------------------------------------------------------------
@@ -251,19 +257,22 @@ def occurrence_ranks(keys: np.ndarray) -> np.ndarray:
     """Rank of each key among the equal keys before it, in array order.
 
     :func:`group_ranks` with array position as the priority, without an
-    int64 sort: two stable LSD passes over 16-bit digits (numpy's
-    stable argsort of ``uint16`` is a radix sort) give the stable
-    order.  Keys must lie in ``[0, 2**32)``; others raise ``ValueError``.
+    int64 sort: one stable LSD pass per 16-bit digit that the largest
+    key needs (numpy's stable argsort of ``uint16`` is a radix sort)
+    gives the stable order.  Keys must be non-negative; a negative one
+    raises ``ValueError``.
     """
-    if keys.size and (int(keys.min()) < 0 or int(keys.max()) >> 32):
-        raise ValueError("occurrence_ranks needs keys in [0, 2**32)")
+    if keys.size and int(keys.min()) < 0:
+        raise ValueError("occurrence_ranks needs non-negative keys")
     order = np.argsort(keys.astype(np.uint16), kind="stable")
     ordered = keys[order]
-    high = (ordered >> 16).astype(np.uint16)
-    if high.any():
-        second = np.argsort(high, kind="stable")
-        order = order[second]
-        ordered = ordered[second]
+    top = int(keys.max()) if keys.size else 0
+    shift = 16
+    while top >> shift:
+        digit = np.argsort((ordered >> shift).astype(np.uint16), kind="stable")
+        order = order[digit]
+        ordered = ordered[digit]
+        shift += 16
     ranks = np.empty(keys.size, dtype=np.int64)
     ranks[order] = _contiguous_ranks(ordered)
     return ranks
@@ -357,10 +366,15 @@ def partner_cells(
     """
     row = row_of[pairs.T.ravel()]
     held = np.flatnonzero(row >= 0)
-    col, found = row_columns(
-        nbr[row[held]], pairs[:, ::-1].T.ravel()[held]
-    )
-    return row[held[found]], col[found]
+    row = row[held]
+    other = pairs[:, ::-1].T.ravel()[held]
+    col = np.empty(held.size, dtype=np.int64)
+    found = np.empty(held.size, dtype=bool)
+    chunk = max(1, _CHUNK_CELLS // max(nbr.shape[1], 1))
+    for lo in range(0, held.size, chunk):
+        part = slice(lo, lo + chunk)
+        col[part], found[part] = row_columns(nbr[row[part]], other[part])
+    return row[found], col[found]
 
 
 def entries_in(
@@ -371,10 +385,18 @@ def entries_in(
 
     ``mask`` has one cell per slot plus a spare last cell that must stay
     False: the -1 padding of the rows indexes it.  One flat ``nonzero``
-    over the gathered mask yields both, row-major.
+    over the gathered mask of each block of rows yields both, row-major.
     """
-    flat = np.flatnonzero(mask[nbr])
-    return flat // nbr.shape[1], nbr.reshape(-1)[flat]
+    width = max(nbr.shape[1], 1)
+    chunk = max(1, _CHUNK_CELLS // width)
+    rows = [np.zeros(0, dtype=np.int64)]
+    values = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, nbr.shape[0], chunk):
+        block = nbr[lo:lo + chunk]
+        flat = np.flatnonzero(mask[block])
+        rows.append(lo + flat // width)
+        values.append(block.reshape(-1)[flat])
+    return np.concatenate(rows), np.concatenate(values)
 
 
 # ----------------------------------------------------------------------
@@ -675,47 +697,47 @@ class PeerStore:
         self.free.extend(np.sort(slots).tolist())
 
     def remove_row_entries(
-        self, holders: np.ndarray, values: np.ndarray
+        self, holders: np.ndarray, gone: np.ndarray
     ) -> None:
-        """Delete ``values[i]`` from ``holders[i]``'s neighbor row.
+        """Delete every entry that ``gone`` marks from the neighbor rows
+        of ``holders``.
 
-        Vectorized multi-removal without a sort: find each doomed
-        cell's column by row lookup, mark the affected rows, then
-        rewrite them -1-padded with the kept cells slid left (a
-        boolean-mask gather reads them in row-major order, so they keep
-        their order).  Each (holder, value) must exist; a missing one
-        raises :class:`SimulationError`.
+        ``gone`` is a ``(capacity + 1)`` mask of the departing slots
+        whose spare last cell stays False (the -1 padding indexes it).
+        ``holders`` names one row per doomed entry, so a row repeats
+        once per entry it loses.  Each affected row keeps its unmarked
+        cells below ``nbr_deg``, slid left in order (a boolean-mask
+        gather reads them row-major), and is -1 padded, in blocks of
+        ``_CHUNK_CELLS`` cells.  Dropping any other number of entries
+        than ``holders.size`` means a relation was one-sided: that
+        raises :class:`SimulationError`, with the rows already
+        rewritten.
         """
         if holders.size == 0:
             return
-        # The lookup gathers one row per holder: chunk it, since a round
-        # that departs thousands of peers can name ~10^6 holders.
-        col = np.empty(holders.size, dtype=np.int64)
-        chunk = max(1, _CHUNK_CELLS // max(self.nbr_width, 1))
-        for start in range(0, holders.size, chunk):
-            part = slice(start, start + chunk)
-            col[part], found = row_columns(
-                self.nbr[holders[part]], values[part]
-            )
-            if not found.all():
-                miss = start + int(np.flatnonzero(~found)[0])
-                raise SimulationError(
-                    f"neighbor row of slot {int(holders[miss])} has no "
-                    f"entry {int(values[miss])} to remove"
-                )
         mark = np.zeros(self.capacity, dtype=bool)
         mark[holders] = True
         rows = np.flatnonzero(mark)
-        pos = np.empty(self.capacity, dtype=np.int64)
-        pos[rows] = np.arange(rows.size)
-        columns = np.arange(self.nbr_width)[None, :]
-        keep = columns < self.nbr_deg[rows][:, None]
-        keep[pos[holders], col] = False
-        new_deg = keep.sum(axis=1)
-        packed = np.full((rows.size, self.nbr_width), -1, dtype=np.int64)
-        packed[columns < new_deg[:, None]] = self.nbr[rows][keep]
-        self.nbr[rows] = packed
-        self.nbr_deg[rows] = new_deg
+        columns = np.arange(self.nbr_width)
+        chunk = max(1, _CHUNK_CELLS // max(self.nbr_width, 1))
+        dropped = 0
+        for lo in range(0, rows.size, chunk):
+            part = rows[lo:lo + chunk]
+            cells = self.nbr[part]
+            keep = columns < self.nbr_deg[part][:, None]
+            filled = int(np.count_nonzero(keep))
+            keep &= ~gone[cells]
+            new_deg = np.count_nonzero(keep, axis=1)
+            dropped += filled - int(new_deg.sum())
+            packed = np.full(cells.shape, -1, dtype=np.int64)
+            packed[columns < new_deg[:, None]] = cells[keep]
+            self.nbr[part] = packed
+            self.nbr_deg[part] = new_deg
+        if dropped != holders.size:
+            raise SimulationError(
+                f"neighbor rows lost {dropped} entries of departing slots, "
+                f"expected {holders.size}: a relation was one-sided"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -1572,15 +1594,14 @@ class SoaSwarm(CheckpointControl):
         word = (p >> 6).astype(np.int64)
         bit = _ONE << (p & 63).astype(np.uint64)
         np.bitwise_or.at(store.bits, (r, word), bit)
-        affected = np.unique(r)
-        before = store.counts[affected].copy()
+        # A receiver that repeats in ``r`` writes the same milestone
+        # time once per repeat.
+        before = store.counts[r]
         np.add.at(store.counts, r, 1)
-        after = store.counts[affected]
-        started = affected[(before == 0) & (after > 0)]
+        after = store.counts[r]
+        started = r[(before == 0) & (after > 0)]
         store.first_piece_at[started] = time
-        prelast = affected[
-            (before < num_pieces - 1) & (after >= num_pieces - 1)
-        ]
+        prelast = r[(before < num_pieces - 1) & (after >= num_pieces - 1)]
         store.prelast_at[prelast] = time
         self.piece_counts += np.bincount(p, minlength=num_pieces)
         return int(r.size)
@@ -1626,9 +1647,7 @@ class SoaSwarm(CheckpointControl):
             if recv_v.size == 0:
                 break
             key = recv_v * self.config.num_pieces + pieces_v
-            _, first = np.unique(key, return_index=True)
-            land = np.zeros(recv_v.size, dtype=bool)
-            land[first] = True
+            land = occurrence_ranks(key) == 0
             self._apply_grants(recv_v[land], pieces_v[land], time)
             landed_recv.append(recv_v[land])
             landed_piece.append(pieces_v[land])
@@ -1849,30 +1868,25 @@ class SoaSwarm(CheckpointControl):
         if not keep.all():
             self._pairs = self._pairs[keep]
 
-    def _scrub_rows(
-        self, slots: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _scrub_rows(self, slots: np.ndarray) -> np.ndarray:
         """Sever leecher ``slots``'s relations, batch-wise.
 
         Decrements every seed neighbor's relation counter (duplicates
         across slots accumulate via ``subtract.at``; entries within one
-        row are unique) and returns the ``(holders, values)`` row
-        deletions for the surviving leech neighbors — holders are the
-        neighbors still carrying an entry, values the departing slot.
+        row are unique) and returns the leech neighbors, once per
+        relation: the rows that still carry an entry of ``slots``.
         """
         store = self.store
         deg = store.nbr_deg[slots]
         width = int(deg.max()) if deg.size else 0
         if width == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
+            return np.zeros(0, dtype=np.int64)
         sub = store.nbr[slots, :width]
         mask = np.arange(width)[None, :] < deg[:, None]
         entries = sub[mask]
-        owners = np.repeat(slots, deg)
         seed_mask = store.is_seed[entries]
         np.subtract.at(store.nbr_deg, entries[seed_mask], 1)
-        return entries[~seed_mask], owners[~seed_mask]
+        return entries[~seed_mask]
 
     def _handle_shakes(self, time: float) -> None:
         threshold = self.config.shake_threshold
@@ -1892,13 +1906,14 @@ class SoaSwarm(CheckpointControl):
         shakers = candidates[ratios >= threshold]
         if shakers.size == 0:
             return
-        holders, values = self._scrub_rows(shakers)
+        holders = self._scrub_rows(shakers)
         # Shakers may be mutual neighbors; drop cross-entries only from
         # rows that are not themselves being cleared below.
-        shaking = self.scratch.zeros("shaking", store.capacity, np.bool_)
+        shaking = self.scratch.zeros(
+            "shaking", store.capacity + 1, np.bool_
+        )
         shaking[shakers] = True
-        outside = ~shaking[holders]
-        store.remove_row_entries(holders[outside], values[outside])
+        store.remove_row_entries(holders[~shaking[holders]], shaking)
         store.nbr[shakers] = -1
         store.nbr_deg[shakers] = 0
         store.shaken[shakers] = True
@@ -1932,7 +1947,7 @@ class SoaSwarm(CheckpointControl):
         """Depart peers: scrub relations, replication counts, free slots."""
         store = self.store
         seed_departing = store.is_seed[slots]
-        holders, values = self._scrub_rows(slots[~seed_departing])
+        holders = self._scrub_rows(slots[~seed_departing])
         if seed_departing.any():
             # Seeds are counter-only: their relations live in leecher
             # rows, found by gathering a slot mask through the whole
@@ -1941,16 +1956,14 @@ class SoaSwarm(CheckpointControl):
                 "seed_gone", store.capacity + 1, np.bool_
             )
             seed_gone[slots[seed_departing]] = True
-            hit_rows, hit_values = entries_in(store.nbr, seed_gone)
+            hit_rows, _ = entries_in(store.nbr, seed_gone)
             holders = np.concatenate([holders, hit_rows])
-            values = np.concatenate([values, hit_values])
         if holders.size:
             departing = self.scratch.zeros(
-                "departing", store.capacity, np.bool_
+                "departing", store.capacity + 1, np.bool_
             )
             departing[slots] = True
-            outside = ~departing[holders]
-            store.remove_row_entries(holders[outside], values[outside])
+            store.remove_row_entries(holders[~departing[holders]], departing)
         self.piece_counts -= unpack_rows(
             store.bits[slots], self.config.num_pieces
         ).sum(axis=0)

@@ -224,8 +224,11 @@ class Swarm(CheckpointControl):
             fingerprint reference, full feature set), ``"soa"`` (the
             vectorized structure-of-arrays engine in
             :mod:`repro.sim.soa`; orders of magnitude faster at scale,
-            statistically equivalent, supports the paper-scale config
-            subset) or ``"sharded"`` (the SoA slab partitioned across
+            supports the paper-scale config subset; its ensemble means
+            match this engine's in the three regimes of
+            ``tests/sim/test_soa_equivalence.py``, but at the paper's
+            B = 10 stability point it settles at about 1.8x the
+            population) or ``"sharded"`` (the SoA slab partitioned across
             ``shards=N`` worker processes — :mod:`repro.sim.sharded`;
             million-peer swarms, same config subset as ``"soa"``).
             For the other backends ``Swarm(...)`` returns that engine,

@@ -17,7 +17,8 @@ snapshot documents:
   plans, and across mid-run re-sharding.
 
 It also checks that no worker process outlives its swarm, the
-coordinator's byte accounting and its refusal to run without ``fork``,
+coordinator's byte accounting, the shard profiler's charge for
+migration, the coordinator's refusal to run without ``fork``,
 and a sharded flash crowd's mean piece level against a calibrated
 mean-field integration.
 """
@@ -25,6 +26,7 @@ mean-field integration.
 import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -36,7 +38,11 @@ from repro.core.meanfield import SwarmMeanField
 from repro.errors import ParameterError, SimulationError
 from repro.faults.plan import FaultPlan
 from repro.sim.config import SimConfig
-from repro.sim.sharded import ShardedSwarm, restore_sharded_swarm
+from repro.sim.sharded import (
+    ShardedSwarm,
+    ShardEngine,
+    restore_sharded_swarm,
+)
 from repro.sim.soa import popcount_rows, words_for
 from repro.sim.swarm import Swarm
 
@@ -450,6 +456,33 @@ def test_comms_bytes_count_the_step_and_reply_arrays(monkeypatch):
         (comms["bytes_broadcast"] + comms["bytes_migrated"])
         / result.total_rounds
     )
+
+
+def test_profiled_shards_charge_migration_to_the_store_stage(monkeypatch):
+    """Migration runs between a shard's rounds, outside their stages;
+    ``lockstep_round`` charges it to the shard's ``store`` stage.  With
+    half of each shard migrating, rounds 1-3 of 4 extract emigrants and
+    rounds 2-4 absorb them, so a fixed delay in both calls adds at least
+    six delays to every shard's ``store`` total."""
+    delay = 0.05
+    for name in ("extract_emigrants", "absorb_rows"):
+        real = getattr(ShardEngine, name)
+
+        def slowed(self, arg, real=real):
+            time.sleep(delay)
+            return real(self, arg)
+
+        monkeypatch.setattr(ShardEngine, name, slowed)
+    config = _lifecycle_config(
+        initial_leechers=400, arrival_process="none", arrival_rate=0.0,
+        max_time=4.0,
+    )
+    result = Swarm(
+        config, backend="sharded", shards=2, shard_mix=0.5, profile=True
+    ).run()
+    assert result.total_rounds == 4
+    for index in range(2):
+        assert result.shard_profiles[f"shard{index}"]["store"] >= 6 * delay
 
 
 def test_missing_fork_start_method_is_a_parameter_error(monkeypatch):

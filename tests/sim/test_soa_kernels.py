@@ -225,6 +225,14 @@ def occurrence_reference(keys):
         max_size=60,
     ),
     st.lists(st.integers(0, 2**32 - 1), max_size=30),
+    # Keys at and above 2**32 and 2**48 need a third and fourth digit;
+    # the low digits collide across them.
+    st.lists(
+        st.tuples(st.sampled_from([0, 1, 2**16, 2**31 - 1]), st.integers(0, 2))
+        .map(lambda hl: hl[0] * 2**32 + hl[1]),
+        max_size=60,
+    ),
+    st.lists(st.integers(0, 2**63 - 1), max_size=30),
 ))
 def test_occurrence_ranks_match_stable_argsort_reference(keys):
     keys = np.array(keys, dtype=np.int64)
@@ -238,6 +246,7 @@ def test_occurrence_ranks_match_stable_argsort_reference(keys):
     [7],
     [5] * 9,
     [70_000, 5, 70_000, 2**16 + 5, 5, 2**16 + 5, 2**32 - 1],
+    [2**32, 3, 2**32, 2**48 + 3, 3, 2**48 + 3, 2**48, 2**63 - 1],
 ])
 def test_occurrence_ranks_edge_cases(keys):
     keys = np.array(keys, dtype=np.int64)
@@ -249,12 +258,11 @@ def test_occurrence_ranks_edge_cases(keys):
     )
 
 
-@pytest.mark.parametrize("bad", [[3, 2**32], [-1, 4]])
-def test_occurrence_ranks_refuse_keys_outside_two_digits(bad):
-    """Two 16-bit digits rank keys below 2**32 only: a key outside that
-    range must fail loudly, not be ranked by its low digits."""
-    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-        occurrence_ranks(np.array(bad, dtype=np.int64))
+def test_occurrence_ranks_refuse_negative_keys():
+    """Digits are read from the two's-complement bits, which would rank
+    a negative key after every non-negative one: it must fail loudly."""
+    with pytest.raises(ValueError, match="non-negative"):
+        occurrence_ranks(np.array([-1, 4], dtype=np.int64))
 
 
 def unique_first_reference(owners, values, capacity):
@@ -503,12 +511,13 @@ def test_partner_cells_skip_absent_entries_and_non_leechers():
     ]
 
 
-def scalar_remove(rows, holders, values):
-    """Per-row reference: ``list.remove`` each value from its row."""
-    rows = [list(row) for row in rows]
-    for holder, value in zip(holders, values):
-        rows[holder].remove(value)
-    return rows
+def scalar_remove(rows, named, gone):
+    """Per-row reference: each named row drops the values ``gone``
+    marks, keeping the rest in order; other rows stay as they are."""
+    return [
+        [v for v in row if not (slot in named and gone[v])]
+        for slot, row in enumerate(rows)
+    ]
 
 
 def store_with_rows(rows, width):
@@ -519,104 +528,135 @@ def store_with_rows(rows, width):
     return store
 
 
-@settings(**KERNEL_SETTINGS)
-@given(data=st.data(), nbr=neighbor_rows(max_slots=10, max_width=8))
-def test_remove_row_entries_matches_scalar_reference(data, nbr):
-    """Many deletions per row, in any order, over any rows."""
-    width = nbr.shape[1]
-    rows = [row[row >= 0].tolist() for row in nbr]
-    cells = [(h, v) for h, row in enumerate(rows) for v in row]
-    doomed = data.draw(st.lists(
-        st.sampled_from(cells), unique=True, max_size=len(cells)
-    )) if cells else []
-    holders = np.array([h for h, _ in doomed], dtype=np.int64)
-    values = np.array([v for _, v in doomed], dtype=np.int64)
-    store = store_with_rows(rows, width)
-    store.remove_row_entries(holders, values)
-    expected = scalar_remove(rows, holders.tolist(), values.tolist())
+def gone_mask(store, slots):
+    """A departing-slot mask with the spare cell the padding reads."""
+    gone = np.zeros(store.capacity + 1, dtype=bool)
+    gone[list(slots)] = True
+    return gone
+
+
+def doomed_holders(rows, named, gone):
+    """Each named row once per marked entry it holds."""
+    return np.array(
+        [h for h in named for v in rows[h] if gone[v]], dtype=np.int64
+    )
+
+
+def assert_rows(store, expected, width):
     for slot, row in enumerate(expected):
         assert store.nbr_deg[slot] == len(row)
         assert store.nbr[slot].tolist() == row + [-1] * (width - len(row))
 
 
-def test_remove_row_entries_many_holders_per_row():
-    rng = np.random.default_rng(8)
-    width = 12
+@settings(**KERNEL_SETTINGS)
+@given(data=st.data(), nbr=neighbor_rows(max_slots=10, max_width=8))
+def test_remove_row_entries_matches_scalar_reference(data, nbr):
+    """Any departing set, deleted from any rows, holders in any order."""
+    n, width = nbr.shape
+    rows = [row[row >= 0].tolist() for row in nbr]
+    departing = data.draw(st.sets(st.integers(0, n - 1)))
+    named = data.draw(st.sets(st.integers(0, n - 1)))
+    store = store_with_rows(rows, width)
+    gone = gone_mask(store, departing)
+    holders = doomed_holders(rows, sorted(named), gone)
+    holders = np.array(data.draw(st.permutations(holders.tolist())),
+                       dtype=np.int64)
+    store.remove_row_entries(holders, gone)
+    assert_rows(store, scalar_remove(rows, named, gone), width)
+
+
+def many_loss_rows(seed, width=12):
+    """Rows of 60 slots, with two thirds of the slots departing, so
+    most rows lose several entries."""
+    rng = np.random.default_rng(seed)
     rows = [
         rng.permutation(60)[: rng.integers(0, width + 1)].tolist()
-        for _ in range(40)
+        for _ in range(60)
     ]
-    cells = [(h, v) for h, row in enumerate(rows) for v in row]
-    pick = rng.permutation(len(cells))[: (2 * len(cells)) // 3]
-    holders = np.array([cells[i][0] for i in pick], dtype=np.int64)
-    values = np.array([cells[i][1] for i in pick], dtype=np.int64)
-    assert np.bincount(holders).max() >= 5
+    departing = rng.permutation(60)[:40].tolist()
+    return rows, departing
+
+
+def test_remove_row_entries_many_holders_per_row():
+    width = 12
+    rows, departing = many_loss_rows(8, width)
     store = store_with_rows(rows, width)
-    store.remove_row_entries(holders, values)
-    expected = scalar_remove(rows, holders.tolist(), values.tolist())
-    for slot, row in enumerate(expected):
-        assert store.nbr[slot, : store.nbr_deg[slot]].tolist() == row
-        assert (store.nbr[slot, store.nbr_deg[slot]:] == -1).all()
+    gone = gone_mask(store, departing)
+    named = range(len(rows))
+    holders = doomed_holders(rows, named, gone)
+    assert np.bincount(holders).max() >= 5
+    store.remove_row_entries(holders, gone)
+    assert_rows(store, scalar_remove(rows, set(named), gone), width)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
 def test_remove_row_entries_chunked_lookup_matches_unchunked(
     monkeypatch, chunk_rows
 ):
-    """The row lookup runs in chunks of ``_CHUNK_CELLS`` cells; chunk
-    boundaries, including ones inside one holder's run of entries, must
-    not change the result."""
-    rng = np.random.default_rng(9)
+    """Rows are rewritten in blocks of ``_CHUNK_CELLS`` cells; block
+    boundaries must not change the result."""
     width = 12
-    rows = [
-        rng.permutation(60)[: rng.integers(0, width + 1)].tolist()
-        for _ in range(40)
-    ]
-    cells = [(h, v) for h, row in enumerate(rows) for v in row]
-    # Sorted picks list each holder's entries together.
-    pick = np.sort(rng.permutation(len(cells))[: (2 * len(cells)) // 3])
-    holders = np.array([cells[i][0] for i in pick], dtype=np.int64)
-    values = np.array([cells[i][1] for i in pick], dtype=np.int64)
-    boundaries = np.arange(chunk_rows, holders.size, chunk_rows)
-    assert (holders[boundaries - 1] == holders[boundaries]).any()
+    rows, departing = many_loss_rows(9, width)
+    named = range(0, len(rows), 2)
     reference = store_with_rows(rows, width)
-    reference.remove_row_entries(holders, values)
+    gone = gone_mask(reference, departing)
+    holders = doomed_holders(rows, named, gone)
+    assert np.unique(holders).size > 2 * chunk_rows
+    reference.remove_row_entries(holders, gone)
 
     monkeypatch.setattr(soa_module, "_CHUNK_CELLS", chunk_rows * width)
     store = store_with_rows(rows, width)
-    store.remove_row_entries(holders, values)
+    store.remove_row_entries(holders, gone)
     np.testing.assert_array_equal(store.nbr, reference.nbr)
     np.testing.assert_array_equal(store.nbr_deg, reference.nbr_deg)
-    expected = scalar_remove(rows, holders.tolist(), values.tolist())
-    for slot, row in enumerate(expected):
-        assert store.nbr[slot, : store.nbr_deg[slot]].tolist() == row
+    assert_rows(store, scalar_remove(rows, set(named), gone), width)
+
+
+def test_remove_row_entries_takes_departing_seeds_from_entries_in():
+    """Seeds keep no row: the holders of a departing seed are the rows
+    :func:`entries_in` finds, one per entry, and the same mask deletes
+    the entries."""
+    rows = [[1, 4, 2], [0, 4, 5], [0, 5], [1], [], []]
+    store = store_with_rows(rows, width=3)
+    store.is_seed[[4, 5]] = True
+    store.nbr_deg[[4, 5]] = [2, 2]
+    gone = gone_mask(store, [4, 5])
+    holders, values = entries_in(store.nbr, gone)
+    assert holders.tolist() == [0, 1, 1, 2]
+    assert values.tolist() == [4, 4, 5, 5]
+    store.remove_row_entries(holders, gone)
+    expected = scalar_remove(rows[:4], {0, 1, 2}, gone)
+    assert expected == [[1, 2], [0], [0], [1]]
+    assert_rows(store, expected, width=3)
 
 
 def test_remove_row_entries_chunked_lookup_names_the_missing_entry(
     monkeypatch,
 ):
-    """A miss in a later chunk names its own holder and changes nothing."""
-    monkeypatch.setattr(soa_module, "_CHUNK_CELLS", 3)  # one row a chunk
+    """A holder named once too often is caught after the last block,
+    and the error gives both counts."""
+    monkeypatch.setattr(soa_module, "_CHUNK_CELLS", 3)  # one row a block
     store = store_with_rows([[1, 2], [0], [0]], width=3)
-    before = store.nbr.copy()
-    with pytest.raises(SimulationError, match=r"slot 2 has no entry 1"):
+    with pytest.raises(SimulationError, match=r"lost 2 .*expected 3"):
         store.remove_row_entries(
-            np.array([0, 1, 2], dtype=np.int64),
-            np.array([1, 0, 1], dtype=np.int64),
+            np.array([1, 2, 2], dtype=np.int64), gone_mask(store, [0])
         )
-    np.testing.assert_array_equal(store.nbr, before)
 
 
 def test_remove_row_entries_missing_entry_fails_loudly():
-    """A (holder, value) absent from its row must not delete column 0."""
+    """Both directions of a mismatch raise: a holder whose row lacks
+    the departing slot, and a row holding more marked entries than it
+    is named for (a one-sided relation)."""
     store = store_with_rows([[1, 2], [0], [0]], width=3)
-    before = store.nbr.copy()
-    with pytest.raises(SimulationError, match=r"slot 1 has no entry 2"):
+    with pytest.raises(SimulationError, match="one-sided"):
         store.remove_row_entries(
-            np.array([0, 1], dtype=np.int64), np.array([2, 2], dtype=np.int64)
+            np.array([0, 1], dtype=np.int64), gone_mask(store, [2])
         )
-    np.testing.assert_array_equal(store.nbr, before)
-    assert store.nbr_deg.tolist()[:3] == [2, 1, 1]
+    store = store_with_rows([[1, 2], [0], [0]], width=3)
+    with pytest.raises(SimulationError, match=r"lost 2 .*expected 1"):
+        store.remove_row_entries(
+            np.array([0], dtype=np.int64), gone_mask(store, [1, 2])
+        )
 
 
 @settings(**KERNEL_SETTINGS)
@@ -635,6 +675,47 @@ def test_entries_in_matches_isin_reference(data, nbr):
     counts = hit.sum(axis=1)
     np.testing.assert_array_equal(rows, np.repeat(np.arange(n), counts))
     np.testing.assert_array_equal(values, nbr[hit])
+
+
+@pytest.mark.parametrize("shape", [(50_000, 6), (9, 40_000)])
+def test_entries_in_blocks_match_the_one_shot_gather(shape):
+    """``entries_in`` gathers blocks of ``_CHUNK_CELLS`` cells; over a
+    matrix taller than one block (or a block of one wide row) it equals
+    the one-shot gather of the whole matrix."""
+    rows, width = shape
+    assert rows * width > soa_module._CHUNK_CELLS
+    rng = np.random.default_rng(11)
+    nbr = rng.integers(-1, rows, size=shape)
+    mask = np.zeros(rows + 1, dtype=bool)
+    mask[rng.permutation(rows)[: rows // 7]] = True
+    flat = np.flatnonzero(mask[nbr])
+    got_rows, got_values = entries_in(nbr, mask)
+    np.testing.assert_array_equal(got_rows, flat // width)
+    np.testing.assert_array_equal(got_values, nbr.reshape(-1)[flat])
+
+
+def test_partner_cells_blocks_match_one_block(monkeypatch):
+    """``partner_cells`` looks the pairs up in blocks of rows; blocks of
+    a few cells find the same cells as one block."""
+    rng = np.random.default_rng(12)
+    n, width = 300, 5
+    nbr = np.full((n, width), -1, dtype=np.int64)
+    for slot in range(n):
+        others = rng.permutation(n)[: rng.integers(0, width + 1)]
+        others = others[others != slot]
+        nbr[slot, : others.size] = others
+    leech = np.flatnonzero(rng.random(n) < 0.8)
+    row_of = np.full(n, -1, dtype=np.int64)
+    row_of[leech] = np.arange(leech.size)
+    filled = np.argwhere(nbr >= 0)
+    pairs = np.sort(np.column_stack([filled[:, 0], nbr[nbr >= 0]]), axis=1)
+    pairs = pairs[rng.random(len(pairs)) < 0.5]
+    expected = partner_cells(nbr[leech], row_of, pairs)
+    monkeypatch.setattr(soa_module, "_CHUNK_CELLS", 2 * width)
+    got = partner_cells(nbr[leech], row_of, pairs)
+    assert expected[0].size > 20
+    for want, have in zip(expected, got):
+        np.testing.assert_array_equal(have, want)
 
 
 def test_entries_in_ignores_padding_when_the_last_slot_departs():
