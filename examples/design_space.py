@@ -72,7 +72,7 @@ def multiclass_section() -> None:
     print(
         "\nThe per-class split mirrors the simulator's heterogeneous-\n"
         "bandwidth runs (slow uploaders download ~2x slower under strict\n"
-        "tit-for-tat) - see benchmarks/bench_extension_heterogeneous.py."
+        "tit-for-tat) - see tests/paper/test_extension_heterogeneous.py."
     )
 
 

@@ -369,8 +369,7 @@ def _command_run(
             kwargs["backend"] = backend
         else:
             print(
-                f"note: {experiment} has no backend switch "
-                f"(it needs the reference engine's per-peer state); "
+                f"note: {experiment} has no backend switch; "
                 f"ignoring --backend",
                 file=sys.stderr,
             )
@@ -456,11 +455,11 @@ def _command_stability(
     checkpoint_dir: Optional[str] = None, checkpoint_every: int = 25,
     resume: bool = False, backend: str = "object",
 ) -> int:
+    from repro.experiments.fig3bc import run_fig3bc
     from repro.stability.drift import phase_drift_analysis
-    from repro.stability.experiments import run_stability_sweep
 
     _prepare_checkpoint_dir(checkpoint_dir, resume)
-    runs, _telemetry = run_stability_sweep(
+    runs = run_fig3bc(
         pieces,
         arrival_rate=arrival_rate,
         initial_leechers=initial,
@@ -471,7 +470,7 @@ def _command_stability(
         backend=_parse_backend(backend),
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
-    )
+    ).runs
     rows = []
     for num_pieces, run in runs.items():
         drift = phase_drift_analysis(num_pieces, 4, arrival_rate)

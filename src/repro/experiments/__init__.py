@@ -6,8 +6,8 @@ a structured result satisfying the
 exact series the corresponding figure plots, a ``format()`` method
 producing printable rows, a ``to_dict()`` JSON view, and a ``timing``
 telemetry record from the executor that produced it.  Paper-scale
-parameters are the defaults; benches call the same runners at reduced
-scale, and every runner accepts ``workers=N`` to fan its replications
+parameters are the defaults; the paper tests call the same runners at
+reduced scale, and every runner accepts ``workers=N`` to fan its replications
 and sweep points over a process pool with bit-identical results.
 
 ==========  =========================================================

@@ -117,15 +117,22 @@ def run_fig3bc(
     max_time: float = 150.0,
     seed: int = 0,
     entropy_every: int = 2,
-    config_overrides: dict | None = None,
     workers: int = 1,
+    backend: str = "object",
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 0,
 ) -> Fig3bcResult:
-    """Reproduce Figures 3/4(b,c): one stability run per piece count."""
+    """Reproduce Figures 3/4(b,c): one stability run per piece count.
+
+    Run ``i`` of ``piece_counts`` uses ``seed + i``.  The CLI
+    ``stability`` command goes through this runner too.  With a
+    ``checkpoint_dir``, each per-``B`` task snapshots every
+    ``checkpoint_every`` rounds under the stable key
+    ``stability-B{B}``, and a relaunched run resumes every interrupted
+    task from its latest snapshot, bit-identically.
+    """
     if not piece_counts:
         raise ParameterError("piece_counts must be non-empty")
-    overrides = dict(config_overrides or {})
     configs = [
         stability_config(
             num_pieces,
@@ -133,20 +140,20 @@ def run_fig3bc(
             initial_leechers=initial_leechers,
             max_time=max_time,
             seed=seed + offset,
-            **overrides,
         )
         for offset, num_pieces in enumerate(piece_counts)
     ]
     interval = checkpoint_interval(checkpoint_dir, checkpoint_every)
     executor = make_executor(workers=workers, checkpoint_dir=checkpoint_dir)
+    executor.telemetry.backend = backend
     outcomes = executor.run(
         [
             TaskSpec(
                 run_stability_experiment,
                 (config,),
-                {"entropy_every": entropy_every},
+                {"entropy_every": entropy_every, "backend": backend},
                 checkpoint_interval=interval,
-                checkpoint_key=f"fig3bc-B{num_pieces}",
+                checkpoint_key=f"stability-B{num_pieces}",
             )
             for config, num_pieces in zip(configs, piece_counts)
         ]

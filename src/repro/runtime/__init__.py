@@ -1,7 +1,7 @@
 """Parallel experiment runtime: executor, kernel cache, telemetry, seeding.
 
-The figure runners, the stability and seeding studies, and the bench
-harness all execute their replications and sweep points through this
+The figure runners, the stability and seeding studies, and the paper
+claim tests all execute their replications and sweep points through this
 subsystem:
 
 ``repro.runtime.executor``

@@ -56,7 +56,7 @@ def flash_crowd(
 
     Completed peers linger briefly so capacity compounds — the regime
     where the [12] logarithmic-makespan result shows
-    (`bench_extension_flash_crowd.py`).
+    (`tests/paper/test_extension_flash_crowd.py`).
     """
     if crowd < 1:
         raise ParameterError(f"crowd must be >= 1, got {crowd}")
@@ -144,7 +144,7 @@ def heterogeneous_bandwidth(
 
     Under strict tit-for-tat the reciprocity coupling makes slow
     uploaders slow downloaders too
-    (`bench_extension_heterogeneous.py`).
+    (`tests/paper/test_extension_heterogeneous.py`).
     """
     base = dict(
         num_pieces=num_pieces,

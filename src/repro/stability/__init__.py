@@ -41,7 +41,6 @@ __all__ = [
     "phase_drift_analysis",
     "StabilityRun",
     "run_stability_experiment",
-    "run_stability_sweep",
     "stability_config",
     "BoundaryPoint",
     "PhaseBoundary",
@@ -52,7 +51,6 @@ __all__ = [
 _LAZY_EXPERIMENTS = {
     "StabilityRun",
     "run_stability_experiment",
-    "run_stability_sweep",
     "stability_config",
 }
 _LAZY_CRITICAL = {

@@ -12,7 +12,7 @@ drifts back to 1 and the population stabilises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from repro.sim.swarm import Swarm, SwarmResult
 __all__ = [
     "StabilityRun",
     "run_stability_experiment",
-    "run_stability_sweep",
     "stability_config",
 ]
 
@@ -198,66 +197,3 @@ def run_stability_experiment(
         entropy_recovered=entropy_recovered,
     )
 
-
-def run_stability_sweep(
-    piece_counts: Sequence[int],
-    *,
-    arrival_rate: float = 20.0,
-    initial_leechers: int = 400,
-    max_time: float = 150.0,
-    seed: int = 0,
-    entropy_every: int = 2,
-    workers: int = 1,
-    backend: str = "object",
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 0,
-) -> Tuple[Dict[int, StabilityRun], "object"]:
-    """Run one stability experiment per ``B``, fanned over the executor.
-
-    The CLI ``stability`` command and the B-sweep studies go through
-    this helper; each per-``B`` run is an independent task, so a sweep
-    parallelises across worker processes without changing results.
-
-    With a ``checkpoint_dir``, each per-``B`` task snapshots every
-    ``checkpoint_every`` rounds under a stable key (``stability-B{B}``),
-    and a relaunched sweep resumes every interrupted task from its
-    latest snapshot — bit-identical to the uninterrupted sweep.
-
-    Returns:
-        ``(runs, telemetry)`` — per-``B`` :class:`StabilityRun` plus the
-        executor's :class:`~repro.runtime.telemetry.Telemetry`.
-    """
-    from repro.runtime.executor import ExperimentExecutor, TaskSpec
-
-    if not piece_counts:
-        raise ParameterError("piece_counts must be non-empty")
-    configs = [
-        stability_config(
-            num_pieces,
-            arrival_rate=arrival_rate,
-            initial_leechers=initial_leechers,
-            max_time=max_time,
-            seed=seed + offset,
-        )
-        for offset, num_pieces in enumerate(piece_counts)
-    ]
-    interval = checkpoint_every if checkpoint_dir is not None else 0
-    executor = ExperimentExecutor(workers=workers, checkpoint_dir=checkpoint_dir)
-    executor.telemetry.backend = backend
-    outcomes = executor.run(
-        [
-            TaskSpec(
-                run_stability_experiment,
-                (config,),
-                {"entropy_every": entropy_every, "backend": backend},
-                checkpoint_interval=interval,
-                checkpoint_key=f"stability-B{num_pieces}",
-            )
-            for config, num_pieces in zip(configs, piece_counts)
-        ]
-    )
-    runs: Dict[int, StabilityRun] = {}
-    for num_pieces, run in zip(piece_counts, outcomes):
-        runs[num_pieces] = run
-        executor.record_events(run.result.events_processed)
-    return runs, executor.telemetry

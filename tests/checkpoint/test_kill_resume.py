@@ -22,8 +22,8 @@ from pathlib import Path
 
 from ckpt_helpers import replay_config
 from repro.runtime.executor import ExperimentExecutor, TaskSpec
+from repro.experiments.fig3bc import run_fig3bc
 from repro.sim.swarm import Swarm, run_swarm
-from repro.stability.experiments import run_stability_sweep
 
 
 def kill_worker_after_first_snapshot(config, *, checkpoint_path=None,
@@ -95,7 +95,7 @@ def _sweep_kwargs(checkpoint_dir=None):
 def test_sigkilled_sweep_process_resumes_on_relaunch(tmp_path):
     """The acceptance scenario: kill the sweep outright, relaunch, diff.
 
-    The victim process steps the exact swarm ``run_stability_sweep``
+    The victim process steps the exact swarm ``run_fig3bc``
     would run (same config, same metrics, same checkpoint key) and
     SIGKILLs itself after two snapshots; the relaunch goes through the
     real sweep entry point.
@@ -142,16 +142,15 @@ def test_sigkilled_sweep_process_resumes_on_relaunch(tmp_path):
     assert victim.returncode == -signal.SIGKILL, victim.stderr
     assert ckpt.is_file(), "the victim died before writing its snapshots"
 
-    resumed_runs, telemetry = run_stability_sweep(
+    resumed_result = run_fig3bc(
         [3], **_sweep_kwargs(checkpoint_dir=tmp_path)
     )
-    assert telemetry.resumes == 1
-    resumed = resumed_runs[3]
+    assert resumed_result.timing.resumes == 1
+    resumed = resumed_result.runs[3]
     assert resumed.result.resumed_from_round is not None
     assert resumed.result.resumed_from_round >= 8  # two 4-round snapshots
 
-    serial_runs, _ = run_stability_sweep([3], **_sweep_kwargs())
-    serial = serial_runs[3]
+    serial = run_fig3bc([3], **_sweep_kwargs()).runs[3]
     assert resumed.result.fingerprint() == serial.result.fingerprint()
     assert resumed.population.tolist() == serial.population.tolist()
     assert resumed.entropy.tolist() == serial.entropy.tolist()

@@ -4,11 +4,10 @@ The model's formation rate carries the factor ``(1 - x_k)``: an attempt
 succeeds only if the blindly contacted partner has an open slot.  The
 ``greedy`` discipline is the idealised matchmaker (retry candidates
 until an open one accepts) — an upper bound that removes that friction.
-This bench quantifies how much of the simulated inefficiency is
+This test quantifies how much of the simulated inefficiency is
 decentralised matching friction, per k.
 """
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.sim.config import SimConfig
 from repro.sim.metrics import MetricsCollector
@@ -32,15 +31,11 @@ def run_matching(matching: str, k: int) -> float:
     return metrics.efficiency()
 
 
-def bench_workload():
-    return {
+def test_ablation_matching():
+    etas = {
         matching: [run_matching(matching, k) for k in K_VALUES]
         for matching in ("blind", "greedy")
     }
-
-
-def test_ablation_matching(benchmark):
-    etas = run_once(benchmark, bench_workload)
     print()
     print(format_table(
         ["k", "blind eta", "greedy eta", "friction cost"],

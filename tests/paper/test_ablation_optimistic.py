@@ -5,13 +5,12 @@ neighbor with nothing to reciprocate), the bootstrap and last-phase
 traps largely dissolve: trapped peers keep receiving free pieces.
 Restricting the channel to zero-piece newcomers (``empty``) restores
 the paper's strict-tit-for-tat regime, where escape waits on new
-neighbors (the model's ``alpha``/``gamma``).  This bench measures the
+neighbors (the model's ``alpha``/``gamma``).  This test measures the
 difference on a starvation-prone swarm.
 """
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.sim.config import SimConfig
 from repro.sim.swarm import run_swarm
@@ -39,12 +38,8 @@ def run_targets(targets: str):
     }
 
 
-def bench_workload():
-    return [run_targets(t) for t in ("starved", "empty")]
-
-
-def test_ablation_optimistic(benchmark):
-    rows = run_once(benchmark, bench_workload)
+def test_ablation_optimistic():
+    rows = [run_targets(t) for t in ("starved", "empty")]
     print()
     print(format_table(
         ["optimistic targets", "completed", "mean duration", "p90 duration"],

@@ -16,7 +16,6 @@ entropy well off zero); random selection cannot create the repair
 drift, so even B = 10 diverges like the paper's B = 3.
 """
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.stability.experiments import (
     run_stability_experiment,
@@ -43,12 +42,8 @@ def run_policy(policy: str):
     }
 
 
-def bench_workload():
-    return [run_policy(p) for p in POLICIES]
-
-
-def test_ablation_piece_selection(benchmark):
-    rows = run_once(benchmark, bench_workload)
+def test_ablation_piece_selection():
+    rows = [run_policy(p) for p in POLICIES]
     print()
     print(format_table(
         ["policy", "final peers", "tail entropy", "outcome"],

@@ -6,7 +6,6 @@ connection, so encounters fail with positive probability and the k >= 2
 efficiency gain is unavailable.  Same workload, both systems.
 """
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.baselines.coupon import run_coupon_system
 from repro.sim.config import SimConfig
@@ -18,7 +17,7 @@ ARRIVAL = 2.0
 ROUNDS = 150
 
 
-def bench_workload():
+def test_baseline_coupon():
     config = SimConfig(
         num_pieces=NUM_PIECES, max_conns=4, ns_size=25,
         arrival_process="poisson", arrival_rate=ARRIVAL,
@@ -28,16 +27,11 @@ def bench_workload():
         connection_setup_prob=0.8, connection_failure_prob=0.1,
         max_time=float(ROUNDS), seed=5,
     )
-    metrics = MetricsCollector(config.max_conns, entropy_every=10)
-    Swarm(config, metrics=metrics).run()
+    bt = MetricsCollector(config.max_conns, entropy_every=10)
+    Swarm(config, metrics=bt).run()
     coupon = run_coupon_system(
         NUM_PIECES, ROUNDS, arrival_rate=ARRIVAL, initial_peers=50, seed=5
     )
-    return metrics, coupon
-
-
-def test_baseline_coupon(benchmark):
-    bt, coupon = run_once(benchmark, bench_workload)
     print()
     print(format_table(
         ["system", "completed", "mean sojourn", "efficiency", "failed enc."],

@@ -2,20 +2,19 @@
 
 The fluid model treats the sharing effectiveness ``eta`` as an exogenous
 input — exactly the protocol detail the paper's model derives.  This
-bench closes the loop: the balance-equation eta per k parameterises the
+test closes the loop: the balance-equation eta per k parameterises the
 fluid steady state, and the fluid trajectory is checked against its own
 equilibrium.
 """
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.baselines.fluid import FluidModel
 from repro.efficiency.efficiency import efficiency_curve
 
 
-def bench_workload():
+def test_baseline_fluid():
     points = efficiency_curve([1, 2, 4, 8])
     rows = []
     for point in points:
@@ -26,11 +25,6 @@ def bench_workload():
         steady = model.steady_state()
         trajectory = model.integrate(400.0, points=400)
         rows.append((point.max_conns, point.eta, steady, trajectory))
-    return rows
-
-
-def test_baseline_fluid(benchmark):
-    rows = run_once(benchmark, bench_workload)
     print()
     print(format_table(
         ["k", "eta (derived)", "leechers", "seeds", "mean T", "bottleneck"],

@@ -1,25 +1,20 @@
 """Extension: the calibrated model loop (measured p_r into the model).
 
-The paper defines ``p_r`` and ``p_n`` as system averages; this bench
+The paper defines ``p_r`` and ``p_n`` as system averages; this test
 measures them from the simulator per k, feeds the measured ``p_r(k)``
 back into the Section-5 balance equations, and checks the calibrated
 model against the directly measured efficiency — plus the lifetime
 model's prediction that ``p_r`` rises with k.
 """
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.efficiency.measurement import calibrated_efficiency_curve
 
 K_VALUES = (1, 2, 4, 8)
 
 
-def bench_workload():
-    return calibrated_efficiency_curve(K_VALUES, seed=0)
-
-
-def test_extension_calibrated(benchmark):
-    points = run_once(benchmark, bench_workload)
+def test_extension_calibrated():
+    points = calibrated_efficiency_curve(K_VALUES, seed=0)
     print()
     print(format_table(
         ["k", "measured p_r", "measured p_n", "sim eta", "calibrated model eta"],

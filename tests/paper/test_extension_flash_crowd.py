@@ -6,14 +6,13 @@ network scales logarithmically with the number of peers" — i.e. the
 makespan of serving a burst of N peers from one seed grows like log N,
 not N, because every completed piece becomes new upload capacity.
 
-This bench releases flash crowds of increasing size onto a single-seed
+This test releases flash crowds of increasing size onto a single-seed
 swarm and measures the 90%-completion makespan; doubling the crowd must
 add far less than double the time (strongly sublinear growth).
 """
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.sim.config import SimConfig
 from repro.sim.swarm import run_swarm
@@ -45,12 +44,8 @@ def makespan(flash_size: int) -> float:
     return float(finish_times[target - 1])
 
 
-def bench_workload():
-    return {n: makespan(n) for n in CROWDS}
-
-
-def test_extension_flash_crowd(benchmark):
-    spans = run_once(benchmark, bench_workload)
+def test_extension_flash_crowd():
+    spans = {n: makespan(n) for n in CROWDS}
     print()
     rows = []
     for n in CROWDS:

@@ -1,7 +1,7 @@
 """Extension: heterogeneous bandwidth under strict tit-for-tat.
 
 The paper assumes homogeneous bandwidth and defers the heterogeneous
-case (its Section 7; cf. [11]).  This bench relaxes the assumption:
+case (its Section 7; cf. [11]).  This test relaxes the assumption:
 half the leechers can upload 1 piece per round, half 4.  Under strict
 tit-for-tat, a swap needs budget on *both* sides, so slow uploaders
 also download slowly — reciprocity couples the directions, the fairness
@@ -10,13 +10,12 @@ property the incentive mechanism is designed around.
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.sim.config import SimConfig
 from repro.sim.swarm import run_swarm
 
 
-def bench_workload():
+def test_extension_heterogeneous():
     base = dict(
         num_pieces=60, max_conns=4, ns_size=25,
         arrival_process="poisson", arrival_rate=2.0,
@@ -29,11 +28,6 @@ def bench_workload():
     heterogeneous = run_swarm(
         SimConfig(**base, bandwidth_classes=((0.5, 1), (0.5, 4)))
     )
-    return homogeneous, heterogeneous
-
-
-def test_extension_heterogeneous(benchmark):
-    homogeneous, heterogeneous = run_once(benchmark, bench_workload)
     print()
 
     durations = {1: [], 4: []}

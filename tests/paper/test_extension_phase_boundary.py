@@ -8,20 +8,15 @@ The boundary must rise with load; the first-order drift model tracks it
 at low-to-moderate load.
 """
 
-from benchmarks.conftest import run_once
 from repro.stability.critical import phase_boundary
 
 RATES = (5.0, 12.0, 20.0)
 
 
-def bench_workload():
-    return phase_boundary(
+def test_extension_phase_boundary():
+    boundary = phase_boundary(
         RATES, initial_leechers=120, max_time=70.0, seed=0
     )
-
-
-def test_extension_phase_boundary(benchmark):
-    boundary = run_once(benchmark, bench_workload)
     print()
     print(boundary.format())
 

@@ -8,12 +8,11 @@ efficiency (completions per seed upload).
 
 import math
 
-from benchmarks.conftest import run_once
 from repro.experiments.seeding import run_seeding_study
 
 
-def bench_workload():
-    return run_seeding_study(
+def test_extension_seeding():
+    result = run_seeding_study(
         num_pieces=60,
         capacities=(2, 4, 8),
         arrival_rate=2.0,
@@ -21,10 +20,6 @@ def bench_workload():
         max_time=150.0,
         seed=0,
     )
-
-
-def test_extension_seeding(benchmark):
-    result = run_once(benchmark, bench_workload)
     print()
     print(result.format())
     points = result.by_label()

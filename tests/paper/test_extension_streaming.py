@@ -2,7 +2,7 @@
 
 The paper summarises Arthur & Panigrahy [1]: BitTorrent "can be
 effective for streaming content provided proper upload scheduling
-policies are used".  This bench makes that claim concrete as a 2x2 of
+policies are used".  This test makes that claim concrete as a 2x2 of
 piece-selection policy x reciprocity regime, measuring the minimal
 stall-free startup delay of in-order playback:
 
@@ -14,9 +14,6 @@ stall-free startup delay of in-order playback:
   throughput — the "proper upload scheduling" of [1].
 """
 
-import numpy as np
-
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.analysis.streaming import swarm_streaming_summary
 from repro.sim.config import SimConfig
@@ -46,16 +43,11 @@ def measure(policy: str, strict: bool):
     return summary
 
 
-def bench_workload():
+def test_extension_streaming():
     rows = []
     for strict in (True, False):
         for policy in ("rarest", "windowed", "sequential"):
             rows.append(measure(policy, strict))
-    return rows
-
-
-def test_extension_streaming(benchmark):
-    rows = run_once(benchmark, bench_workload)
     print()
     print(format_table(
         ["reciprocity", "policy", "completed", "full downloads",

@@ -2,7 +2,7 @@
 
 The paper's suggestion: "the tracker can bias new peer arrivals into
 the neighborhood of the peers which are trapped in the bootstrap
-phase."  This bench runs the bootstrap-prone swarm (near-complete,
+phase."  This test runs the bootstrap-prone swarm (near-complete,
 highly overlapping initial population; strict-TFT donations to empty
 peers only) with and without the bias and compares how long fresh
 clients take to acquire tradable footing.
@@ -10,7 +10,6 @@ clients take to acquire tradable footing.
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_table
 from repro.sim.config import SimConfig
 from repro.sim.swarm import run_swarm
@@ -52,12 +51,8 @@ def measure(bias: bool):
     }
 
 
-def bench_workload():
-    return [measure(False), measure(True)]
-
-
-def test_extension_tracker_bias(benchmark):
-    rows = run_once(benchmark, bench_workload)
+def test_extension_tracker_bias():
+    rows = [measure(False), measure(True)]
     print()
     print(format_table(
         ["tracker bias", "completed", "mean bootstrap exposure", "p90"],

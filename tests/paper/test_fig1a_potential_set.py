@@ -7,20 +7,15 @@ mid-download, and declines toward the end; small peer sets track lower.
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_checks
 from repro.analysis.validation import potential_ratio_shape
 from repro.experiments.fig1a import run_fig1a
 
 
-def bench_workload():
-    return run_fig1a(
+def test_fig1a_potential_set():
+    result = run_fig1a(
         pss_values=(5, 10, 25, 40), num_pieces=120, runs=24, seed=0
     )
-
-
-def test_fig1a_potential_set(benchmark):
-    result = run_once(benchmark, bench_workload)
     print()
     print(result.format())
 

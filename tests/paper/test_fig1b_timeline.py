@@ -8,7 +8,6 @@ the large peer set and more loosely — same phases — for PSS = 5.
 
 import numpy as np
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_checks
 from repro.analysis.validation import compare_series, timeline_shape
 from repro.experiments.fig1b import run_fig1b
@@ -18,8 +17,8 @@ NUM_PIECES = 100
 MAX_CONNS = 7
 
 
-def bench_workload():
-    return run_fig1b(
+def test_fig1b_timeline():
+    result = run_fig1b(
         pss_values=(SMALL_PSS, LARGE_PSS),
         num_pieces=NUM_PIECES,
         max_conns=MAX_CONNS,
@@ -28,10 +27,6 @@ def bench_workload():
         max_time=600.0,
         seed=0,
     )
-
-
-def test_fig1b_timeline(benchmark):
-    result = run_once(benchmark, bench_workload)
     print()
     print(result.format())
 

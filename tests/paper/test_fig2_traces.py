@@ -5,17 +5,12 @@ instances from simulated swarms and prints both series each panel plots
 (cumulative bytes and potential-set size over time).
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.fig2 import run_fig2
 from repro.traces.analysis import phase_segments
 
 
-def bench_workload():
-    return run_fig2(seed=0)
-
-
-def test_fig2_traces(benchmark):
-    result = run_once(benchmark, bench_workload)
+def test_fig2_traces():
+    result = run_fig2(seed=0)
     print()
     print(result.format())
 

@@ -4,14 +4,13 @@ Paper finding: efficiency rises sharply from k = 1 to k = 2 and gains
 little beyond; the balance-equation model upper-bounds the simulation.
 """
 
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import format_checks
 from repro.analysis.validation import efficiency_shape
 from repro.experiments.fig3a import run_fig3a
 
 
-def bench_workload():
-    return run_fig3a(
+def test_fig3a_efficiency():
+    result = run_fig3a(
         k_values=tuple(range(1, 9)),
         num_pieces=60,
         seed=0,
@@ -22,10 +21,6 @@ def bench_workload():
             "max_time": 120.0,
         },
     )
-
-
-def test_fig3a_efficiency(benchmark):
-    result = run_once(benchmark, bench_workload)
     print()
     print(result.format())
 

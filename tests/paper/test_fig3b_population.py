@@ -5,15 +5,12 @@ the swarm population grows without bound for B = 3 but stabilises for
 B = 10.
 """
 
-import numpy as np
-
-from benchmarks.conftest import run_once
 from repro.analysis.reporting import ascii_chart, format_series
 from repro.experiments.fig3bc import run_fig3bc
 
 
-def bench_workload():
-    return run_fig3bc(
+def test_fig3b_population():
+    result = run_fig3bc(
         piece_counts=(3, 10),
         initial_leechers=250,
         arrival_rate=15.0,
@@ -21,10 +18,6 @@ def bench_workload():
         seed=0,
         entropy_every=4,
     )
-
-
-def test_fig3b_population(benchmark):
-    result = run_once(benchmark, bench_workload)
     print()
     for num_pieces in (3, 10):
         run = result.runs[num_pieces]

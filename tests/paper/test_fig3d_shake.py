@@ -4,12 +4,11 @@ Paper finding: re-randomising the neighbor set at 90% completion
 ("shaking") sharply reduces the time-to-download of the last blocks.
 """
 
-from benchmarks.conftest import run_once
 from repro.experiments.fig3d import run_fig3d
 
 
-def bench_workload():
-    return run_fig3d(
+def test_fig3d_shake():
+    result = run_fig3d(
         num_pieces=120,
         window=10,
         initial_leechers=50,
@@ -17,10 +16,6 @@ def bench_workload():
         max_time=500.0,
         seed=0,
     )
-
-
-def test_fig3d_shake(benchmark):
-    result = run_once(benchmark, bench_workload)
     print()
     print(result.format())
 

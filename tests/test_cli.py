@@ -171,13 +171,18 @@ class TestMain:
         assert "no method switch" in capsys.readouterr().err
 
     def test_run_soa_backend_end_to_end(self, capsys):
-        assert main([
-            "run", "F3a", "--quick", "--seed", "1",
-            "--backend", "soa", "--timing",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 3/4(a)" in out
-        assert "backend: soa" in out
+        for experiment, figure in (
+            ("F3a", "Figure 3/4(a)"),
+            ("F3bc", "Figure 3/4(b,c)"),
+        ):
+            assert main([
+                "run", experiment, "--quick", "--seed", "1",
+                "--backend", "soa", "--timing",
+            ]) == 0
+            captured = capsys.readouterr()
+            assert figure in captured.out
+            assert "backend: soa" in captured.out
+            assert "no backend switch" not in captured.err
 
     def test_run_unknown_backend_lists_choices(self):
         from repro.errors import ParameterError
