@@ -334,8 +334,9 @@ def snapshot_soa_swarm(swarm) -> dict:
     Same container and schema version as the object document, marked
     with a top-level ``"backend": "soa"`` for :func:`restore_swarm`'s
     dispatch.  Peer state is stored for alive slots only (ascending
-    slot order); free slots are fully reset on allocation, so alive
-    rows plus the free-list order reconstruct the store exactly.
+    slot order); a free slot holds every column's reset value (a slot
+    is reset when it is released), so alive rows plus the free-list
+    order reconstruct the store exactly.
     The ``store`` block is :meth:`~repro.sim.soa.PeerStore.to_block`:
     one array per :data:`~repro.sim.soa.PEER_COLUMNS` column plus the
     adjacency.  Every array is a copy, so the document stays valid

@@ -159,10 +159,14 @@ def _process_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
     cache-stat deltas a task reports assume its worker inherited the
     parent's cache totals, which only ``fork`` gives.  A platform
     without ``fork`` gets a :class:`~repro.errors.ParameterError`.
+    Each worker runs the soa kernels on its share of the cores
+    (:func:`~repro.sim.soa.share_cores`).
     """
     # Imported here: ``import repro`` loads this module, and only a
-    # pool needs multiprocessing.
+    # pool needs multiprocessing and the soa thread budget.
     import multiprocessing
+
+    from repro.sim.soa import share_cores
 
     if "fork" not in multiprocessing.get_all_start_methods():
         raise ParameterError(
@@ -170,7 +174,10 @@ def _process_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
             "has no 'fork' start method; run with workers=1 instead"
         )
     return concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=share_cores,
+        initargs=(workers,),
     )
 
 

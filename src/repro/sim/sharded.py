@@ -62,6 +62,7 @@ from repro.sim.soa import (
     PeerStore,
     SoaSwarm,
     peer_rows,
+    share_cores,
     unpack_rows,
     words_for,
 )
@@ -317,8 +318,13 @@ def _shard_metrics(max_conns: int, opts: dict) -> MetricsCollector:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _shard_worker(conn) -> None:
-    """Shard worker main loop: one command in, one reply out."""
+def _shard_worker(conn, shards: int) -> None:
+    """Shard worker main loop: one command in, one reply out.
+
+    The worker is one of ``shards`` forked processes, so its kernels
+    take its share of the cores (:func:`~repro.sim.soa.share_cores`).
+    """
+    share_cores(shards)
     engine: Optional[ShardEngine] = None
     try:
         while True:
@@ -588,7 +594,9 @@ class ShardedSwarm(CheckpointControl):
         for _ in range(self.shards):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
-                target=_shard_worker, args=(child_conn,), daemon=True
+                target=_shard_worker,
+                args=(child_conn, self.shards),
+                daemon=True,
             )
             process.start()
             child_conn.close()

@@ -24,6 +24,10 @@ the same protocol round as flat numpy arrays:
   a bare degree counter for seeds (seeds never initiate trades, so
   their rows are never enumerated — which keeps the matrix width at the
   leecher accept cap even when a seed is neighbor to the whole swarm).
+* **cell kernels** run in cache-sized row blocks (``_CHUNK_CELLS``) on
+  ``_THREADS`` threads that each kernel call starts and joins; a block
+  writes only its own rows and draws no random number, so neither the
+  block size nor the thread count changes a run.
 
 The backend is selected with ``Swarm(config, backend="soa")`` (see
 :meth:`~repro.sim.swarm.Swarm.__new__`; ``backend="sharded", shards=1``
@@ -45,9 +49,12 @@ back to ``backend="object"``.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import time as _time
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -91,6 +98,8 @@ __all__ = [
     "row_columns",
     "partner_cells",
     "entries_in",
+    "usable_cores",
+    "share_cores",
 ]
 
 _ONE = np.uint64(1)
@@ -100,8 +109,70 @@ _ONE = np.uint64(1)
 #: many matrix cells: 2**18 float64 cells are 2 MiB, a core's L2 on the
 #: Xeon this was timed on, so a block's temporaries stay cache-resident
 #: however large the round.
-#: Blocks are bit-invisible (consecutive ``rng.random`` draws equal one).
+#: Blocks are bit-invisible: each writes only its own rows, and every
+#: random number is drawn before the blocks run.
 _CHUNK_CELLS = 1 << 18
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the
+    platform has one, else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+#: Threads a cell kernel's blocks run on.  numpy releases the GIL
+#: inside each block's array operations, so the blocks of one kernel
+#: call run on up to this many threads, started and joined by the call
+#: itself: no thread outlives it, so a process may fork between calls.
+_THREADS = usable_cores()
+
+
+def share_cores(processes: int) -> None:
+    """Give this process its share of the cores when it is one of
+    ``processes`` forked workers: ``max(1, cores // processes)`` kernel
+    threads.  Shard workers and executor pool workers call it first."""
+    global _THREADS
+    _THREADS = max(1, usable_cores() // processes)
+
+
+def _blocks(count: int, width: int, kernel: Callable[[int, int], object]) -> list:
+    """``kernel(lo, hi)`` over the row blocks ``[lo, hi)`` of ``count``
+    rows of ``width`` cells, about ``_CHUNK_CELLS`` cells a block; the
+    results in block order.
+
+    With more than one block, the calling thread and up to
+    ``_THREADS - 1`` helper threads, which this call starts and joins,
+    take the blocks in turn.  A kernel must therefore write only its
+    own rows or slice and touch no shared state (the RNG, a
+    :class:`ScratchArena` buffer); an error raised in a block
+    propagates from here once every thread has stopped.
+    """
+    step = max(1, _CHUNK_CELLS // max(width, 1))
+    los = range(0, count, step)
+    threads = min(_THREADS, len(los))
+    results: list = [None] * len(los)
+    turns = itertools.count()
+
+    def run() -> None:
+        # ``next`` on the shared counter hands each block to one thread.
+        for index in turns:
+            if index >= len(los):
+                return
+            lo = los[index]
+            results[index] = kernel(lo, min(count, lo + step))
+
+    if threads <= 1:
+        run()
+        return results
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(run) for _ in range(threads - 1)]
+        run()
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -152,26 +223,28 @@ def popcount_rows(words: np.ndarray) -> np.ndarray:
 
 
 def interest_flags(
-    bits: np.ndarray, src: np.ndarray, dst: np.ndarray,
-    chunk: int = 1 << 18,
+    bits: np.ndarray, src: np.ndarray, dst: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-edge novelty flags from the packed bitfield matrix.
 
     Returns ``(give_sd, give_ds)``: whether ``src`` holds a piece
     ``dst`` lacks (src can give, i.e. dst is interested in src) and the
-    reverse.  Mutual interest is the AND of both.  Chunked so the edge
-    list can be swarm-sized without a matching blow-up in temporaries.
+    reverse.  Mutual interest is the AND of both.  In blocks of edges,
+    so the edge list can be swarm-sized without a matching blow-up in
+    temporaries.
     """
     n = src.size
     give_sd = np.empty(n, dtype=bool)
     give_ds = np.empty(n, dtype=bool)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        bs = bits[src[lo:hi]]
-        bd = bits[dst[lo:hi]]
+
+    def block(lo: int, hi: int) -> None:
+        bs = np.take(bits, src[lo:hi], axis=0)
+        bd = np.take(bits, dst[lo:hi], axis=0)
         diff = bs ^ bd
         give_sd[lo:hi] = (diff & bs).any(axis=1)
         give_ds[lo:hi] = (diff & bd).any(axis=1)
+
+    _blocks(n, bits.shape[1], block)
     return give_sd, give_ds
 
 
@@ -185,27 +258,31 @@ def row_interest(
     ``nbr``'s shape: whether the owner holds a piece the neighbor lacks,
     and the reverse; mutual interest is their AND.  A padding cell's
     gather wraps to ``bits[-1]``, a real slot, so padding is masked by
-    column against ``deg``.  One word at a time, in row chunks of about
+    column against ``deg``.  One word at a time, in row blocks of about
     ``_CHUNK_CELLS`` cells, so the temporaries stay bounded.
     """
     rows, width = nbr.shape
     give = np.zeros((rows, width), dtype=bool)
     take = np.zeros((rows, width), dtype=bool)
-    chunk = max(1, _CHUNK_CELLS // max(width, 1))
-    for lo in range(0, rows, chunk):
-        hi = min(rows, lo + chunk)
-        for w in range(bits.shape[1]):
-            column = bits[:, w]
-            mine = column[owners[lo:hi], None]
-            theirs = column[nbr[lo:hi]]
+    columns = np.arange(width)
+    # Contiguous word columns: ``np.take`` gathers from them faster than
+    # fancy indexing does, and would copy a strided one every block.
+    words = [np.ascontiguousarray(bits[:, w]) for w in range(bits.shape[1])]
+
+    def block(lo: int, hi: int) -> None:
+        for column in words:
+            mine = np.take(column, owners[lo:hi])[:, None]
+            theirs = np.take(column, nbr[lo:hi])
             lack = ~theirs
             lack &= mine
             give[lo:hi] |= lack != 0
             theirs &= ~mine
             take[lo:hi] |= theirs != 0
-    valid = np.arange(width) < deg[:, None]
-    give &= valid
-    take &= valid
+        valid = columns < deg[lo:hi, None]
+        give[lo:hi] &= valid
+        take[lo:hi] &= valid
+
+    _blocks(rows, width, block)
     return give, take
 
 
@@ -318,22 +395,21 @@ def first_pairs(
     return keep
 
 
-def weighted_pick_rows(
-    weights: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """One weighted draw per row; -1 for all-zero rows.
+def weighted_pick_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One weighted draw per row, from the row's uniform ``u``; -1 for
+    all-zero rows.
 
     The row-wise inverse transform mirrors the scalar
     :func:`~repro.sim.piece_selection.select_piece` draw: cumsum the
-    weights, scale one uniform per row by the row total, count the
-    entries at or below it.
+    weights, scale the row's uniform by the row total, count the
+    entries at or below it.  The uniforms are drawn by the caller, so
+    row blocks can pick on threads that share no generator.
     """
     if weights.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     cdf = np.cumsum(weights, axis=1)
     total = cdf[:, -1]
-    u = rng.random(weights.shape[0]) * total
-    idx = (cdf <= u[:, None]).sum(axis=1).astype(np.int64)
+    idx = (cdf <= (u * total)[:, None]).sum(axis=1).astype(np.int64)
     np.minimum(idx, weights.shape[1] - 1, out=idx)
     idx[total <= 0.0] = -1
     return idx
@@ -370,10 +446,13 @@ def partner_cells(
     other = pairs[:, ::-1].T.ravel()[held]
     col = np.empty(held.size, dtype=np.int64)
     found = np.empty(held.size, dtype=bool)
-    chunk = max(1, _CHUNK_CELLS // max(nbr.shape[1], 1))
-    for lo in range(0, held.size, chunk):
-        part = slice(lo, lo + chunk)
-        col[part], found[part] = row_columns(nbr[row[part]], other[part])
+
+    def block(lo: int, hi: int) -> None:
+        col[lo:hi], found[lo:hi] = row_columns(
+            np.take(nbr, row[lo:hi], axis=0), other[lo:hi]
+        )
+
+    _blocks(held.size, nbr.shape[1], block)
     return row[found], col[found]
 
 
@@ -388,15 +467,18 @@ def entries_in(
     over the gathered mask of each block of rows yields both, row-major.
     """
     width = max(nbr.shape[1], 1)
-    chunk = max(1, _CHUNK_CELLS // width)
-    rows = [np.zeros(0, dtype=np.int64)]
-    values = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, nbr.shape[0], chunk):
-        block = nbr[lo:lo + chunk]
-        flat = np.flatnonzero(mask[block])
-        rows.append(lo + flat // width)
-        values.append(block.reshape(-1)[flat])
-    return np.concatenate(rows), np.concatenate(values)
+
+    def block(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        cells = nbr[lo:hi]
+        flat = np.flatnonzero(mask[cells])
+        return lo + flat // width, cells.reshape(-1)[flat]
+
+    found = _blocks(nbr.shape[0], width, block)
+    empty = np.zeros(0, dtype=np.int64)
+    return (
+        np.concatenate([empty] + [rows for rows, _ in found]),
+        np.concatenate([empty] + [values for _, values in found]),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +492,7 @@ class PeerColumn(NamedTuple):
     #: ``True`` for a bitfield column: ``(rows, words)`` uint64, two
     #: dimensional even at one word.  Every other column is flat.
     wide: bool
-    #: Value of a free slot, restored when the slot is allocated.
+    #: Value of a free slot, restored when the slot is released.
     reset: object
 
     def shape(self, rows: int, words: int) -> Tuple[int, ...]:
@@ -566,7 +648,11 @@ class PeerStore:
         self.free = list(range(new_cap - 1, old_cap - 1, -1)) + old["free"]
 
     def allocate(self, count: int) -> np.ndarray:
-        """Take ``count`` slots off the free list, fully reset."""
+        """Take ``count`` slots off the free list and mark them alive.
+
+        A free slot already holds every column's reset value: fresh and
+        grown slots are created so, and :meth:`release` restores them.
+        """
         if count > len(self.free):
             self.grow(self.capacity + count)
         # The last `count` entries reversed == `count` repeated pops.
@@ -574,10 +660,6 @@ class PeerStore:
         del self.free[len(self.free) - count:]
         slots = np.array(take[::-1], dtype=np.int64)
         self.alive[slots] = True
-        for column in PEER_COLUMNS:
-            getattr(self, column.name)[slots] = column.reset
-        self.nbr[slots] = -1
-        self.nbr_deg[slots] = 0
         return slots
 
     def rows(self, slots: np.ndarray) -> Dict[str, np.ndarray]:
@@ -689,9 +771,11 @@ class PeerStore:
         return store, slots
 
     def release(self, slots: np.ndarray) -> None:
-        """Return slots to the free list (ascending push order)."""
+        """Reset slots to every column's free value and return them to
+        the free list (ascending push order)."""
         self.alive[slots] = False
-        self.peer_id[slots] = -1
+        for column in PEER_COLUMNS:
+            getattr(self, column.name)[slots] = column.reset
         self.nbr[slots] = -1
         self.nbr_deg[slots] = 0
         self.free.extend(np.sort(slots).tolist())
@@ -719,20 +803,21 @@ class PeerStore:
         mark[holders] = True
         rows = np.flatnonzero(mark)
         columns = np.arange(self.nbr_width)
-        chunk = max(1, _CHUNK_CELLS // max(self.nbr_width, 1))
-        dropped = 0
-        for lo in range(0, rows.size, chunk):
-            part = rows[lo:lo + chunk]
-            cells = self.nbr[part]
+
+        def block(lo: int, hi: int) -> int:
+            part = rows[lo:hi]
+            cells = np.take(self.nbr, part, axis=0)
             keep = columns < self.nbr_deg[part][:, None]
             filled = int(np.count_nonzero(keep))
             keep &= ~gone[cells]
             new_deg = np.count_nonzero(keep, axis=1)
-            dropped += filled - int(new_deg.sum())
             packed = np.full(cells.shape, -1, dtype=np.int64)
             packed[columns < new_deg[:, None]] = cells[keep]
             self.nbr[part] = packed
             self.nbr_deg[part] = new_deg
+            return filled - int(new_deg.sum())
+
+        dropped = sum(_blocks(rows.size, self.nbr_width, block))
         if dropped != holders.size:
             raise SimulationError(
                 f"neighbor rows lost {dropped} entries of departing slots, "
@@ -1095,9 +1180,9 @@ class SoaSwarm(CheckpointControl):
         # past their degree, so only leecher rows with entries are
         # gathered, up to the largest such degree.
         seed_ann = store.is_seed[prop_ann]
-        chunk = max(1, _CHUNK_CELLS // store.nbr_width)
-        for lo in range(0, prop_ann.size, chunk):
-            part = slice(lo, lo + chunk)
+
+        def block(lo: int, hi: int) -> None:
+            part = slice(lo, hi)
             side = np.where(seed_ann[part], cand[part], prop_ann[part])
             other = np.where(seed_ann[part], prop_ann[part], cand[part])
             deg = store.nbr_deg[side]
@@ -1105,6 +1190,8 @@ class SoaSwarm(CheckpointControl):
             if look.size:
                 rows = store.nbr[side[look], : int(deg[look].max())]
                 ok[lo + look] = ~(rows == other[look, None]).any(axis=1)
+
+        _blocks(prop_ann.size, store.nbr_width, block)
         idx = np.flatnonzero(ok)
         p_ann = prop_ann[idx]
         p_cand = cand[idx]
@@ -1389,7 +1476,9 @@ class SoaSwarm(CheckpointControl):
             row_of = self.scratch.full("leech_row", cap, -1)
             row_of[trade] = np.arange(trade.size)
             mutual[partner_cells(nbr, row_of, self._pairs)] = False
-        m_dst = nbr[mutual]
+        # ``nbr[mutual]``; ``compress`` gathers a scattered mask's cells
+        # several times faster than boolean indexing does.
+        m_dst = np.compress(mutual.ravel(), nbr.ravel())
         avail = mutual.sum(axis=1)
         proposing = (avail > 0) & (open_slots > 0)
         if not proposing.any():
@@ -1542,14 +1631,14 @@ class SoaSwarm(CheckpointControl):
         counts_snap = self._rarity_snapshot()
         if policy == "rarest":
             rarity_w = (counts_snap + 1.0) ** -RARITY_EXPONENT
-        chunk = max(1, _CHUNK_CELLS // max(num_pieces, 1))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
+        u = self.rng.random(n)
+
+        def block(lo: int, hi: int) -> None:
             if offer_words is not None:
                 offered = offer_words[lo:hi]
             else:
-                offered = store.bits[send[lo:hi]]
-            cand_words = offered & ~store.bits[recv[lo:hi]]
+                offered = np.take(store.bits, send[lo:hi], axis=0)
+            cand_words = offered & ~np.take(store.bits, recv[lo:hi], axis=0)
             cand = unpack_rows(cand_words, num_pieces)
             if policy == "random":
                 weights = cand.astype(np.float64)
@@ -1575,7 +1664,9 @@ class SoaSwarm(CheckpointControl):
                 )
                 if below.any():
                     weights[below] = cand[below]
-            out[lo:hi] = weighted_pick_rows(weights, self.rng)
+            out[lo:hi] = weighted_pick_rows(weights, u[lo:hi])
+
+        _blocks(n, num_pieces, block)
         return out
 
     def _apply_grants(

@@ -217,17 +217,16 @@ def crowded_seed_config(seed: int = 3) -> SimConfig:
 
 
 def assert_stores_equal(restored, live):
-    """Column by column: adjacency and free list everywhere, the peer-row
-    table on alive slots (a released slot keeps stale table values)."""
+    """Column by column, on every slot: a released slot is reset to
+    each column's free value, so free slots match as well."""
     np.testing.assert_array_equal(restored.alive, live.alive)
     np.testing.assert_array_equal(restored.nbr, live.nbr)
     np.testing.assert_array_equal(restored.nbr_deg, live.nbr_deg)
     assert restored.free == live.free
-    alive = live.alive
     for column in PEER_COLUMNS:
         np.testing.assert_array_equal(
-            getattr(restored, column.name)[alive],
-            getattr(live, column.name)[alive],
+            getattr(restored, column.name),
+            getattr(live, column.name),
             err_msg=column.name,
         )
 

@@ -5,6 +5,8 @@ Each kernel is checked against a straightforward scalar reference
 lexsort), including the fast paths that bypass the general code.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.errors import SimulationError
 from repro.sim.bitfield import Bitfield
 from repro.sim.config import SimConfig
 from repro.sim.soa import (
+    PEER_COLUMNS,
     PeerStore,
     ScratchArena,
     SoaSwarm,
@@ -357,17 +360,17 @@ def test_weighted_pick_rows_zero_rows_and_point_masses():
     weights = np.zeros((4, 6))
     weights[1, 3] = 2.5           # point mass -> always column 3
     weights[3, 0] = 1.0
-    picks = weighted_pick_rows(weights, rng)
+    picks = weighted_pick_rows(weights, rng.random(4))
     assert picks[0] == -1 and picks[2] == -1
     assert picks[1] == 3 and picks[3] == 0
-    assert weighted_pick_rows(np.zeros((0, 5)), rng).size == 0
+    assert weighted_pick_rows(np.zeros((0, 5)), rng.random(0)).size == 0
 
 
 def test_weighted_pick_rows_frequencies_track_weights():
     """The inverse-transform draw reproduces the weight distribution."""
     rng = np.random.default_rng(12)
     weights = np.tile(np.array([1.0, 2.0, 5.0]), (30_000, 1))
-    picks = weighted_pick_rows(weights, rng)
+    picks = weighted_pick_rows(weights, rng.random(weights.shape[0]))
     freq = np.bincount(picks, minlength=3) / picks.size
     np.testing.assert_allclose(freq, np.array([1, 2, 5]) / 8.0, atol=0.02)
 
@@ -694,16 +697,22 @@ def test_entries_in_blocks_match_the_one_shot_gather(shape):
     np.testing.assert_array_equal(got_values, nbr.reshape(-1)[flat])
 
 
-def test_partner_cells_blocks_match_one_block(monkeypatch):
-    """``partner_cells`` looks the pairs up in blocks of rows; blocks of
-    a few cells find the same cells as one block."""
-    rng = np.random.default_rng(12)
-    n, width = 300, 5
+def random_adjacency(rng, n, width):
+    """A padded adjacency over ``n`` slots: distinct other slots, -1."""
     nbr = np.full((n, width), -1, dtype=np.int64)
     for slot in range(n):
         others = rng.permutation(n)[: rng.integers(0, width + 1)]
         others = others[others != slot]
         nbr[slot, : others.size] = others
+    return nbr
+
+
+def test_partner_cells_blocks_match_one_block(monkeypatch):
+    """``partner_cells`` looks the pairs up in blocks of rows; blocks of
+    a few cells find the same cells as one block."""
+    rng = np.random.default_rng(12)
+    n, width = 300, 5
+    nbr = random_adjacency(rng, n, width)
     leech = np.flatnonzero(rng.random(n) < 0.8)
     row_of = np.full(n, -1, dtype=np.int64)
     row_of[leech] = np.arange(leech.size)
@@ -754,6 +763,33 @@ def test_peer_store_allocate_release_matches_scalar_reference():
             assert slots.tolist() == expected
             live.extend(slots.tolist())
         assert store.free == reference
+
+
+def test_peer_store_released_slot_is_reset_when_allocated_after_grow():
+    """``release`` restores every column's free value and ``allocate``
+    only pops slots, so a slot released dirty, then handed out again
+    after a ``grow`` copied it, reads every column's reset value."""
+    store = PeerStore(8, num_pieces=70, nbr_width=4)
+    slots = store.allocate(3)
+    for column in PEER_COLUMNS:
+        dirty = np.ones(1, dtype=column.dtype)
+        getattr(store, column.name)[slots] = 7 * dirty[0]
+    store.nbr[slots] = 5
+    store.nbr_deg[slots] = 2
+    store.release(slots[1:2])
+    store.grow(40)
+    (again,) = store.allocate(1)
+    assert again == slots[1]
+    assert store.alive[again]
+    for column in PEER_COLUMNS:
+        value = getattr(store, column.name)[again]
+        np.testing.assert_array_equal(
+            value, np.full_like(value, column.reset), err_msg=column.name
+        )
+    assert store.nbr[again].tolist() == [-1] * 4
+    assert store.nbr_deg[again] == 0
+    # The slots still alive keep their values through the grow.
+    assert store.counts[slots[0]] == 7 and store.nbr_deg[slots[2]] == 2
 
 
 def test_scratch_arena_reuses_buffers():
@@ -823,3 +859,176 @@ def test_soa_steady_state_rounds_allocate_no_new_scratch():
     assert swarm._rounds >= 30
     assert swarm.store.capacity == capacity  # no slab growth mid-test
     assert swarm.scratch.created == warm
+
+
+# ----------------------------------------------------------------------
+# Threaded blocks: the thread count must not change any kernel's output
+# ----------------------------------------------------------------------
+#: 2**6 cells a block: a few rows, so every matrix here spans many.
+SMALL_BLOCK = 1 << 6
+
+THREADS = [2, 3]
+
+
+def on_threads(monkeypatch, threads, kernel, *args):
+    """``kernel(*args)`` in small blocks on ``threads`` threads."""
+    monkeypatch.setattr(soa_module, "_CHUNK_CELLS", SMALL_BLOCK)
+    monkeypatch.setattr(soa_module, "_THREADS", threads)
+    return kernel(*args)
+
+
+def assert_same(got, want):
+    """Equal tuples of arrays, as the kernels here return."""
+    assert len(got) == len(want)
+    for have, expected in zip(got, want):
+        np.testing.assert_array_equal(have, expected)
+
+
+@pytest.mark.parametrize("threads", THREADS)
+def test_threaded_row_and_edge_interest_match_one_thread(monkeypatch, threads):
+    rng = np.random.default_rng(21)
+    n, width, num_pieces = 400, 8, 90  # two words a bitfield
+    bits = pack_rows(rng.random((n, num_pieces)) < 0.5)
+    nbr = random_adjacency(rng, n, width)
+    deg = (nbr >= 0).sum(axis=1)
+    owners = np.arange(n)
+    src, dst = rng.integers(0, n, (2, 3_000))
+    for kernel, args in (
+        (row_interest, (bits, owners, nbr, deg)),
+        (interest_flags, (bits, src, dst)),
+    ):
+        want = on_threads(monkeypatch, 1, kernel, *args)
+        assert_same(on_threads(monkeypatch, threads, kernel, *args), want)
+
+
+@pytest.mark.parametrize("threads", THREADS)
+def test_threaded_row_lookups_match_one_thread(monkeypatch, threads):
+    rng = np.random.default_rng(22)
+    n, width = 400, 8
+    nbr = random_adjacency(rng, n, width)
+    leech = np.flatnonzero(rng.random(n) < 0.8)
+    row_of = np.full(n, -1, dtype=np.int64)
+    row_of[leech] = np.arange(leech.size)
+    filled = np.argwhere(nbr >= 0)
+    pairs = np.sort(np.column_stack([filled[:, 0], nbr[nbr >= 0]]), axis=1)
+    pairs = pairs[rng.random(len(pairs)) < 0.5]
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[rng.permutation(n)[: n // 7]] = True
+    for kernel, args in (
+        (partner_cells, (nbr[leech], row_of, pairs)),
+        (entries_in, (nbr, mask)),
+    ):
+        want = on_threads(monkeypatch, 1, kernel, *args)
+        assert want[0].size > 50
+        assert_same(on_threads(monkeypatch, threads, kernel, *args), want)
+
+
+@pytest.mark.parametrize("threads", THREADS)
+def test_threaded_remove_row_entries_matches_one_thread(monkeypatch, threads):
+    rng = np.random.default_rng(23)
+    n, width = 400, 8
+    nbr = random_adjacency(rng, n, width)
+    rows = [row[row >= 0].tolist() for row in nbr]
+    gone = np.zeros(n + 1, dtype=bool)
+    gone[rng.permutation(n)[: n // 3]] = True
+    holders = doomed_holders(rows, range(n), gone)
+    stores = []
+    for count in (1, threads):
+        store = store_with_rows(rows, width)
+        on_threads(monkeypatch, count, store.remove_row_entries, holders, gone)
+        stores.append(store)
+    np.testing.assert_array_equal(stores[1].nbr, stores[0].nbr)
+    np.testing.assert_array_equal(stores[1].nbr_deg, stores[0].nbr_deg)
+    assert_rows(stores[1], scalar_remove(rows, set(range(n)), gone), width)
+
+
+@pytest.mark.parametrize("threads", THREADS)
+@pytest.mark.parametrize("policy", ["rarest", "strict-rarest", "random"])
+def test_threaded_select_pieces_matches_one_thread(
+    monkeypatch, threads, policy
+):
+    """Piece choice draws one uniform per transfer before its blocks
+    run, so the picks and the generator's state after the call do not
+    depend on the thread count."""
+    config = SimConfig(
+        num_pieces=40,
+        max_conns=3,
+        ns_size=8,
+        initial_leechers=300,
+        initial_distribution="uniform",
+        initial_fill=0.4,
+        num_seeds=3,
+        piece_selection=policy,
+        random_first_cutoff=12,
+        max_time=3.0,
+        seed=4,
+    )
+    swarm = SoaSwarm(config)
+    swarm.run()
+    rng = np.random.default_rng(5)
+    recv = rng.integers(0, swarm.store.capacity, 2_000)
+    send = rng.integers(0, swarm.store.capacity, 2_000)
+    picks, states = [], []
+    for count in (1, threads):
+        swarm.rng = np.random.default_rng(6)
+        picks.append(on_threads(
+            monkeypatch, count, swarm._select_pieces, recv, send
+        ))
+        states.append(swarm.rng.bit_generator.state)
+    assert (picks[0] >= 0).sum() > 1_000
+    np.testing.assert_array_equal(picks[1], picks[0])
+    assert states[1] == states[0]
+
+
+def test_pre_drawn_weighted_pick_rows_equals_per_block_draws():
+    """One draw of a uniform per row, taken before the blocks, yields
+    the picks that one draw per block used to."""
+    rng = np.random.default_rng(24)
+    weights = rng.random((1_000, 7)) * (rng.random((1_000, 7)) < 0.6)
+    one = np.random.default_rng(9)
+    whole = weighted_pick_rows(weights, one.random(weights.shape[0]))
+    per_block = np.random.default_rng(9)
+    blocks = np.concatenate([
+        weighted_pick_rows(
+            weights[lo:lo + 64], per_block.random(weights[lo:lo + 64].shape[0])
+        )
+        for lo in range(0, weights.shape[0], 64)
+    ])
+    np.testing.assert_array_equal(whole, blocks)
+    assert one.bit_generator.state == per_block.bit_generator.state
+
+
+def test_an_error_in_a_threaded_block_propagates(monkeypatch):
+    """A block that raises on a helper thread fails the kernel call, and
+    the call still joins every thread it started."""
+    monkeypatch.setattr(soa_module, "_THREADS", 3)
+    before = threading.active_count()
+    seen = []
+
+    def kernel(lo, hi):
+        seen.append(lo)
+        if lo == 40:
+            raise ValueError("block 40")
+        return lo
+
+    with pytest.raises(ValueError, match="block 40"):
+        soa_module._blocks(100, soa_module._CHUNK_CELLS // 10, kernel)
+    assert sorted(seen) == list(range(0, 100, 10))
+    assert threading.active_count() == before
+    assert soa_module._blocks(
+        100, soa_module._CHUNK_CELLS // 10, lambda lo, hi: (lo, hi)
+    ) == [(lo, lo + 10) for lo in range(0, 100, 10)]
+
+
+@pytest.mark.parametrize("threads", THREADS)
+def test_threaded_remove_row_entries_still_refuses_one_sided_relations(
+    monkeypatch, threads
+):
+    monkeypatch.setattr(soa_module, "_CHUNK_CELLS", 3)  # one row a block
+    monkeypatch.setattr(soa_module, "_THREADS", threads)
+    store = store_with_rows([[1, 2], [0], [0], [1], [2, 0]], width=3)
+    # Row 0 is named for slot 0, but does not hold it.
+    with pytest.raises(SimulationError, match=r"lost 3 .*expected 4"):
+        store.remove_row_entries(
+            np.array([0, 1, 2, 4], dtype=np.int64), gone_mask(store, [0])
+        )
