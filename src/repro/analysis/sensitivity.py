@@ -21,9 +21,8 @@ from typing import List, Optional, Sequence
 
 
 from repro.analysis.reporting import format_table
-from repro.core.chain import DownloadChain
+from repro.api import solve
 from repro.core.parameters import ModelParameters
-from repro.core.timeline import _mean_timeline
 from repro.errors import ParameterError
 
 __all__ = ["SensitivityPoint", "SensitivityReport", "sensitivity_analysis"]
@@ -102,8 +101,8 @@ def _vary(params: ModelParameters, name: str, factor: float) -> ModelParameters:
 
 
 def _expected_time(params: ModelParameters, runs: int, seed: int) -> float:
-    chain = DownloadChain(params)
-    return _mean_timeline(chain, runs=runs, seed=seed).total_download_time()
+    timeline = solve(params, "timeline", "batch", runs=runs, seed=seed).payload
+    return timeline.total_download_time()
 
 
 def sensitivity_analysis(

@@ -261,20 +261,14 @@ _QUANTITY_ALIASES = {
     "distribution": Quantity.TRANSIENT,
 }
 
+_ENGINES = (Method.EXACT, Method.BATCH, Method.MEANFIELD)
+
 #: Methods each quantity accepts (AUTO resolves before dispatch).
 _ALLOWED_METHODS = {
-    Quantity.POTENTIAL_RATIO: (
-        Method.EXACT, Method.BATCH, Method.SERIAL, Method.MEANFIELD,
-    ),
-    Quantity.TIMELINE: (
-        Method.EXACT, Method.BATCH, Method.SERIAL, Method.MEANFIELD,
-    ),
-    Quantity.DOWNLOAD_TIME: (
-        Method.EXACT, Method.BATCH, Method.SERIAL, Method.MEANFIELD,
-    ),
-    Quantity.PHASES: (
-        Method.EXACT, Method.BATCH, Method.SERIAL, Method.MEANFIELD,
-    ),
+    Quantity.POTENTIAL_RATIO: _ENGINES,
+    Quantity.TIMELINE: _ENGINES,
+    Quantity.DOWNLOAD_TIME: _ENGINES,
+    Quantity.PHASES: _ENGINES,
     Quantity.TRANSIENT: (Method.EXACT,),
 }
 
@@ -286,7 +280,7 @@ class DownloadTimeResult:
     Attributes:
         mean / std / variance: download-time moments; exact for
             ``method="exact"`` (``runs == 0``), sample moments for the
-            Monte-Carlo methods.
+            batch sampler.
         runs: trajectories sampled (0 = exact).
         method: the engine that produced the numbers.
     """
@@ -335,7 +329,7 @@ class Query:
         )
         if method is Method.AUTO:
             method = _resolve_auto(params, quantity, options)
-            if method in (Method.BATCH, Method.SERIAL, Method.MEANFIELD):
+            if method is not Method.EXACT:
                 # max_states steered the auto cutoff; the non-exact
                 # engines have no use for it, so it leaves the
                 # canonical query.
@@ -455,7 +449,7 @@ _MEANFIELD_OPTIONS = frozenset(
 def _option_names(quantity: Quantity, method: Method) -> frozenset:
     if quantity is Quantity.TRANSIENT:
         return _TRANSIENT_OPTIONS
-    if method in (Method.BATCH, Method.SERIAL):
+    if method is Method.BATCH:
         return _MC_OPTIONS
     if method is Method.MEANFIELD:
         return _MEANFIELD_OPTIONS
@@ -613,15 +607,12 @@ def _ratio_exact(params: ModelParams, cache: KernelCache, opts: dict):
     return payload, {"transient_states": operator.num_states}
 
 
-def _ratio_mc(batch: bool):
-    def handler(params: ModelParams, cache: KernelCache, opts: dict):
-        runs = opts.get("runs", 64)
-        payload = potential_ratio_by_pieces(
-            cache.chain(params), runs=runs, seed=opts.get("seed"), batch=batch,
-        )
-        return payload, {"runs": runs}
-
-    return handler
+def _ratio_batch(params: ModelParams, cache: KernelCache, opts: dict):
+    runs = opts.get("runs", 64)
+    payload = potential_ratio_by_pieces(
+        cache.chain(params), runs=runs, seed=opts.get("seed")
+    )
+    return payload, {"runs": runs}
 
 
 def _timeline_exact(params: ModelParams, cache: KernelCache, opts: dict):
@@ -635,15 +626,10 @@ def _timeline_exact(params: ModelParams, cache: KernelCache, opts: dict):
     return payload, {"transient_states": operator.num_states}
 
 
-def _timeline_mc(batch: bool):
-    def handler(params: ModelParams, cache: KernelCache, opts: dict):
-        runs = opts.get("runs", 64)
-        payload = _mean_timeline(
-            cache.chain(params), runs=runs, seed=opts.get("seed"), batch=batch,
-        )
-        return payload, {"runs": runs}
-
-    return handler
+def _timeline_batch(params: ModelParams, cache: KernelCache, opts: dict):
+    runs = opts.get("runs", 64)
+    payload = _mean_timeline(cache.chain(params), runs=runs, seed=opts.get("seed"))
+    return payload, {"runs": runs}
 
 
 def _download_time_exact(params: ModelParams, cache: KernelCache, opts: dict):
@@ -658,37 +644,43 @@ def _download_time_exact(params: ModelParams, cache: KernelCache, opts: dict):
     return payload, {"transient_states": operator.num_states}
 
 
-def _download_time_mc(batch: bool, label: str):
-    def handler(params: ModelParams, cache: KernelCache, opts: dict):
-        runs = opts.get("runs", 64)
-        timeline = _mean_timeline(
-            cache.chain(params), runs=runs, seed=opts.get("seed"), batch=batch,
-        )
-        std = float(timeline.std_steps[-1])
-        payload = DownloadTimeResult(
-            mean=float(timeline.mean_steps[-1]),
-            std=std,
-            variance=std * std,
-            runs=runs,
-            method=label,
-        )
-        return payload, {"runs": runs}
-
-    return handler
+def _download_time_batch(params: ModelParams, cache: KernelCache, opts: dict):
+    timeline, stats = _timeline_batch(params, cache, opts)
+    std = float(timeline.std_steps[-1])
+    payload = DownloadTimeResult(
+        mean=float(timeline.mean_steps[-1]),
+        std=std,
+        variance=std * std,
+        runs=timeline.runs,
+        method="batch",
+    )
+    return payload, stats
 
 
-def _phases(method: Method):
-    def handler(params: ModelParams, cache: KernelCache, opts: dict):
-        runs = opts.get("runs", 64)
-        payload = phase_duration_statistics(
-            cache.chain(params),
-            runs=runs,
-            seed=opts.get("seed"),
-            method=method,
-        )
-        return payload, {"runs": payload.runs}
+def _expected_phases(phase_rounds: Mapping[Any, float]) -> PhaseStatistics:
+    """Phase statistics of a noise-free engine: exact means, NaN spread."""
+    mean = {phase: float(value) for phase, value in phase_rounds.items()}
+    total = sum(mean.values()) or 1.0
+    return PhaseStatistics(
+        mean=mean,
+        std={phase: float("nan") for phase in mean},
+        occupancy={phase: value / total for phase, value in mean.items()},
+        runs=0,
+    )
 
-    return handler
+
+def _phases_exact(params: ModelParams, cache: KernelCache, opts: dict):
+    operator, solution = _operator_solution(params, cache, opts)
+    payload = _expected_phases(solution.phase_rounds)
+    return payload, {"transient_states": operator.num_states}
+
+
+def _phases_batch(params: ModelParams, cache: KernelCache, opts: dict):
+    runs = opts.get("runs", 64)
+    payload = phase_duration_statistics(
+        cache.chain(params), runs=runs, seed=opts.get("seed")
+    )
+    return payload, {"runs": runs}
 
 
 def _meanfield_solution(params: ModelParams, cache: KernelCache, opts: dict):
@@ -754,15 +746,7 @@ def _download_time_meanfield(
 
 def _phases_meanfield(params: ModelParams, cache: KernelCache, opts: dict):
     solution, stats = _meanfield_solution(params, cache, opts)
-    mean = dict(solution.phase_rounds)
-    total = sum(mean.values()) or 1.0
-    payload = PhaseStatistics(
-        mean=mean,
-        std={phase: float("nan") for phase in mean},
-        occupancy={phase: value / total for phase, value in mean.items()},
-        runs=0,
-    )
-    return payload, stats
+    return _expected_phases(solution.phase_rounds), stats
 
 
 def _transient(params: ModelParams, cache: KernelCache, opts: dict):
@@ -778,20 +762,16 @@ def _transient(params: ModelParams, cache: KernelCache, opts: dict):
 #: The dispatch table: one cell per supported (quantity, method) pair.
 _DISPATCH = {
     (Quantity.POTENTIAL_RATIO, Method.EXACT): _ratio_exact,
-    (Quantity.POTENTIAL_RATIO, Method.BATCH): _ratio_mc(batch=True),
-    (Quantity.POTENTIAL_RATIO, Method.SERIAL): _ratio_mc(batch=False),
+    (Quantity.POTENTIAL_RATIO, Method.BATCH): _ratio_batch,
     (Quantity.POTENTIAL_RATIO, Method.MEANFIELD): _ratio_meanfield,
     (Quantity.TIMELINE, Method.EXACT): _timeline_exact,
-    (Quantity.TIMELINE, Method.BATCH): _timeline_mc(batch=True),
-    (Quantity.TIMELINE, Method.SERIAL): _timeline_mc(batch=False),
+    (Quantity.TIMELINE, Method.BATCH): _timeline_batch,
     (Quantity.TIMELINE, Method.MEANFIELD): _timeline_meanfield,
     (Quantity.DOWNLOAD_TIME, Method.EXACT): _download_time_exact,
-    (Quantity.DOWNLOAD_TIME, Method.BATCH): _download_time_mc(True, "batch"),
-    (Quantity.DOWNLOAD_TIME, Method.SERIAL): _download_time_mc(False, "serial"),
+    (Quantity.DOWNLOAD_TIME, Method.BATCH): _download_time_batch,
     (Quantity.DOWNLOAD_TIME, Method.MEANFIELD): _download_time_meanfield,
-    (Quantity.PHASES, Method.EXACT): _phases(Method.EXACT),
-    (Quantity.PHASES, Method.BATCH): _phases(Method.BATCH),
-    (Quantity.PHASES, Method.SERIAL): _phases(Method.SERIAL),
+    (Quantity.PHASES, Method.EXACT): _phases_exact,
+    (Quantity.PHASES, Method.BATCH): _phases_batch,
     (Quantity.PHASES, Method.MEANFIELD): _phases_meanfield,
     (Quantity.TRANSIENT, Method.EXACT): _transient,
 }
@@ -858,7 +838,7 @@ def solve(
         cache: the :class:`~repro.runtime.cache.KernelCache` to resolve
             chains/operators through (default: the process-shared one).
         **options: per-engine knobs — ``runs``/``seed`` for the
-            Monte-Carlo methods, ``drop_tol``/``max_states`` for the
+            batch sampler, ``drop_tol``/``max_states`` for the
             sparse engine, ``horizon`` for ``transient``,
             ``rtol``/``atol``/``drain_tol``/``max_rounds``/``swarm_size``
             for the mean-field ODE backend.  Unknown options and

@@ -80,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "estimator for experiments with a method switch: 'exact' "
             "(alias 'sparse'; fundamental-matrix solve, noise-free), "
-            "'batch' (vectorized Monte Carlo), 'serial' (alias "
-            "'monte-carlo'; per-trajectory Monte Carlo), or 'meanfield' "
+            "'batch' (vectorized Monte Carlo), or 'meanfield' "
             "(alias 'mean-field', 'ode'; deterministic large-swarm ODE "
             "limit); unknown values list the valid choices"
         ),
@@ -346,17 +345,11 @@ def _command_run(
     params = inspect.signature(spec.runner).parameters
     if method is not None:
         if "method" in params:
-            from repro.core.methods import Method
+            from repro.experiments.common import resolve_model_method
 
             # Validate up front so a typo fails with the valid choices
             # listed, before any experiment work starts.
-            kwargs["method"] = Method.parse(
-                method,
-                allowed=(
-                    Method.EXACT, Method.BATCH, Method.SERIAL,
-                    Method.MEANFIELD,
-                ),
-            ).value
+            kwargs["method"] = resolve_model_method(method).value
         else:
             print(
                 f"note: {experiment} has no method switch; "

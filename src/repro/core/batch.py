@@ -22,11 +22,14 @@ recorded as ``(T + 1, runs)`` history matrices from which the Figure-1
 estimators (first-passage timeline, potential ratio, phase durations)
 are computed by vectorized post-processing.
 
-The batch path draws the *same distributions* as the serial path but in
-a different RNG order (two pooled draws per round instead of two draws
-per run per round), so batched estimates differ from serial estimates
-by Monte-Carlo noise only — ``tests/core/test_batch.py`` pins both
-against the exact absorbing-chain solver.
+The batch path draws the *same distributions* as
+:meth:`~repro.core.chain.DownloadChain.trajectory` but in a different
+RNG order (two pooled draws per round instead of two draws per run per
+round).  It is the one Monte-Carlo estimator behind ``solve()``;
+``tests/core/test_batch.py`` pins it against the exact absorbing-chain
+solver and re-derives its statistics from its own trajectories with the
+per-state phase classifier and pooling.  Its histories cost
+``O(runs · T_max)`` memory, ``T_max`` being the longest trajectory.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class BatchTrajectories:
             (row 0 is the initial state).  Rows past a run's completion
             repeat its final state (``b == B``).
         steps: per-run rounds to completion — run ``r``'s trajectory is
-            ``rows 0 .. steps[r]`` inclusive, matching the serial
+            ``rows 0 .. steps[r]`` inclusive, matching the
             :meth:`~repro.core.chain.DownloadChain.trajectory` contract
             (length minus one is the download time).
     """
@@ -98,8 +101,7 @@ class BatchTrajectories:
         """Pooled ``i / s`` accumulators per piece count.
 
         Returns ``(sums, counts)`` over every state of every
-        trajectory — including the initial and final states, exactly
-        like the serial estimator's pooling.
+        trajectory — including the initial and final states.
         """
         num_pieces = self.params.num_pieces
         s = self.params.ns_size
@@ -217,8 +219,8 @@ class BatchChainSampler:
         Raises:
             SimulationError: if any run exceeds ``max_steps`` (default
                 ``MAX_STEPS_FACTOR * B``) without completing, indicating
-                starvation parameters — the same guard as the serial
-                path.
+                starvation parameters — the same guard as
+                :meth:`~repro.core.chain.DownloadChain.trajectory`.
         """
         if runs < 1:
             raise ParameterError(f"runs must be >= 1, got {runs}")

@@ -17,7 +17,7 @@ lengths are directly comparable with the simulator's round counter
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -137,21 +137,11 @@ class DownloadChain:
             traj.append(state)
         return traj
 
-    def sample_trajectories(
-        self, count: int, *, seed: Optional[int] = None
-    ) -> Iterator[List[State]]:
-        """Yield ``count`` independent trajectories from one seeded stream."""
-        if count < 1:
-            raise ParameterError(f"count must be >= 1, got {count}")
-        rng = np.random.default_rng(seed)
-        for _ in range(count):
-            yield self.trajectory(rng=rng)
-
     def batch_sampler(self) -> "BatchChainSampler":
         """A vectorized sampler sharing this chain's cached kernel.
 
         See :class:`repro.core.batch.BatchChainSampler` — it advances
-        all runs simultaneously and is the default engine behind the
+        all runs simultaneously and is the Monte Carlo engine behind the
         Figure-1 estimators in :mod:`repro.core.timeline`.
         """
         from repro.core.batch import BatchChainSampler

@@ -1,11 +1,9 @@
 """The unified solver-method vocabulary.
 
-Three method vocabularies grew up independently across the codebase:
-the figure runners accepted ``exact`` / ``batch`` / ``serial`` (with a
-``monte-carlo`` alias), the exact layer accepted ``sparse``, and
-:func:`repro.core.timeline.phase_duration_statistics` accepted
-``batch`` / ``serial`` / ``exact``.  :class:`Method` is the single enum
-behind all of them; the old spellings survive as aliases.
+:class:`Method` is the one enum behind every entry point that picks a
+model engine: ``solve()``, the figure runners, ``repro-bt run
+--method`` and the query service.  Alternative spellings survive as
+aliases.
 
 ================  ====================================================
 ``AUTO``          pick for the caller: exact when the transient space
@@ -13,9 +11,8 @@ behind all of them; the old spellings survive as aliases.
                   mid band, mean-field far above it
 ``EXACT``         sparse fundamental-matrix / CSR propagation engine
                   (aliases: ``sparse``, ``fundamental``)
-``BATCH``         vectorized Monte Carlo on the batch sampler
-``SERIAL``        per-trajectory Monte Carlo
-                  (aliases: ``monte-carlo``, ``montecarlo``)
+``BATCH``         vectorized Monte Carlo on the batch sampler, the one
+                  Monte Carlo estimator
 ``MEANFIELD``     deterministic large-swarm ODE limit
                   (aliases: ``mean-field``, ``ode``)
 ================  ====================================================
@@ -46,7 +43,6 @@ class Method(str, enum.Enum):
     AUTO = "auto"
     EXACT = "exact"
     BATCH = "batch"
-    SERIAL = "serial"
     MEANFIELD = "meanfield"
 
     def __str__(self) -> str:  # "exact", not "Method.EXACT"
@@ -133,8 +129,6 @@ class Method(str, enum.Enum):
 METHOD_ALIASES = {
     "sparse": Method.EXACT,
     "fundamental": Method.EXACT,
-    "monte-carlo": Method.SERIAL,
-    "montecarlo": Method.SERIAL,
     "mean-field": Method.MEANFIELD,
     "ode": Method.MEANFIELD,
 }

@@ -6,19 +6,16 @@ These produce the two model-side series of the paper's Figure 1:
   the number of downloaded pieces ``b`` (Figure 1(a));
 * the expected first-passage time (in piece-exchange rounds) to each
   piece count ``b`` (Figure 1(b)), which
-  ``solve(params, "timeline", method="batch"|"serial")`` answers.
+  ``solve(params, "timeline", method="batch")`` answers.
 
-Both are Monte-Carlo estimators over independent chain trajectories.
-By default they run on the vectorized
-:class:`~repro.core.batch.BatchChainSampler` fast path, which advances
-all ``runs`` trajectories simultaneously; ``batch=False`` restores the
-serial per-trajectory loop (same distribution, different RNG order —
-the two paths produce statistically equivalent, not bit-identical,
-estimates).  ``phase_duration_statistics(..., method="exact")``
-bypasses sampling entirely: it reads the phase occupancies off the
-compiled sparse operator's fundamental-matrix solve
-(:mod:`repro.core.sparse`), which handles the paper-scale state space
-directly.
+Both are Monte-Carlo estimators over independent chain trajectories,
+sampled on the vectorized
+:class:`~repro.core.batch.BatchChainSampler`, which advances all
+``runs`` trajectories simultaneously (memory ``O(runs · T_max)`` for
+the longest trajectory ``T_max``).
+The noise-free answers to the same questions come from
+``solve(params, quantity, "exact")`` (the compiled sparse operator's
+fundamental-matrix solve, :mod:`repro.core.sparse`) and ``"meanfield"``.
 """
 
 from __future__ import annotations
@@ -30,9 +27,7 @@ import numpy as np
 
 from repro.core.batch import BatchChainSampler
 from repro.core.chain import DownloadChain
-from repro.core.methods import Method
-from repro.core.phases import Phase, phase_durations
-from repro.errors import ParameterError
+from repro.core.phases import Phase
 
 __all__ = [
     "TimelineResult",
@@ -87,45 +82,18 @@ def _mean_timeline(
     *,
     runs: int = 64,
     seed: Optional[int] = None,
-    batch: bool = True,
 ) -> TimelineResult:
     """Monte-Carlo estimate of first-passage rounds to each piece count.
 
     Piece counts can advance by more than one per round (``n`` pieces
     arrive in parallel), so "first passage to ``b``" means the first
     round at which the peer holds *at least* ``b`` pieces.
-
-    Args:
-        batch: step all runs simultaneously on the vectorized
-            :class:`~repro.core.batch.BatchChainSampler` (default);
-            ``False`` keeps the serial per-trajectory loop (same
-            distribution, different RNG consumption order).
     """
-    if runs < 1:
-        raise ParameterError(f"runs must be >= 1, got {runs}")
-    num_pieces = chain.params.num_pieces
-    if batch:
-        hits = BatchChainSampler(chain).sample(runs, seed=seed).first_passage()
-    else:
-        hits = np.zeros((runs, num_pieces + 1))
-        rng = np.random.default_rng(seed)
-        for run in range(runs):
-            traj = chain.trajectory(rng=rng)
-            first = np.full(num_pieces + 1, -1.0)
-            for step, state in enumerate(traj):
-                b = state.b
-                # Record first passage for every count newly reached.
-                lower = 0 if step == 0 else traj[step - 1].b + 1
-                for reached in range(lower, b + 1):
-                    if first[reached] < 0:
-                        first[reached] = step
-            hits[run] = first
-    mean = hits.mean(axis=0)
-    std = hits.std(axis=0)
+    hits = BatchChainSampler(chain).sample(runs, seed=seed).first_passage()
     return TimelineResult(
-        pieces=np.arange(num_pieces + 1),
-        mean_steps=mean,
-        std_steps=std,
+        pieces=np.arange(chain.params.num_pieces + 1),
+        mean_steps=hits.mean(axis=0),
+        std_steps=hits.std(axis=0),
         runs=runs,
     )
 
@@ -135,38 +103,19 @@ def potential_ratio_by_pieces(
     *,
     runs: int = 64,
     seed: Optional[int] = None,
-    batch: bool = True,
 ) -> PotentialRatioResult:
     """Monte-Carlo estimate of E[ i / s | b ] (paper Figure 1(a)).
 
     For each trajectory, every round spent holding exactly ``b`` pieces
     contributes one sample of ``i / s``; samples are pooled across runs.
-
-    Args:
-        batch: use the vectorized batch sampler (default); ``False``
-            keeps the serial per-trajectory loop.
     """
-    if runs < 1:
-        raise ParameterError(f"runs must be >= 1, got {runs}")
-    num_pieces = chain.params.num_pieces
-    s = chain.params.ns_size
-    if batch:
-        sums, counts = (
-            BatchChainSampler(chain).sample(runs, seed=seed)
-            .potential_accumulators()
-        )
-    else:
-        sums = np.zeros(num_pieces + 1)
-        counts = np.zeros(num_pieces + 1)
-        rng = np.random.default_rng(seed)
-        for _ in range(runs):
-            for state in chain.trajectory(rng=rng):
-                sums[state.b] += state.i / s
-                counts[state.b] += 1
+    sums, counts = (
+        BatchChainSampler(chain).sample(runs, seed=seed).potential_accumulators()
+    )
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return PotentialRatioResult(
-        pieces=np.arange(num_pieces + 1),
+        pieces=np.arange(chain.params.num_pieces + 1),
         ratio=ratio,
         observations=counts,
     )
@@ -180,9 +129,10 @@ class PhaseStatistics:
         mean / std: expected rounds (and spread) per phase.
         occupancy: fraction of the total download spent per phase.
         runs: trajectories averaged; 0 means the statistics came from
-            the exact fundamental-matrix solve (``method="exact"``), in
-            which case ``std`` entries are NaN (the solve yields the
-            exact means directly, not a sampling spread).
+            a noise-free engine (``solve()``'s ``exact`` or
+            ``meanfield`` cell), in which case ``std`` entries are NaN
+            (the engine yields the means directly, not a sampling
+            spread).
     """
 
     mean: Dict[Phase, float]
@@ -200,61 +150,16 @@ def phase_duration_statistics(
     *,
     runs: int = 64,
     seed: Optional[int] = None,
-    batch: bool = True,
-    method: Optional[str] = None,
 ) -> PhaseStatistics:
-    """Expected rounds per phase (paper Section 3.2).
+    """Expected rounds per phase (paper Section 3.2), sampled.
 
     Quantifies the paper's Section-3.2 narrative: for realistic peer
     sets the efficient/trading phase dominates ("most of the pieces are
     downloaded in this phase"), while small neighbor sets inflate the
-    bootstrap and last phases.
-
-    Args:
-        batch: use the vectorized batch sampler (default); ``False``
-            keeps the serial per-trajectory loop.  Ignored when
-            ``method`` is given explicitly.
-        method: ``"batch"`` / ``"serial"`` (alias ``"monte-carlo"``)
-            select the Monte-Carlo paths (defaulting from ``batch``);
-            ``"exact"`` reads the expected phase occupancies off the
-            sparse fundamental-matrix solve — no sampling,
-            ``runs``/``seed`` ignored, result has ``runs == 0`` and NaN
-            ``std``.
+    bootstrap and last phases.  ``solve(params, "phases", "exact")``
+    gives the noise-free expected rounds.
     """
-    phases = (Phase.BOOTSTRAP, Phase.EFFICIENT, Phase.LAST)
-    method = Method.parse(
-        method,
-        allowed=(Method.BATCH, Method.SERIAL, Method.EXACT),
-        default=Method.BATCH if batch else Method.SERIAL,
-    )
-    if method is Method.EXACT:
-        solution = chain.kernel.sparse_operator().solution()
-        mean = {
-            phase: float(solution.phase_rounds[phase]) for phase in phases
-        }
-        total = sum(mean.values()) or 1.0
-        return PhaseStatistics(
-            mean=mean,
-            std={phase: float("nan") for phase in phases},
-            occupancy={phase: mean[phase] / total for phase in phases},
-            runs=0,
-        )
-    if runs < 1:
-        raise ParameterError(f"runs must be >= 1, got {runs}")
-    if method is Method.BATCH:
-        arrays = BatchChainSampler(chain).sample(runs, seed=seed).phase_durations()
-    else:
-        samples: Dict[Phase, list] = {phase: [] for phase in phases}
-        rng = np.random.default_rng(seed)
-        for _ in range(runs):
-            durations = phase_durations(
-                chain.trajectory(rng=rng), chain.params.num_pieces
-            )
-            for phase in phases:
-                samples[phase].append(durations[phase])
-        arrays = {
-            phase: np.asarray(samples[phase], dtype=float) for phase in phases
-        }
+    arrays = BatchChainSampler(chain).sample(runs, seed=seed).phase_durations()
     totals = sum(arrays.values())
     total_mean = float(totals.mean()) or 1.0
     return PhaseStatistics(
@@ -265,4 +170,3 @@ def phase_duration_statistics(
         },
         runs=runs,
     )
-

@@ -2,16 +2,10 @@
 
 Every runner builds its parameters as canonical
 :class:`~repro.api.ModelParams`, resolves its ``method`` argument
-through the one :class:`~repro.core.methods.Method` vocabulary (with
-the historical aliases — ``"serial"``/``"monte-carlo"``,
-``"sparse"``/``"exact"`` — accepted everywhere), and constructs its
-executor through :func:`make_executor`, so checkpoint wiring and
-worker-count handling are identical across figures.
-
-The figure results keep their historical display labels
-(``"monte-carlo"``, not ``"serial"``) — :data:`MODEL_METHOD_LABELS`
-maps the canonical methods back to them, so goldens and downstream
-consumers see unchanged strings.
+through the one :class:`~repro.core.methods.Method` vocabulary (aliases
+such as ``"sparse"`` and ``"mean-field"`` are accepted everywhere), and
+constructs its executor through :func:`make_executor`, so checkpoint
+wiring and worker-count handling are identical across figures.
 """
 
 from __future__ import annotations
@@ -20,40 +14,39 @@ from typing import Union
 
 from repro.core.methods import Method
 from repro.runtime.executor import ExperimentExecutor
+from repro.runtime.seeding import derive_seed
 
 __all__ = [
-    "MODEL_METHOD_LABELS",
     "resolve_model_method",
+    "model_options",
     "make_executor",
     "checkpoint_interval",
 ]
 
-#: Canonical method -> the label figure results historically display.
-MODEL_METHOD_LABELS = {
-    Method.EXACT: "exact",
-    Method.BATCH: "batch",
-    Method.SERIAL: "monte-carlo",
-    Method.MEANFIELD: "meanfield",
-}
 
-
-def resolve_model_method(
-    method: Union[Method, str, None], *, default: Method
-) -> Method:
+def resolve_model_method(method: Union[Method, str]) -> Method:
     """Parse a runner's ``method`` argument into the unified vocabulary.
 
-    Accepts the canonical names
-    (``exact``/``batch``/``serial``/``meanfield``) plus the historical
-    aliases (``monte-carlo``, ``sparse``, ``mean-field``, ...);
-    ``None`` resolves to ``default``.  Unknown values raise an
+    Accepts ``exact``/``batch``/``meanfield`` plus their aliases
+    (``sparse``, ``mean-field``, ...).  Anything else raises an
     actionable :class:`~repro.errors.ParameterError` listing the valid
     choices.
     """
     return Method.parse(
-        method,
-        allowed=(Method.EXACT, Method.BATCH, Method.SERIAL, Method.MEANFIELD),
-        default=default,
+        method, allowed=(Method.EXACT, Method.BATCH, Method.MEANFIELD)
     )
+
+
+def model_options(method: Method, runs: int, seed: int, offset: int) -> dict:
+    """``solve()`` options of one parameter set's model task.
+
+    Only the batch sampler takes ``runs`` and ``seed``; its seed is
+    derived per parameter set (``derive_seed(seed, offset)``), so any
+    worker count reproduces the same curves.
+    """
+    if method is Method.BATCH:
+        return {"runs": runs, "seed": derive_seed(seed, offset)}
+    return {}
 
 
 def make_executor(

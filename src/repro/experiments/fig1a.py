@@ -7,13 +7,13 @@ downloaded pieces ``b``.  Paper setting: B = 200 pieces, PSS in
 near 1 around mid-download, a decline toward ~0.5 at the end; small PSS
 curves run lower/noisier and visit 0 (bootstrap/last phases occur).
 
-The default method is now ``"exact"``: the compiled sparse operator
+The default method is ``"exact"``: the compiled sparse operator
 (:mod:`repro.core.sparse`) computes the noise-free curve directly at
-paper scale, one fundamental-matrix solve per PSS.  The Monte-Carlo
-methods remain for cross-validation; their replications are independent
-tasks fanned out through the
-:class:`~repro.runtime.executor.ExperimentExecutor`, each deriving its
-own seed, so ``workers=4`` reproduces ``workers=1`` bit-for-bit.
+paper scale, one fundamental-matrix solve per PSS.  Each PSS is one
+:func:`~repro.runtime.tasks.solve_task` fanned out through the
+:class:`~repro.runtime.executor.ExperimentExecutor`; the batch sampler's
+seed is derived per PSS, so ``workers=4`` reproduces ``workers=1``
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -25,24 +25,17 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.api import ModelParams
-from repro.core.methods import Method
 from repro.core.parameters import ModelParameters
 from repro.errors import ParameterError
 from repro.experiments.common import (
-    MODEL_METHOD_LABELS,
     make_executor,
+    model_options,
     resolve_model_method,
 )
 from repro.experiments.registry import register_experiment
 from repro.experiments.result import to_jsonable
 from repro.runtime.executor import TaskSpec
-from repro.runtime.seeding import derive_seed
-from repro.runtime.tasks import (
-    batch_potential_ratio_task,
-    exact_potential_ratio_task,
-    meanfield_potential_ratio_task,
-    potential_ratio_task,
-)
+from repro.runtime.tasks import solve_task
 from repro.runtime.telemetry import Telemetry
 
 __all__ = ["Fig1aResult", "run_fig1a"]
@@ -58,7 +51,7 @@ class Fig1aResult:
             skipped by parallel arrivals).
         params: per PSS, the model parameters used.
         method: how the curves were computed (``"exact"``,
-            ``"monte-carlo"``, or ``"batch"``).
+            ``"batch"`` or ``"meanfield"``).
         timing: execution telemetry of the producing run.
     """
 
@@ -120,101 +113,50 @@ def run_fig1a(
         pss_values: neighbor-set sizes to sweep (paper: 5, 10, 25, 40).
         num_pieces: ``B`` (paper: 200).
         max_conns: ``k`` (paper: 7 — "more than k = 7 other peers").
-        runs: Monte-Carlo trajectories per PSS (``monte-carlo`` and
-            ``batch`` methods; ignored by ``exact``).
+        runs: Monte-Carlo trajectories per PSS (``batch`` only).
         alpha / gamma: bootstrap and last-phase escape probabilities.
         method: ``"exact"`` (default) reads the noise-free curve off the
             compiled sparse operator's fundamental-matrix solve — one
             deterministic task per PSS, paper scale included.
             ``"meanfield"`` reads it off the large-swarm ODE limit
             (also one deterministic task per PSS, milliseconds at any
-            scale).  ``"monte-carlo"`` (alias ``"serial"``; one
-            trajectory per task) and ``"batch"`` (one vectorized
-            :class:`~repro.core.batch.BatchChainSampler` task per PSS —
-            statistically equivalent, not bit-identical) remain as
-            sampling cross-checks.
+            scale).  ``"batch"`` samples ``runs`` trajectories per PSS
+            on the vectorized
+            :class:`~repro.core.batch.BatchChainSampler`, a sampling
+            cross-check.
         workers: executor process count; results are identical for any
-            value (replications are independently seeded).
+            value (each PSS is independently seeded).
     """
     if not pss_values:
         raise ParameterError("pss_values must be non-empty")
-    method = resolve_model_method(method, default=Method.EXACT)
+    method = resolve_model_method(method)
     executor = make_executor(workers=workers)
-    ratios: Dict[int, np.ndarray] = {}
-    params: Dict[int, ModelParameters] = {}
-    pieces = np.arange(num_pieces + 1)
-    for pss in pss_values:
-        params[pss] = ModelParams(
+    params: Dict[int, ModelParameters] = {
+        pss: ModelParams(
             num_pieces=num_pieces,
             max_conns=max_conns,
             ns_size=pss,
             alpha=alpha,
             gamma=gamma,
         )
-
-    if method is Method.EXACT:
-        tasks = [
-            TaskSpec(exact_potential_ratio_task, (params[pss],))
-            for pss in pss_values
-        ]
-        outcomes = executor.run(tasks)
-        for offset, pss in enumerate(pss_values):
-            ratio, states = outcomes[offset]
-            executor.record_events(states)
-            ratios[pss] = ratio
-    elif method is Method.MEANFIELD:
-        tasks = [
-            TaskSpec(meanfield_potential_ratio_task, (params[pss],))
-            for pss in pss_values
-        ]
-        outcomes = executor.run(tasks)
-        for offset, pss in enumerate(pss_values):
-            ratio, evals = outcomes[offset]
-            executor.record_events(evals)
-            ratios[pss] = ratio
-    elif method is Method.BATCH:
-        tasks = [
-            TaskSpec(
-                batch_potential_ratio_task,
-                (params[pss], derive_seed(seed, offset), runs),
-            )
-            for offset, pss in enumerate(pss_values)
-        ]
-        outcomes = executor.run(tasks)
-        for offset, pss in enumerate(pss_values):
-            sums, counts, steps = outcomes[offset]
-            executor.record_events(steps)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratios[pss] = np.where(
-                    counts > 0, sums / np.maximum(counts, 1), np.nan
-                )
-    else:
-        tasks = [
-            TaskSpec(
-                potential_ratio_task,
-                (params[pss], derive_seed(seed, offset, run)),
-            )
-            for offset, pss in enumerate(pss_values)
-            for run in range(runs)
-        ]
-        outcomes = executor.run(tasks)
-        for offset, pss in enumerate(pss_values):
-            sums = np.zeros(num_pieces + 1)
-            counts = np.zeros(num_pieces + 1)
-            for run_sums, run_counts, steps in outcomes[
-                offset * runs : (offset + 1) * runs
-            ]:
-                sums += run_sums
-                counts += run_counts
-                executor.record_events(steps)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratios[pss] = np.where(
-                    counts > 0, sums / np.maximum(counts, 1), np.nan
-                )
+        for pss in pss_values
+    }
+    tasks = [
+        TaskSpec(
+            solve_task,
+            (params[pss], "potential_ratio", method),
+            model_options(method, runs, seed, offset),
+        )
+        for offset, pss in enumerate(pss_values)
+    ]
+    ratios: Dict[int, np.ndarray] = {}
+    for pss, (payload, work) in zip(pss_values, executor.run(tasks)):
+        executor.record_events(work)
+        ratios[pss] = payload.ratio
     return Fig1aResult(
-        pieces=pieces,
+        pieces=np.arange(num_pieces + 1),
         ratios=ratios,
         params=params,
-        method=MODEL_METHOD_LABELS[method],
+        method=method.value,
         timing=executor.telemetry,
     )

@@ -8,9 +8,10 @@ PSS = 5 runs much longer, with a bootstrap plateau at the start and a
 last-phase tail; the model tracks the simulation tightly for PSS = 50
 and looser (but with the same phases) for PSS = 5.
 
-Model replications and simulator instruments are independent executor
-tasks: the model fan shares one cached transition kernel per PSS, and
-the per-PSS swarm runs execute concurrently under ``workers > 1``.
+The model curve of each PSS (one
+:func:`~repro.runtime.tasks.solve_task`) and its simulator run are
+independent executor tasks, so the per-PSS solves and swarm runs
+execute concurrently under ``workers > 1``.
 """
 
 from __future__ import annotations
@@ -22,24 +23,17 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.api import ModelParams
-from repro.core.methods import Method
 from repro.core.parameters import ModelParameters, alpha_from_swarm
 from repro.errors import ParameterError
 from repro.experiments.common import (
-    MODEL_METHOD_LABELS,
     make_executor,
+    model_options,
     resolve_model_method,
 )
 from repro.experiments.registry import register_experiment
 from repro.experiments.result import to_jsonable
 from repro.runtime.executor import TaskSpec
-from repro.runtime.seeding import derive_seed
-from repro.runtime.tasks import (
-    batch_first_passage_task,
-    exact_first_passage_task,
-    first_passage_task,
-    meanfield_first_passage_task,
-)
+from repro.runtime.tasks import solve_task
 from repro.runtime.telemetry import Telemetry
 from repro.sim.config import SimConfig
 from repro.sim.swarm import Swarm
@@ -58,7 +52,7 @@ class Fig1bResult:
             (NaN where no instrumented peer reached that count).
         sim_completed: per PSS, how many instrumented peers finished.
         model_method: how the model curves were computed
-            (``"monte-carlo"``, ``"batch"``, or ``"exact"``).
+            (``"batch"``, ``"exact"`` or ``"meanfield"``).
         timing: execution telemetry of the producing run.
     """
 
@@ -66,7 +60,7 @@ class Fig1bResult:
     model: Dict[int, np.ndarray]
     sim: Dict[int, np.ndarray]
     sim_completed: Dict[int, int]
-    model_method: str = "monte-carlo"
+    model_method: str = "batch"
     timing: Optional[Telemetry] = field(default=None, compare=False)
 
     def format(self, *, max_rows: int = 21) -> str:
@@ -168,9 +162,8 @@ def run_fig1b(
     arrival_rate: float = 1.5,
     max_time: float = 800.0,
     workers: int = 1,
-    model_batch: bool = False,
     profile: bool = False,
-    method: Optional[str] = None,
+    method: str = "batch",
 ) -> Fig1bResult:
     """Reproduce Figure 1(b): model and simulation timelines per PSS.
 
@@ -181,28 +174,20 @@ def run_fig1b(
     swarm via the paper's formula ``alpha = lambda * w * s / N``.
 
     Args:
-        model_batch: sample all model replications per PSS on the
-            vectorized :class:`~repro.core.batch.BatchChainSampler`
-            (one task per PSS) instead of fanning one trajectory per
-            task.  Statistically equivalent, not bit-identical — the
-            default keeps the per-trajectory fan so existing goldens
-            hold.
+        model_runs: Monte-Carlo trajectories per PSS (``batch`` only).
         profile: run the swarms with a per-stage
             :class:`~repro.runtime.profiler.RoundProfiler` and fold the
             buckets into the returned telemetry (``--timing``).
-        method: model-curve method — ``"serial"``/``"monte-carlo"``
-            (per-trajectory fan, the default), ``"batch"`` (vectorized
-            sampler, defaulted to by ``model_batch=True``), ``"exact"``
+        method: model-curve method — ``"batch"`` (the default;
+            ``model_runs`` trajectories per PSS on the vectorized
+            :class:`~repro.core.batch.BatchChainSampler`), ``"exact"``
             (noise-free expected first-passage rounds from the sparse
-            fundamental-matrix solve; ``model_runs`` ignored), or
-            ``"meanfield"`` (deterministic large-swarm ODE limit, also
-            ``model_runs``-free).  The simulator side always samples.
+            fundamental-matrix solve) or ``"meanfield"`` (deterministic
+            large-swarm ODE limit).  The simulator side always samples.
     """
     if not pss_values:
         raise ParameterError("pss_values must be non-empty")
-    method = resolve_model_method(
-        method, default=Method.BATCH if model_batch else Method.SERIAL
-    )
+    method = resolve_model_method(method)
     pieces = np.arange(num_pieces + 1)
     executor = make_executor(workers=workers)
     model: Dict[int, np.ndarray] = {}
@@ -248,38 +233,17 @@ def run_fig1b(
             seed=seed + 1000 + offset,
         )
 
-    # One fan for everything: model tasks per PSS (one exact solve or
-    # one batched sampler task per PSS, else one task per trajectory),
-    # then one simulator run per PSS; the executor interleaves them
-    # freely but returns results in task order.
-    if method is Method.EXACT:
-        tasks = [
-            TaskSpec(exact_first_passage_task, (model_params[pss],))
-            for pss in pss_values
-        ]
-    elif method is Method.MEANFIELD:
-        tasks = [
-            TaskSpec(meanfield_first_passage_task, (model_params[pss],))
-            for pss in pss_values
-        ]
-    elif method is Method.BATCH:
-        tasks = [
-            TaskSpec(
-                batch_first_passage_task,
-                (model_params[pss], derive_seed(seed, offset), model_runs),
-            )
-            for offset, pss in enumerate(pss_values)
-        ]
-    else:
-        tasks = [
-            TaskSpec(
-                first_passage_task,
-                (model_params[pss], derive_seed(seed, offset, run)),
-            )
-            for offset, pss in enumerate(pss_values)
-            for run in range(model_runs)
-        ]
-    sim_task_base = len(tasks)
+    # One fan for everything: one model task per PSS, then one
+    # simulator run per PSS; the executor interleaves them freely but
+    # returns results in task order.
+    tasks = [
+        TaskSpec(
+            solve_task,
+            (model_params[pss], "timeline", method),
+            model_options(method, model_runs, seed, offset),
+        )
+        for offset, pss in enumerate(pss_values)
+    ]
     tasks += [
         TaskSpec(
             sim_timeline,
@@ -291,21 +255,10 @@ def run_fig1b(
     outcomes = executor.run(tasks)
 
     for offset, pss in enumerate(pss_values):
-        if method in (Method.EXACT, Method.MEANFIELD):
-            timeline, states = outcomes[offset]
-            executor.record_events(states)
-            model[pss] = timeline
-        elif method is Method.BATCH:
-            hits, steps = outcomes[offset]
-            executor.record_events(steps)
-            model[pss] = hits.mean(axis=0)
-        else:
-            runs = outcomes[offset * model_runs : (offset + 1) * model_runs]
-            hits = np.stack([first for first, _steps in runs])
-            for _first, steps in runs:
-                executor.record_events(steps)
-            model[pss] = hits.mean(axis=0)
-        mean, completed, events, round_profile = outcomes[sim_task_base + offset]
+        payload, work = outcomes[offset]
+        executor.record_events(work)
+        model[pss] = payload.mean_steps
+        mean, completed, events, round_profile = outcomes[len(pss_values) + offset]
         sim[pss] = mean
         sim_completed[pss] = completed
         executor.record_events(events)
@@ -316,6 +269,6 @@ def run_fig1b(
         model=model,
         sim=sim,
         sim_completed=sim_completed,
-        model_method=MODEL_METHOD_LABELS[method],
+        model_method=method.value,
         timing=executor.telemetry,
     )

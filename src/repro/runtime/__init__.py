@@ -33,7 +33,6 @@ from repro.runtime.cache import (
 )
 from repro.runtime.executor import ExperimentExecutor, TaskSpec
 from repro.runtime.seeding import SeedTree, derive_seed, seed_path
-from repro.runtime.tasks import first_passage_task, potential_ratio_task
 from repro.runtime.telemetry import TaskFailure, Telemetry
 
 __all__ = [
@@ -46,8 +45,6 @@ __all__ = [
     "SeedTree",
     "derive_seed",
     "seed_path",
-    "first_passage_task",
-    "potential_ratio_task",
     "TaskFailure",
     "Telemetry",
 ]

@@ -199,12 +199,14 @@ class TestHttpEndpoints:
         status, body = request(server.port, "POST", "/solve", bad)
         assert status == 400
         assert "unknown quantity" in body["error"]
-        for method in ("dict", "reference"):
+        for method in ("dict", "reference", "serial", "monte-carlo",
+                       "montecarlo"):
             status, body = request(
                 server.port, "POST", "/solve", dict(SOLVE_BODY, method=method)
             )
             assert status == 400
             assert f"unknown method {method!r}" in body["error"]
+            assert "valid choices: 'exact'" in body["error"]
 
     def test_invalid_json_maps_to_400(self, server):
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)

@@ -84,6 +84,26 @@ class TestVocabulary:
             assert "'exact'" in message and "'meanfield'" in message
             assert "'dict'" not in message.split(";", 1)[1]
 
+    @pytest.mark.parametrize("name", ["serial", "monte-carlo", "montecarlo"])
+    def test_retired_monte_carlo_names_rejected(self, params, name):
+        # The per-trajectory sampler is gone; the batch sampler is the
+        # one Monte Carlo estimator.  Its old names fail everywhere with
+        # the valid choices listed.
+        for call in (
+            lambda: Method.parse(name),
+            lambda: solve(params, "timeline", name, runs=4, seed=0),
+            lambda: Query.from_request(
+                {"params": params.to_dict(), "quantity": "timeline",
+                 "method": name}
+            ),
+        ):
+            with pytest.raises(ParameterError) as excinfo:
+                call()
+            message = str(excinfo.value)
+            assert f"unknown method {name!r}" in message
+            assert "'exact'" in message and "'batch'" in message
+            assert "'meanfield'" in message
+
     def test_unknown_option_lists_accepted(self, params):
         with pytest.raises(ParameterError) as excinfo:
             solve(params, "timeline", method="exact", runs=8)
@@ -96,7 +116,7 @@ class TestVocabulary:
             ("transient", "exact", {"horizon": 2.5}, "horizon"),
             ("download_time", "batch", {"runs": "x"}, "runs"),
             ("download_time", "batch", {"runs": 2.7}, "runs"),
-            ("timeline", "serial", {"seed": "s"}, "seed"),
+            ("timeline", "batch", {"seed": "s"}, "seed"),
             ("timeline", "exact", {"max_states": [1]}, "max_states"),
             ("timeline", "exact", {"drop_tol": "tiny"}, "drop_tol"),
             ("potential_ratio", "exact", {"warn_above": {}}, "warn_above"),
@@ -143,8 +163,8 @@ class TestQueryCacheKey:
     def test_method_quantity_and_options_distinguish(self, params):
         base = Query.make(params, "timeline", "batch", runs=8, seed=0)
         assert (
-            Query.make(params, "timeline", "serial", runs=8, seed=0).cache_key()
-            != base.cache_key()
+            Query.make(params, "timeline", "exact").cache_key()
+            != Query.make(params, "timeline", "meanfield").cache_key()
         )
         assert (
             Query.make(params, "timeline", "batch", runs=9, seed=0).cache_key()
@@ -263,11 +283,10 @@ class TestShimEquivalence:
         assert np.array_equal(old.expected_pieces, new.expected_pieces)
         assert old.pruned_mass == new.pruned_mass
 
-    @pytest.mark.parametrize("method, batch", [("batch", True), ("serial", False)])
-    def test_mean_timeline(self, params, cache, method, batch):
-        old = _mean_timeline(cache.chain(params), runs=8, seed=3, batch=batch)
+    def test_mean_timeline(self, params, cache):
+        old = _mean_timeline(cache.chain(params), runs=8, seed=3)
         new = solve(
-            params, "timeline", method, cache=cache, runs=8, seed=3
+            params, "timeline", "batch", cache=cache, runs=8, seed=3
         ).payload
         assert np.array_equal(old.mean_steps, new.mean_steps, equal_nan=True)
         assert np.array_equal(old.std_steps, new.std_steps, equal_nan=True)
@@ -281,10 +300,22 @@ class TestShimEquivalence:
         timeline = solve(params, "timeline", "exact", cache=cache).payload
         assert np.array_equal(old.timeline, timeline.mean_steps)
 
+    @pytest.mark.parametrize(
+        "quantity", ["potential_ratio", "timeline", "download_time", "phases"]
+    )
+    def test_exact_cells_honour_the_state_cap(self, params, cache, quantity):
+        # params has 280 transient states; every exact cell compiles
+        # through the same operator, so each refuses a cap of 100.
+        with pytest.raises(ParameterError, match="280 transient states"):
+            solve(params, quantity, "exact", cache=cache, max_states=100)
+
     def test_phases_matches_direct_call(self, params, cache):
-        direct = phase_duration_statistics(
-            cache.chain(params), method=Method.EXACT
-        )
-        via_solve = solve(params, "phases", "exact", cache=cache).payload
-        assert direct.mean == via_solve.mean
-        assert direct.occupancy == via_solve.occupancy
+        rounds = cache.sparse_operator(params).solution().phase_rounds
+        exact = solve(params, "phases", "exact", cache=cache).payload
+        assert exact.mean == rounds
+        assert sum(exact.occupancy.values()) == pytest.approx(1.0)
+        direct = phase_duration_statistics(cache.chain(params), runs=8, seed=3)
+        sampled = solve(
+            params, "phases", "batch", cache=cache, runs=8, seed=3
+        ).payload
+        assert direct == sampled

@@ -173,26 +173,6 @@ def test_phases(cell, cache):
     assert occupancy_total == pytest.approx(1.0)
 
 
-def test_serial_overlap_on_smallest_cell(cache):
-    """The per-trajectory sampler joins the overlap on the tiny cell.
-
-    Serial Monte Carlo is the slowest backend, so the four-way check
-    runs once, on the cheapest cell, rather than across the table.
-    """
-    cell = CELLS[0]
-    params = _params(cell)
-    runs = 128
-    exact = solve(params, "download_time", "exact", cache=cache).payload
-    field = solve(params, "download_time", "meanfield", cache=cache).payload
-    serial = solve(
-        params, "download_time", "serial",
-        cache=cache, runs=runs, seed=cell.seed,
-    ).payload
-    sem = serial.std / math.sqrt(runs)
-    assert abs(serial.mean - exact.mean) <= 3.0 * sem
-    assert abs(field.mean - serial.mean) <= 3.0 * sem
-
-
 @_cells()
 def test_meanfield_serializes_like_every_backend(cell, cache):
     """The service payload shape is method-independent."""

@@ -89,15 +89,6 @@ class TestTrajectory:
         with pytest.raises(SimulationError):
             starving.trajectory(seed=0, max_steps=500)
 
-    def test_sample_trajectories_count(self, chain):
-        trajectories = list(chain.sample_trajectories(5, seed=9))
-        assert len(trajectories) == 5
-        assert all(t[-1].b == chain.params.num_pieces for t in trajectories)
-
-    def test_sample_trajectories_invalid_count(self, chain):
-        with pytest.raises(ParameterError):
-            list(chain.sample_trajectories(0))
-
 
 class TestTransitionDistribution:
     def test_sums_to_one(self, chain):

@@ -214,7 +214,7 @@ class TestFundamentalSolution:
 
     def test_phase_statistics_exact_method(self):
         chain = DownloadChain(SMALL_PARAMS[0])
-        exact = phase_duration_statistics(chain, method="exact")
+        exact = solve(SMALL_PARAMS[0], "phases", "exact").payload
         assert exact.runs == 0
         assert all(np.isnan(v) for v in exact.std.values())
         assert sum(exact.occupancy.values()) == pytest.approx(1.0)

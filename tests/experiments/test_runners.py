@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.validation import efficiency_shape
+from repro.api import ModelParams, solve
+from repro.core.parameters import alpha_from_swarm
 from repro.experiments import (
     run_fig1a,
     run_fig1b,
@@ -18,6 +20,12 @@ from repro.experiments import (
 )
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.errors import ParameterError
+from repro.runtime.seeding import derive_seed
+
+
+def _batch_options(method, runs, seed):
+    """The ``solve()`` options a runner passes: batch alone is seeded."""
+    return {"runs": runs, "seed": seed} if method == "batch" else {}
 
 
 class TestFig1a:
@@ -50,12 +58,12 @@ class TestFig1a:
     def test_exact_mode_matches_monte_carlo(self):
         mc = run_fig1a(
             pss_values=(6,), num_pieces=20, max_conns=3, runs=400, seed=1,
-            method="monte-carlo",
+            method="batch",
         )
         exact = run_fig1a(
             pss_values=(6,), num_pieces=20, max_conns=3, method="exact"
         )
-        assert mc.method == "monte-carlo" and exact.method == "exact"
+        assert mc.method == "batch" and exact.method == "exact"
         a, b = mc.ratios[6], exact.ratios[6]
         mask = np.isfinite(a) & np.isfinite(b)
         assert np.abs(a[mask] - b[mask]).max() < 0.08
@@ -99,6 +107,21 @@ class TestFig1a:
         with pytest.raises(ParameterError):
             run_fig1a(num_pieces=20, method="magic")
 
+    @pytest.mark.parametrize("method", ["exact", "batch", "meanfield"])
+    def test_ratios_are_solve_payloads(self, method):
+        result = run_fig1a(
+            pss_values=(5, 12), num_pieces=24, runs=6, seed=2, method=method
+        )
+        assert result.method == method
+        for offset, pss in enumerate((5, 12)):
+            options = _batch_options(method, 6, derive_seed(2, offset))
+            direct = solve(
+                result.params[pss], "potential_ratio", method, **options
+            ).payload
+            assert np.array_equal(
+                result.ratios[pss], direct.ratio, equal_nan=True
+            )
+
 
 class TestFig1b:
     @pytest.fixture(scope="class")
@@ -130,6 +153,40 @@ class TestFig1b:
     def test_empty_pss_rejected(self):
         with pytest.raises(ParameterError):
             run_fig1b(pss_values=())
+
+    def test_default_model_method_is_batch(self, result):
+        assert result.model_method == "batch"
+
+    @pytest.mark.parametrize("method", ["exact", "batch", "meanfield"])
+    def test_model_curves_are_solve_payloads(self, method):
+        pss_values = (6, 14)
+        result = run_fig1b(
+            pss_values=pss_values, num_pieces=20, model_runs=5,
+            sim_instrument=1, max_time=40.0, seed=3, method=method,
+        )
+        assert result.model_method == method
+        for offset, pss in enumerate(pss_values):
+            # The runner's model parameters: alpha from the swarm it
+            # simulates (arrival rate 1.5, w = 0.5, max(60, 4 s) peers).
+            alpha = alpha_from_swarm(1.5, 0.5, pss, max(60, 4 * pss))
+            params = ModelParams(
+                num_pieces=20, max_conns=7, ns_size=pss, alpha=alpha,
+                gamma=alpha, p_reenc=0.7, p_new=0.7,
+            )
+            options = _batch_options(method, 5, derive_seed(3, offset))
+            direct = solve(params, "timeline", method, **options).payload
+            assert np.array_equal(result.model[pss], direct.mean_steps)
+
+
+@pytest.mark.parametrize("name", ["serial", "monte-carlo", "montecarlo"])
+@pytest.mark.parametrize("runner", [run_fig1a, run_fig1b])
+def test_retired_monte_carlo_names_rejected(runner, name):
+    with pytest.raises(ParameterError) as excinfo:
+        runner(pss_values=(5,), num_pieces=10, method=name)
+    message = str(excinfo.value)
+    assert f"unknown method {name!r}" in message
+    assert "'exact'" in message and "'batch'" in message
+    assert "'meanfield'" in message
 
 
 class TestFig2:

@@ -15,7 +15,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.runtime.executor import ExperimentExecutor, TaskSpec
 from repro.runtime.seeding import derive_seed
-from repro.runtime.tasks import first_passage_task, potential_ratio_task
+from repro.runtime.tasks import solve_task
 
 
 def _model_params(ns_size=10):
@@ -29,7 +29,11 @@ def _model_params(ns_size=10):
 def _ratio_tasks(root_seed=0, runs=6):
     params = _model_params()
     return [
-        TaskSpec(potential_ratio_task, (params, derive_seed(root_seed, 0, run)))
+        TaskSpec(
+            solve_task,
+            (params, "potential_ratio", "batch"),
+            {"runs": 4, "seed": derive_seed(root_seed, 0, run)},
+        )
         for run in range(runs)
     ]
 
@@ -54,17 +58,17 @@ class TestExperimentExecutor:
         serial = ExperimentExecutor(workers=1).run(_ratio_tasks())
         parallel = ExperimentExecutor(workers=4).run(_ratio_tasks())
         assert len(serial) == len(parallel)
-        for (s_sums, s_counts, s_steps), (p_sums, p_counts, p_steps) in zip(
-            serial, parallel
-        ):
-            assert np.array_equal(s_sums, p_sums)
-            assert np.array_equal(s_counts, p_counts)
-            assert s_steps == p_steps
+        for (s_payload, s_work), (p_payload, p_work) in zip(serial, parallel):
+            assert np.array_equal(s_payload.ratio, p_payload.ratio, equal_nan=True)
+            assert np.array_equal(s_payload.observations, p_payload.observations)
+            assert s_work == p_work
 
     def test_parallel_matches_serial_on_experiment(self):
         from repro.experiments import run_fig1a
 
-        kwargs = dict(pss_values=(4, 8), num_pieces=30, runs=5, seed=3)
+        kwargs = dict(
+            pss_values=(4, 8), num_pieces=30, runs=5, seed=3, method="batch"
+        )
         serial = run_fig1a(workers=1, **kwargs)
         parallel = run_fig1a(workers=4, **kwargs)
         assert np.array_equal(serial.pieces, parallel.pieces)
@@ -121,19 +125,24 @@ class TestExperimentExecutor:
         assert executor.telemetry.wall_time > 0
 
 
+def _timeline(seed):
+    payload, work = solve_task(
+        _model_params(), "timeline", "batch", runs=4, seed=seed
+    )
+    assert work == 4
+    return payload.mean_steps
+
+
 class TestTasks:
     def test_first_passage_task_deterministic(self):
-        params = _model_params()
-        a = first_passage_task(params, derive_seed(1, 0))
-        b = first_passage_task(params, derive_seed(1, 0))
-        assert np.array_equal(a[0], b[0])
-        assert a[1] == b[1]
+        assert np.array_equal(
+            _timeline(derive_seed(1, 0)), _timeline(derive_seed(1, 0))
+        )
 
     def test_distinct_seeds_give_distinct_trajectories(self):
-        params = _model_params()
-        a = first_passage_task(params, derive_seed(1, 0))
-        b = first_passage_task(params, derive_seed(1, 1))
-        assert not np.array_equal(a[0], b[0])
+        assert not np.array_equal(
+            _timeline(derive_seed(1, 0)), _timeline(derive_seed(1, 1))
+        )
 
 
 # ----------------------------------------------------------------------

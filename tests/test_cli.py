@@ -79,9 +79,9 @@ class TestParser:
 
     def test_run_method_is_free_form(self):
         args = build_parser().parse_args(
-            ["run", "F1a", "--method", "monte-carlo"]
+            ["run", "F1a", "--method", "mean-field"]
         )
-        assert args.method == "monte-carlo"
+        assert args.method == "mean-field"
 
     def test_run_backend_is_free_form(self):
         args = build_parser().parse_args(["run", "F3a", "--backend", "soa"])
@@ -145,7 +145,7 @@ class TestMain:
     def test_run_method_alias_accepted(self, capsys):
         assert main([
             "run", "F1a", "--quick", "--seed", "1",
-            "--method", "monte-carlo",
+            "--method", "sparse",
         ]) == 0
         assert "Figure 1(a)" in capsys.readouterr().out
 
@@ -165,6 +165,17 @@ class TestMain:
         assert "unknown method 'bogus'" in message
         assert "'exact'" in message and "'batch'" in message
         assert "'meanfield'" in message and "'mean-field'" in message
+
+    @pytest.mark.parametrize("name", ["serial", "monte-carlo", "montecarlo"])
+    def test_run_retired_monte_carlo_names_rejected(self, name):
+        from repro.errors import ParameterError
+
+        for experiment in ("F1a", "F1b"):
+            with pytest.raises(ParameterError) as excinfo:
+                main(["run", experiment, "--quick", "--method", name])
+            message = str(excinfo.value)
+            assert f"unknown method {name!r}" in message
+            assert "'exact'" in message and "'batch'" in message
 
     def test_run_method_on_methodless_runner_warns(self, capsys):
         assert main(["run", "F2", "--quick", "--method", "exact"]) == 0
