@@ -36,6 +36,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.batch import BatchChainSampler
 from repro.core.exact import (
     PRUNED_MASS_WARN,
     PotentialRatioExact,
@@ -645,16 +646,22 @@ def _download_time_exact(params: ModelParams, cache: KernelCache, opts: dict):
 
 
 def _download_time_batch(params: ModelParams, cache: KernelCache, opts: dict):
-    timeline, stats = _timeline_batch(params, cache, opts)
-    std = float(timeline.std_steps[-1])
+    # A run's first passage to B pieces is its completion round, so the
+    # download times are the sampler's ``steps``, with no first-passage
+    # matrix built.
+    runs = opts.get("runs", 64)
+    steps = BatchChainSampler(cache.chain(params)).sample(
+        runs, seed=opts.get("seed")
+    ).steps.astype(np.float64)
+    std = float(steps.std())
     payload = DownloadTimeResult(
-        mean=float(timeline.mean_steps[-1]),
+        mean=float(steps.mean()),
         std=std,
         variance=std * std,
-        runs=timeline.runs,
+        runs=runs,
         method="batch",
     )
-    return payload, stats
+    return payload, {"runs": runs}
 
 
 def _expected_phases(phase_rounds: Mapping[Any, float]) -> PhaseStatistics:

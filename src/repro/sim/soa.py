@@ -457,7 +457,7 @@ def partner_cells(
 
 
 def entries_in(
-    nbr: np.ndarray, mask: np.ndarray
+    nbr: np.ndarray, mask: np.ndarray, rows: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(row, value)`` of every entry of ``nbr`` that ``mask`` marks,
     in row-major order.
@@ -465,18 +465,26 @@ def entries_in(
     ``mask`` has one cell per slot plus a spare last cell that must stay
     False: the -1 padding of the rows indexes it.  One flat ``nonzero``
     over the gathered mask of each block of rows yields both, row-major.
+    ``rows``, ascending, limits the scan to those rows (gathered with
+    ``np.take``); when every marked entry lies in them, the result is
+    the whole-matrix scan's.
     """
     width = max(nbr.shape[1], 1)
 
     def block(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        cells = nbr[lo:hi]
+        if rows is None:
+            cells = nbr[lo:hi]
+        else:
+            cells = np.take(nbr, rows[lo:hi], axis=0)
         flat = np.flatnonzero(mask[cells])
-        return lo + flat // width, cells.reshape(-1)[flat]
+        at = lo + flat // width
+        return (at if rows is None else rows[at]), cells.reshape(-1)[flat]
 
-    found = _blocks(nbr.shape[0], width, block)
+    count = nbr.shape[0] if rows is None else rows.size
+    found = _blocks(count, width, block)
     empty = np.zeros(0, dtype=np.int64)
     return (
-        np.concatenate([empty] + [rows for rows, _ in found]),
+        np.concatenate([empty] + [hit for hit, _ in found]),
         np.concatenate([empty] + [values for _, values in found]),
     )
 
@@ -500,12 +508,12 @@ class PeerColumn(NamedTuple):
 
 
 #: The peer-row table: every per-peer column the store holds besides
-#: its own adjacency (``alive``, ``nbr``, ``nbr_deg``).  The paper's
-#: §4.1 peer state and the §3.2 phase boundaries (``first_piece_at``,
-#: ``prelast_at``) live here.  One row of these columns is what a
-#: checkpoint's ``store`` block holds per alive slot and what a
-#: migrating peer carries between shards — both read this tuple, so a
-#: new column is one entry.
+#: its own adjacency (``alive``, ``nbr``, ``nbr_deg``, ``nbr_seeds``).
+#: The paper's §4.1 peer state and the §3.2 phase boundaries
+#: (``first_piece_at``, ``prelast_at``) live here.  One row of these
+#: columns is what a checkpoint's ``store`` block holds per alive slot
+#: and what a migrating peer carries between shards — both read this
+#: tuple, so a new column is one entry.
 PEER_COLUMNS = (
     PeerColumn("peer_id", np.int64, False, -1),
     PeerColumn("counts", np.int64, False, 0),
@@ -607,7 +615,12 @@ class PeerStore:
     * leechers keep a fixed-width row in ``nbr`` (width = the tracker
       accept cap) plus its fill ``nbr_deg``;
     * seeds keep only ``nbr_deg`` as a relation counter — their side of
-      each symmetric relation is recovered by scanning leecher rows.
+      each symmetric relation is the seed entry in the leecher's row;
+    * ``nbr_seeds`` counts the seed entries of each leecher row, so the
+      seed relations are read from the few rows that hold one
+      (:func:`entries_in` with ``rows=``), never from the whole matrix.
+      It is derived state: neither migrated nor checkpointed, and
+      recounted by :meth:`from_block`.
 
     Trading connections are *not* stored here: the swarm keeps them as
     an ``(M, 2)`` pair array (see :class:`SoaSwarm`), which makes
@@ -631,6 +644,7 @@ class PeerStore:
         self.alive = np.zeros(capacity, dtype=bool)
         self.nbr = np.full((capacity, self.nbr_width), -1, dtype=np.int64)
         self.nbr_deg = np.zeros(capacity, dtype=np.int64)
+        self.nbr_seeds = np.zeros(capacity, dtype=np.int64)
         self.free = list(range(capacity - 1, -1, -1))
         self.capacity = capacity
 
@@ -641,7 +655,7 @@ class PeerStore:
         old = self.__dict__.copy()
         self._allocate_arrays(new_cap)
         names = [column.name for column in PEER_COLUMNS]
-        for name in ("alive", "nbr", "nbr_deg", *names):
+        for name in ("alive", "nbr", "nbr_deg", "nbr_seeds", *names):
             getattr(self, name)[:old_cap] = old[name]
         # _allocate_arrays reset the free list to cover everything; keep
         # the old list (LIFO order preserved) plus the new slots on top.
@@ -768,6 +782,12 @@ class PeerStore:
         store.put_rows(slots, block)
         store.nbr_deg[slots] = block["nbr_deg"]
         store.nbr[store._leech_cells()] = block["nbr"]
+        # The one whole-matrix seed scan: ``nbr_seeds`` is derived.
+        seeds = np.zeros(store.capacity + 1, dtype=bool)
+        seeds[:-1] = store.alive & store.is_seed
+        store.nbr_seeds[:] = np.bincount(
+            entries_in(store.nbr, seeds)[0], minlength=store.capacity
+        )
         return store, slots
 
     def release(self, slots: np.ndarray) -> None:
@@ -778,6 +798,7 @@ class PeerStore:
             getattr(self, column.name)[slots] = column.reset
         self.nbr[slots] = -1
         self.nbr_deg[slots] = 0
+        self.nbr_seeds[slots] = 0
         self.free.extend(np.sort(slots).tolist())
 
     def remove_row_entries(
@@ -1229,13 +1250,16 @@ class SoaSwarm(CheckpointControl):
 
         ``ranks[i]`` counts the earlier entries of ``holders`` equal to
         ``holders[i]``.  A leecher holder gets ``values[i]`` at column
-        ``nbr_deg + ranks[i]`` of its row; a seed holder is counter-only.
+        ``nbr_deg + ranks[i]`` of its row, and a seed value counts in its
+        ``nbr_seeds``; a seed holder is counter-only.
         """
         store = self.store
         leech = ~store.is_seed[holders]
         h = holders[leech]
-        store.nbr[h, store.nbr_deg[h] + ranks[leech]] = values[leech]
+        v = values[leech]
+        store.nbr[h, store.nbr_deg[h] + ranks[leech]] = v
         np.add.at(store.nbr_deg, holders, 1)
+        np.add.at(store.nbr_seeds, h[store.is_seed[v]], 1)
 
     def _announce_stale(self, slot: int, deficit: int, outage) -> int:
         """Stale-window announce: a fixed handout from the snapshot."""
@@ -1799,10 +1823,11 @@ class SoaSwarm(CheckpointControl):
 
         Every (leecher, seed) relation appears exactly once, as a seed
         entry in the leecher's row, so the seeds' interested neighbors
-        come from one scan of the neighbor matrix — no seed rows needed
-        (seed and free rows hold only padding).  Each seed serves up to
-        ``seed_upload_slots`` distinct receivers per round (rank filter
-        = the object backend's ``permutation(interested)[:slots]``).
+        come from one scan of the rows that ``nbr_seeds`` marks — no
+        seed rows needed (seed and free rows hold only padding).  Each
+        seed serves up to ``seed_upload_slots`` distinct receivers per
+        round (rank filter = the object backend's
+        ``permutation(interested)[:slots]``).
         """
         config = self.config
         store = self.store
@@ -1813,7 +1838,9 @@ class SoaSwarm(CheckpointControl):
             "seed_mask", store.capacity + 1, np.bool_
         )
         np.logical_and(store.alive, store.is_seed, out=seed_mask[:-1])
-        s_recv, s_seed = entries_in(store.nbr, seed_mask)
+        s_recv, s_seed = entries_in(
+            store.nbr, seed_mask, np.flatnonzero(store.nbr_seeds)
+        )
         wants = store.counts[s_recv] < config.num_pieces
         s_recv = s_recv[wants]
         s_seed = s_seed[wants]
@@ -1944,8 +1971,12 @@ class SoaSwarm(CheckpointControl):
             # Converted seeds become counter-only like origin seeds:
             # their own rows are dropped (the symmetric halves survive
             # in the leechers' rows, which is all the reverse-edge seed
-            # uploads read); their trading pairs are severed.
+            # uploads read, and now count there as seed entries); their
+            # trading pairs are severed.
+            entries = self._row_entries(done)
+            np.add.at(store.nbr_seeds, entries[~store.is_seed[entries]], 1)
             store.nbr[done] = -1
+            store.nbr_seeds[done] = 0
             self._drop_pairs_touching(done)
         else:
             self._remove_peers(done)
@@ -1959,6 +1990,16 @@ class SoaSwarm(CheckpointControl):
         if not keep.all():
             self._pairs = self._pairs[keep]
 
+    def _row_entries(self, slots: np.ndarray) -> np.ndarray:
+        """The filled cells of the leecher rows ``slots``, row-major."""
+        store = self.store
+        deg = store.nbr_deg[slots]
+        width = int(deg.max()) if deg.size else 0
+        if width == 0:
+            return np.zeros(0, dtype=np.int64)
+        sub = store.nbr[slots, :width]
+        return sub[np.arange(width)[None, :] < deg[:, None]]
+
     def _scrub_rows(self, slots: np.ndarray) -> np.ndarray:
         """Sever leecher ``slots``'s relations, batch-wise.
 
@@ -1968,13 +2009,7 @@ class SoaSwarm(CheckpointControl):
         relation: the rows that still carry an entry of ``slots``.
         """
         store = self.store
-        deg = store.nbr_deg[slots]
-        width = int(deg.max()) if deg.size else 0
-        if width == 0:
-            return np.zeros(0, dtype=np.int64)
-        sub = store.nbr[slots, :width]
-        mask = np.arange(width)[None, :] < deg[:, None]
-        entries = sub[mask]
+        entries = self._row_entries(slots)
         seed_mask = store.is_seed[entries]
         np.subtract.at(store.nbr_deg, entries[seed_mask], 1)
         return entries[~seed_mask]
@@ -2007,6 +2042,7 @@ class SoaSwarm(CheckpointControl):
         store.remove_row_entries(holders[~shaking[holders]], shaking)
         store.nbr[shakers] = -1
         store.nbr_deg[shakers] = 0
+        store.nbr_seeds[shakers] = 0
         store.shaken[shakers] = True
         store.shaken_at[shakers] = time
         self._drop_pairs_touching(shakers)
@@ -2041,13 +2077,16 @@ class SoaSwarm(CheckpointControl):
         holders = self._scrub_rows(slots[~seed_departing])
         if seed_departing.any():
             # Seeds are counter-only: their relations live in leecher
-            # rows, found by gathering a slot mask through the whole
-            # adjacency once.
+            # rows, found by gathering a slot mask through the rows that
+            # hold a seed entry.
             seed_gone = self.scratch.zeros(
                 "seed_gone", store.capacity + 1, np.bool_
             )
             seed_gone[slots[seed_departing]] = True
-            hit_rows, _ = entries_in(store.nbr, seed_gone)
+            hit_rows, _ = entries_in(
+                store.nbr, seed_gone, np.flatnonzero(store.nbr_seeds)
+            )
+            np.subtract.at(store.nbr_seeds, hit_rows, 1)
             holders = np.concatenate([holders, hit_rows])
         if holders.size:
             departing = self.scratch.zeros(

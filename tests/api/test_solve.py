@@ -292,6 +292,29 @@ class TestShimEquivalence:
         assert np.array_equal(old.std_steps, new.std_steps, equal_nan=True)
         assert old.runs == new.runs
 
+    @pytest.mark.parametrize("runs, seed", [(8, 3), (500, 1)])
+    def test_batch_download_time_is_the_timelines_last_entry(
+        self, params, cache, runs, seed
+    ):
+        """The batch download time reads each run's completion round,
+        which is its first passage to B pieces.  The mean is a sum of
+        integers, so it is exact.  The std sums its squares in another
+        order than the timeline's column reduction, so it may differ
+        in the last bits."""
+        timeline = solve(
+            params, "timeline", "batch", cache=cache, runs=runs, seed=seed
+        ).payload
+        result = solve(
+            params, "download_time", "batch", cache=cache, runs=runs, seed=seed
+        )
+        assert result.payload.mean == timeline.mean_steps[-1]
+        assert result.payload.std == pytest.approx(
+            timeline.std_steps[-1], rel=1e-12
+        )
+        assert result.payload.variance == result.payload.std ** 2
+        assert result.payload.runs == timeline.runs == runs
+        assert result.stats == {"runs": runs}
+
     def test_solve_fundamental_moments(self, params, cache):
         old = cache.sparse_operator(params).solution()
         new = solve(params, "download_time", "exact", cache=cache).payload

@@ -218,10 +218,12 @@ def crowded_seed_config(seed: int = 3) -> SimConfig:
 
 def assert_stores_equal(restored, live):
     """Column by column, on every slot: a released slot is reset to
-    each column's free value, so free slots match as well."""
+    each column's free value, so free slots match as well.  The seed
+    entry counts are not stored: the restore recounts them."""
     np.testing.assert_array_equal(restored.alive, live.alive)
     np.testing.assert_array_equal(restored.nbr, live.nbr)
     np.testing.assert_array_equal(restored.nbr_deg, live.nbr_deg)
+    np.testing.assert_array_equal(restored.nbr_seeds, live.nbr_seeds)
     assert restored.free == live.free
     for column in PEER_COLUMNS:
         np.testing.assert_array_equal(
@@ -239,6 +241,7 @@ def test_restored_store_equals_the_live_store_column_by_column(tmp_path):
     live = swarm.store
     seeds = live.alive & live.is_seed
     assert (live.nbr_deg[seeds] > live.nbr_width).any()
+    assert (live.nbr_seeds > 1).any()
     path = tmp_path / "crowded.ckpt"
     write_checkpoint(swarm.snapshot(), path)
     assert_stores_equal(restore_swarm(read_checkpoint(path)).store, live)

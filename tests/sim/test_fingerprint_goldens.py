@@ -10,7 +10,9 @@ plus a few readable counters, so a drift names what moved.
 
 The flash-crowd cases pin the bootstrap-heavy regime instead: nearly
 every leecher starts with no piece, so the round skips most neighbor
-rows, and one case spreads each bitfield over two words.
+rows, and one case spreads each bitfield over two words.  The
+seed-announce case pins the tracker announce of seeds that already hold
+relations, which only migration reaches.
 
 ``soa_100k_seed1.sha256`` beside the goldens holds the fingerprint of
 ``perfbench/run.py --workload soa-100k --seed 1``; CI compares the
@@ -126,6 +128,30 @@ def flash_config(num_pieces: int = 20) -> SimConfig:
     )
 
 
+def seed_announce_config() -> SimConfig:
+    """A small sharded swarm in which seeds are a fifth of the peers and
+    completers linger as seeds.  With 30 % of each shard migrating a
+    round, immigrant seeds announce into crowded shards; those left
+    short by the first pass announce again while holding relations,
+    which only the leecher rows record."""
+    return SimConfig(
+        num_pieces=30,
+        max_conns=4,
+        ns_size=20,
+        arrival_process="poisson",
+        arrival_rate=4.0,
+        initial_leechers=100,
+        initial_distribution="uniform",
+        initial_fill=0.4,
+        num_seeds=30,
+        seed_upload_slots=2,
+        piece_selection="rarest",
+        completed_become_seeds=4.0,
+        max_time=12.0,
+        seed=4,
+    )
+
+
 CASES = {
     "soa-departing": lambda: Swarm(soa_departing_config(), backend="soa"),
     "soa-lingering": lambda: Swarm(soa_lingering_config(), backend="soa"),
@@ -135,6 +161,9 @@ CASES = {
     "soa-flash": lambda: Swarm(flash_config(), backend="soa"),
     "sharded-flash": lambda: Swarm(flash_config(), backend="sharded", shards=2),
     "soa-flash-w2": lambda: Swarm(flash_config(num_pieces=70), backend="soa"),
+    "sharded-seed-announce": lambda: Swarm(
+        seed_announce_config(), backend="sharded", shards=2, shard_mix=0.3
+    ),
 }
 
 
@@ -263,3 +292,25 @@ def test_flash_case_takes_every_announce_branch(monkeypatch, goldens):
     assert all(taken[name] > 0 for name in branches), taken
     if not REGEN:
         assert summary(result) == goldens["soa-flash"]
+
+
+def test_seed_announce_case_announces_seeds_holding_relations(
+    monkeypatch, tmp_path
+):
+    """The sharded-seed-announce golden guards the relation check of a
+    seed announcer, which reads the candidate's row, only if its run
+    announces seeds that already hold relations.  The shard workers fork
+    after the spy is set, so each appends what it sees to a file."""
+    seen = tmp_path / "seed-announcers"
+    real = soa_module.SoaSwarm._announce_pass
+
+    def spy(self, ann, need, alive):
+        store = self.store
+        seeds = ann[store.is_seed[ann]]
+        with open(seen, "a") as out:
+            out.write(f"{int((store.nbr_deg[seeds] > 0).sum())}\n")
+        return real(self, ann, need, alive)
+
+    monkeypatch.setattr(soa_module.SoaSwarm, "_announce_pass", spy)
+    CASES["sharded-seed-announce"]().run()
+    assert sum(int(line) for line in seen.read_text().split()) > 50

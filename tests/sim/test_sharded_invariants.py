@@ -19,8 +19,8 @@ snapshot documents:
 It also checks that no worker process outlives its swarm, the
 coordinator's byte accounting, the shard profiler's charge for
 migration, the coordinator's refusal to run without ``fork``,
-and a sharded flash crowd's mean piece level against a calibrated
-mean-field integration.
+a shard's seed-entry counts through migration, and a sharded flash
+crowd's mean piece level against a calibrated mean-field integration.
 """
 
 import multiprocessing
@@ -33,6 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
+from test_soa_invariants import assert_seed_entry_counts
 
 from repro.core.meanfield import SwarmMeanField
 from repro.errors import ParameterError, SimulationError
@@ -575,3 +576,29 @@ def test_flash_crowd_mean_level_tracks_calibrated_mean_field():
     predicted -= np.interp(1.0, trajectory.times, mf_level)
     relerr = np.max(np.abs(predicted[half:] - level[half:])) / num_pieces
     assert relerr < 0.10
+
+
+def test_seed_entry_counts_survive_migration_every_round():
+    """A shard keeps ``nbr_seeds`` in place through migration: emigrant
+    seeds leave the rows that held them, and immigrants arrive with
+    empty rows and announce.  One in-process shard emigrates a fifth of
+    its peers each round and absorbs them back the next, and its
+    counts equal a whole-matrix recount after every round."""
+    config = _lifecycle_config(
+        num_pieces=40, arrival_process="none", initial_leechers=200,
+        num_seeds=8, completed_become_seeds=3.0, max_time=12.0,
+    )
+    engine = ShardEngine(config)
+    engine.setup()
+    store = engine.store
+    immigrants = None
+    seed_emigrants, seed_entries = [], []
+    for _ in range(12):
+        emigrate = int(store.alive.sum()) // 5
+        report = engine.lockstep_round(None, immigrants, None, emigrate)
+        assert_seed_entry_counts(store)
+        immigrants = report["emigrants"]
+        seed_emigrants.append(int(immigrants["is_seed"].sum()))
+        seed_entries.append(int(store.nbr_seeds.sum()))
+    assert sum(seed_emigrants) > 10
+    assert min(seed_entries) > 0

@@ -10,6 +10,8 @@ structural invariants of the array state after a run:
 * trading pairs reference live slots, are normalised (``a < b``) and
   unique, and leecher pair degrees respect ``k``;
 * neighbor rows reference live slots without self-loops or duplicates;
+* each row's seed-entry count ``nbr_seeds`` equals a recount of the
+  seed entries the row holds;
 * completed leechers leave (or become seeds) — no live leecher row is
   complete with immediate departure;
 * metrics series stay within their domains;
@@ -22,8 +24,21 @@ from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
 from repro.sim.config import SimConfig
-from repro.sim.soa import popcount_rows, unpack_rows
+from repro.sim.soa import entries_in, popcount_rows, unpack_rows
 from repro.sim.swarm import Swarm
+
+
+def recount_seed_entries(store) -> np.ndarray:
+    """The seed entries of every row, counted by a scan of the whole
+    neighbor matrix: what the store's ``nbr_seeds`` must hold."""
+    seeds = np.zeros(store.capacity + 1, dtype=bool)
+    seeds[:-1] = store.alive & store.is_seed
+    rows, _ = entries_in(store.nbr, seeds)
+    return np.bincount(rows, minlength=store.capacity)
+
+
+def assert_seed_entry_counts(store) -> None:
+    np.testing.assert_array_equal(store.nbr_seeds, recount_seed_entries(store))
 
 
 @st.composite
@@ -100,6 +115,7 @@ def _check_store_invariants(swarm):
         assert store.alive[row].all()
         assert (row != slot).all()
         assert np.unique(row).size == deg
+    assert_seed_entry_counts(store)
 
     # Immediate departure: live leechers are incomplete.
     if config.completed_become_seeds == 0 and alive.size:
@@ -161,3 +177,48 @@ def test_soa_runs_are_deterministic_per_seed(config):
         return result.fingerprint()
 
     assert run() == run()
+
+
+def seed_paths_config() -> SimConfig:
+    """Every path that changes a row's seed entries, within a few
+    hundred peers: announces to seeds, completers turning seed and
+    leaving, leechers shaking their rows clean, aborts and churn."""
+    return SimConfig(
+        num_pieces=12,
+        max_conns=3,
+        ns_size=8,
+        arrival_process="poisson",
+        arrival_rate=6.0,
+        initial_leechers=150,
+        initial_distribution="uniform",
+        initial_fill=0.4,
+        num_seeds=6,
+        seed_upload_slots=2,
+        completed_become_seeds=2.0,
+        abort_rate=0.02,
+        shake_threshold=0.7,
+        max_time=25.0,
+        seed=5,
+    )
+
+
+def test_seed_entry_counts_hold_after_every_round():
+    """``nbr_seeds`` is kept up in place, never recounted: it must equal
+    a whole-matrix recount after every round, while seeds join, convert
+    and leave."""
+    swarm = Swarm(
+        seed_paths_config(), backend="soa",
+        faults=FaultPlan(churn_hazard=0.02, shake_failure_prob=0.2),
+    )
+    swarm.setup()
+    store = swarm.store
+    assert_seed_entry_counts(store)
+    seeds_seen, seeds_left = 0, 0
+    while swarm.step_round():
+        seeds = int((store.alive & store.is_seed).sum())
+        seeds_left += seeds < seeds_seen
+        seeds_seen = seeds
+        assert_seed_entry_counts(store)
+    assert store.nbr_seeds.max() > 1
+    assert seeds_left > 0
+    assert any(c.shaken for c in swarm.metrics.completed)

@@ -678,6 +678,12 @@ def test_entries_in_matches_isin_reference(data, nbr):
     counts = hit.sum(axis=1)
     np.testing.assert_array_equal(rows, np.repeat(np.arange(n), counts))
     np.testing.assert_array_equal(values, nbr[hit])
+    # Any ascending row subset that covers the hits scans to the same.
+    extra = np.array(data.draw(st.lists(
+        st.integers(0, n - 1), unique=True, max_size=n
+    )), dtype=np.int64)
+    subset = np.union1d(np.flatnonzero(counts), extra)
+    assert_same(entries_in(nbr, mask, subset), (rows, values))
 
 
 @pytest.mark.parametrize("shape", [(50_000, 6), (9, 40_000)])
@@ -695,6 +701,16 @@ def test_entries_in_blocks_match_the_one_shot_gather(shape):
     got_rows, got_values = entries_in(nbr, mask)
     np.testing.assert_array_equal(got_rows, flat // width)
     np.testing.assert_array_equal(got_values, nbr.reshape(-1)[flat])
+    # The same over the rows that hold a marked entry; over a subset
+    # of rows taller than one block, the entries of those rows.
+    held = np.unique(got_rows)
+    assert_same(entries_in(nbr, mask, held), (got_rows, got_values))
+    some = np.flatnonzero(rng.random(rows) < 0.9)
+    assert some.size * width > soa_module._CHUNK_CELLS
+    keep = np.isin(got_rows, some)
+    assert_same(
+        entries_in(nbr, mask, some), (got_rows[keep], got_values[keep])
+    )
 
 
 def random_adjacency(rng, n, width):
@@ -917,6 +933,7 @@ def test_threaded_row_lookups_match_one_thread(monkeypatch, threads):
     for kernel, args in (
         (partner_cells, (nbr[leech], row_of, pairs)),
         (entries_in, (nbr, mask)),
+        (entries_in, (nbr, mask, np.flatnonzero(mask[nbr].any(axis=1)))),
     ):
         want = on_threads(monkeypatch, 1, kernel, *args)
         assert want[0].size > 50
