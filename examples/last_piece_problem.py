@@ -49,7 +49,9 @@ def main() -> None:
             piece_selection="rarest", announce_interval=1000.0,
             shake_threshold=threshold, max_time=500.0, seed=1,
         )
-        _ordinals, ttd, completed, _events = mean_ttd_by_ordinal(config, window=10)
+        _ordinals, ttd, completed, _events, _profile = mean_ttd_by_ordinal(
+            config, window=10
+        )
         rows.append([threshold, float(ttd[-3:].mean()), completed])
     print(format_table(["threshold", "tail TTD", "completed"], rows))
 

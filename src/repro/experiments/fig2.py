@@ -99,10 +99,19 @@ class Fig2Result:
         }
 
 
-def _archetype_task(kind: str, seed: int, max_attempts: int) -> tuple:
-    """Generate and classify one archetype (executor work unit)."""
-    trace, config = generate_archetype(kind, seed=seed, max_attempts=max_attempts)
-    return trace, config, classify_trace(trace)
+def _archetype_task(
+    kind: str, seed: int, max_attempts: int, profile: bool = False
+) -> tuple:
+    """Generate and classify one archetype (executor work unit).
+
+    Returns ``(trace, config, label, round_profile)``; the profile sums
+    every attempt's per-stage round seconds (None unless ``profile``).
+    """
+    round_profile: Optional[Dict[str, float]] = {} if profile else None
+    trace, config = generate_archetype(
+        kind, seed=seed, max_attempts=max_attempts, round_profile=round_profile
+    )
+    return trace, config, classify_trace(trace), round_profile
 
 
 @register_experiment(
@@ -111,21 +120,34 @@ def _archetype_task(kind: str, seed: int, max_attempts: int) -> tuple:
     description="download archetypes: smooth / last phase / bootstrap",
 )
 def run_fig2(
-    *, seed: int = 0, max_attempts: int = 8, workers: int = 1
+    *,
+    seed: int = 0,
+    max_attempts: int = 8,
+    workers: int = 1,
+    profile: bool = False,
 ) -> Fig2Result:
-    """Generate all three Figure-2 archetypes."""
+    """Generate all three Figure-2 archetypes.
+
+    With ``profile`` the swarms run with their per-stage round profiler
+    and the stage totals fold into the returned telemetry (``--timing``).
+    """
     executor = make_executor(workers=workers)
     outcomes = executor.run(
-        [TaskSpec(_archetype_task, (kind, seed, max_attempts)) for kind in _KINDS]
+        [
+            TaskSpec(_archetype_task, (kind, seed, max_attempts, profile))
+            for kind in _KINDS
+        ]
     )
     traces: Dict[str, ClientTrace] = {}
     configs: Dict[str, SimConfig] = {}
     labels: Dict[str, str] = {}
-    for kind, (trace, config, label) in zip(_KINDS, outcomes):
+    for kind, (trace, config, label, round_profile) in zip(_KINDS, outcomes):
         traces[kind] = trace
         configs[kind] = config
         labels[kind] = label
         executor.record_events(len(trace.samples))
+        if round_profile:
+            executor.telemetry.add_round_profile(round_profile)
     return Fig2Result(
         traces=traces, configs=configs, labels=labels, timing=executor.telemetry
     )

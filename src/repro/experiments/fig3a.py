@@ -87,6 +87,7 @@ def sim_efficiency(
     max_time: float = 150.0,
     seed: int = 0,
     backend: str = "object",
+    profile: bool = False,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
 ) -> tuple:
@@ -99,8 +100,9 @@ def sim_efficiency(
     snapshots periodically and resumes from an existing snapshot.
 
     Returns:
-        ``(eta, events)`` — the efficiency plus the engine's
-        processed-event count for telemetry.
+        ``(eta, events, round_profile)`` — the efficiency, the engine's
+        processed-event count for telemetry, and the per-stage round
+        wall times (None unless ``profile=True``).
     """
     config = SimConfig(
         num_pieces=num_pieces,
@@ -133,11 +135,16 @@ def sim_efficiency(
             checkpoint_every=checkpoint_every,
             metrics=metrics,
             backend=backend,
+            profile=profile,
         )
-        return result.metrics.efficiency(), result.events_processed
-    swarm = Swarm(config, metrics=metrics, backend=backend)
+        return (
+            result.metrics.efficiency(),
+            result.events_processed,
+            result.round_profile,
+        )
+    swarm = Swarm(config, metrics=metrics, backend=backend, profile=profile)
     result = swarm.run()
-    return metrics.efficiency(), result.events_processed
+    return metrics.efficiency(), result.events_processed, result.round_profile
 
 
 @register_experiment(
@@ -162,10 +169,15 @@ def run_fig3a(
     sim_kwargs: dict | None = None,
     workers: int = 1,
     backend: str = "object",
+    profile: bool = False,
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 0,
 ) -> Fig3aResult:
-    """Reproduce Figure 3/4(a): model and simulated efficiency per ``k``."""
+    """Reproduce Figure 3/4(a): model and simulated efficiency per ``k``.
+
+    With ``profile`` the swarms run with their per-stage round profiler
+    and the stage totals fold into the returned telemetry (``--timing``).
+    """
     if not k_values:
         raise ParameterError("k_values must be non-empty")
     if lifetime is None:
@@ -183,7 +195,7 @@ def run_fig3a(
             TaskSpec(
                 sim_efficiency,
                 (k,),
-                {"seed": seed + idx, **sim_kwargs},
+                {"seed": seed + idx, "profile": profile, **sim_kwargs},
                 checkpoint_interval=interval,
                 checkpoint_key=f"fig3a-k{k}",
             )
@@ -191,9 +203,11 @@ def run_fig3a(
         ]
     )
     sim_etas = []
-    for eta, events in outcomes:
+    for eta, events, round_profile in outcomes:
         sim_etas.append(eta)
         executor.record_events(events)
+        if round_profile:
+            executor.telemetry.add_round_profile(round_profile)
     return Fig3aResult(
         k_values=np.asarray(list(k_values)),
         model_eta=np.asarray([p.eta for p in model_points]),

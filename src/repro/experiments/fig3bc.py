@@ -119,6 +119,7 @@ def run_fig3bc(
     entropy_every: int = 2,
     workers: int = 1,
     backend: str = "object",
+    profile: bool = False,
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 0,
 ) -> Fig3bcResult:
@@ -129,7 +130,9 @@ def run_fig3bc(
     ``checkpoint_dir``, each per-``B`` task snapshots every
     ``checkpoint_every`` rounds under the stable key
     ``stability-B{B}``, and a relaunched run resumes every interrupted
-    task from its latest snapshot, bit-identically.
+    task from its latest snapshot, bit-identically.  With ``profile``
+    the swarms run with their per-stage round profiler and the stage
+    totals fold into the returned telemetry (``--timing``).
     """
     if not piece_counts:
         raise ParameterError("piece_counts must be non-empty")
@@ -151,7 +154,11 @@ def run_fig3bc(
             TaskSpec(
                 run_stability_experiment,
                 (config,),
-                {"entropy_every": entropy_every, "backend": backend},
+                {
+                    "entropy_every": entropy_every,
+                    "backend": backend,
+                    "profile": profile,
+                },
                 checkpoint_interval=interval,
                 checkpoint_key=f"stability-B{num_pieces}",
             )
@@ -162,4 +169,6 @@ def run_fig3bc(
     for num_pieces, run in zip(piece_counts, outcomes):
         runs[num_pieces] = run
         executor.record_events(run.result.events_processed)
+        if run.result.round_profile:
+            executor.telemetry.add_round_profile(run.result.round_profile)
     return Fig3bcResult(runs=runs, timing=executor.telemetry)

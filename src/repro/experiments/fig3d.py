@@ -78,6 +78,7 @@ def mean_ttd_by_ordinal(
     config: SimConfig,
     *,
     window: int,
+    profile: bool = False,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
 ) -> tuple:
@@ -88,9 +89,11 @@ def mean_ttd_by_ordinal(
     from an existing snapshot instead of recomputing finished rounds.
 
     Returns:
-        ``(ordinals, mean_ttd, completed_count, events)`` — ordinals
-        are 1-based piece counts covering the last ``window`` pieces;
-        ``events`` is the engine's processed-event count.
+        ``(ordinals, mean_ttd, completed_count, events, round_profile)``
+        — ordinals are 1-based piece counts covering the last
+        ``window`` pieces; ``events`` is the engine's processed-event
+        count; ``round_profile`` is the per-stage round wall-time dict
+        (None unless ``profile=True``).
     """
     if window < 1 or window >= config.num_pieces:
         raise ParameterError(
@@ -103,9 +106,10 @@ def mean_ttd_by_ordinal(
             config,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
+            profile=profile,
         )
     else:
-        result = run_swarm(config)
+        result = run_swarm(config, profile=profile)
     num_pieces = config.num_pieces
     ordinals = np.arange(num_pieces - window + 1, num_pieces + 1)
     sums = np.zeros(window)
@@ -118,7 +122,7 @@ def mean_ttd_by_ordinal(
         sums += gaps[-window:] / config.piece_time
         count += 1
     mean = sums / count if count else np.full(window, np.nan)
-    return ordinals, mean, count, result.events_processed
+    return ordinals, mean, count, result.events_processed, result.round_profile
 
 
 @register_experiment(
@@ -144,6 +148,7 @@ def run_fig3d(
     max_time: float = 700.0,
     seed: int = 0,
     workers: int = 1,
+    profile: bool = False,
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 0,
 ) -> Fig3dResult:
@@ -151,7 +156,9 @@ def run_fig3d(
 
     The swarm uses a deliberately small neighbor set so the last-piece
     problem manifests (the paper's own Figure 1 analysis: small peer
-    sets produce the last download phase).
+    sets produce the last download phase).  With ``profile`` the swarms
+    run with their per-stage round profiler and the stage totals fold
+    into the returned telemetry (``--timing``).
     """
     base = SimConfig(
         num_pieces=num_pieces,
@@ -183,7 +190,7 @@ def run_fig3d(
             TaskSpec(
                 mean_ttd_by_ordinal,
                 (config,),
-                {"window": window},
+                {"window": window, "profile": profile},
                 checkpoint_interval=interval,
                 checkpoint_key=f"fig3d-{name}",
             )
@@ -193,10 +200,14 @@ def run_fig3d(
     ttd: Dict[str, np.ndarray] = {}
     completed: Dict[str, int] = {}
     ordinals = None
-    for name, (ordinals, mean, count, events) in zip(variants, outcomes):
+    for name, (ordinals, mean, count, events, round_profile) in zip(
+        variants, outcomes
+    ):
         ttd[name] = mean
         completed[name] = count
         executor.record_events(events)
+        if round_profile:
+            executor.telemetry.add_round_profile(round_profile)
     return Fig3dResult(
         ordinals=ordinals, ttd=ttd, completed=completed, timing=executor.telemetry
     )

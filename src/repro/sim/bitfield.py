@@ -3,8 +3,12 @@
 A :class:`Bitfield` tracks which of a file's ``B`` pieces a peer holds,
 backed by a single Python integer used as a bitmask.  All the swarm's
 hot-path queries — mutual interest, exchangeable pieces, rarity
-filtering — reduce to integer bit operations, which keeps the
-simulator's per-round cost low even for thousands of peers.
+filtering — reduce to integer bit operations.  The object engine's
+per-pair loops (potential sets, connection upkeep, donations, piece
+selection) read ``_mask`` and ``num_pieces`` directly instead of
+calling the methods below, whose Python call frames would cost more
+than the bit operations themselves; the methods stay the reference
+semantics those loops are tested against.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Iterator, List, Optional
 
 from repro.errors import ParameterError
 
-__all__ = ["Bitfield"]
+__all__ = ["Bitfield", "universe_mismatch"]
 
 if hasattr(int, "bit_count"):  # Python >= 3.10
     def _popcount(mask: int) -> int:
@@ -142,16 +146,9 @@ class Bitfield:
         diff = self._mask ^ other._mask
         return bool(diff & other._mask) and bool(diff & self._mask)
 
-    def interested_in(self, other: "Bitfield") -> bool:
-        """One-directional interest: ``other`` has a piece we lack."""
-        return bool(self.exchangeable_from(other))
-
     def _check_compatible(self, other: "Bitfield") -> None:
         if self.num_pieces != other.num_pieces:
-            raise ParameterError(
-                f"bitfields cover different files: "
-                f"{self.num_pieces} vs {other.num_pieces} pieces"
-            )
+            raise universe_mismatch(self.num_pieces, other.num_pieces)
 
     # ------------------------------------------------------------------
     # Dunders
@@ -172,6 +169,17 @@ class Bitfield:
 
     def __repr__(self) -> str:
         return f"Bitfield({self._count}/{self.num_pieces})"
+
+
+def universe_mismatch(mine: int, theirs: int) -> ParameterError:
+    """The error for two bitfields over different piece universes.
+
+    Raised by :meth:`Bitfield._check_compatible`, and by the per-pair
+    loops that compare ``num_pieces`` inline instead of calling it.
+    """
+    return ParameterError(
+        f"bitfields cover different files: {mine} vs {theirs} pieces"
+    )
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

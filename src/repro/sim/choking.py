@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.sim.bitfield import universe_mismatch
 from repro.sim.peer import Peer
 from repro.sim.tracker import Tracker
 
@@ -95,24 +96,30 @@ def drop_stale_connections(
     """
     dropped = 0
     leecher_ids: Set[int] = {p.peer_id for p in leechers}
+    lookup = tracker.lookup
     for peer in leechers:
+        mine = peer.bitfield._mask
+        num_pieces = peer.bitfield.num_pieces
         for partner_id in sorted(peer.partners):
             if partner_id in leecher_ids and partner_id < peer.peer_id:
                 # Pair already visited from the lower-id endpoint.
                 continue
-            partner = tracker.get(partner_id)
+            partner = lookup(partner_id)
             if partner is None:
                 peer.partners.discard(partner_id)
                 dropped += 1
                 continue
-            alive = (
-                peer.bitfield.mutual_interest(partner.bitfield)
-                if strict_tft
-                else (
-                    peer.bitfield.interested_in(partner.bitfield)
-                    or partner.bitfield.interested_in(peer.bitfield)
-                )
-            )
+            theirs = partner.bitfield
+            if theirs.num_pieces != num_pieces:
+                raise universe_mismatch(num_pieces, theirs.num_pieces)
+            # Bitfield.mutual_interest's form.  Strict: each side offers
+            # something new; loose: either side does.
+            other = theirs._mask
+            diff = mine ^ other
+            if strict_tft:
+                alive = bool(diff & mine) and bool(diff & other)
+            else:
+                alive = bool(diff & mine) or bool(diff & other)
             if alive and failure_prob > 0.0 and rng.random() < failure_prob:
                 alive = False
             if alive and injector is not None and injector.break_connection():

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
+from repro.sim.bitfield import universe_mismatch
 from repro.sim.peer import Peer
 from repro.sim.tracker import Tracker
 
 __all__ = [
     "potential_set",
     "potential_set_sizes",
+    "optimistic_candidates",
     "IncrementalPotentialSets",
     "is_bootstrap_trapped",
 ]
@@ -34,26 +36,74 @@ def potential_set(peer: Peer, tracker: Tracker, *, strict_tft: bool = True) -> L
         strict_tft: when True (the paper's assumption), membership
             requires mutual novelty; when False, one-directional
             interest (the neighbor has something for ``peer``) suffices.
+
+    Raises:
+        ParameterError: when a neighbor's bitfield covers another file.
     """
     members: List[int] = []
-    mine = peer.bitfield
+    lookup = tracker.lookup
+    mine = peer.bitfield._mask
+    num_pieces = peer.bitfield.num_pieces
     # Canonical (sorted) neighbor order: member order feeds the swarm's
     # RNG-indexed draws, and Python set iteration order depends on the
     # set's internal layout — which a checkpoint restore cannot
     # reproduce.  Sorting makes the run a pure function of the visible
     # state, which is what makes resume ≡ uninterrupted possible.
     for neighbor_id in sorted(peer.neighbors):
-        neighbor = tracker.get(neighbor_id)
+        neighbor = lookup(neighbor_id)
         if neighbor is None or neighbor.is_seed:
             continue
         theirs = neighbor.bitfield
+        if theirs.num_pieces != num_pieces:
+            raise universe_mismatch(num_pieces, theirs.num_pieces)
+        other = theirs._mask
+        # Bitfield.mutual_interest's form: ``diff & other`` is what the
+        # neighbor offers us, ``diff & mine`` what we offer back.
+        diff = mine ^ other
         if strict_tft:
-            if mine.mutual_interest(theirs):
+            if diff & other and diff & mine:
                 members.append(neighbor_id)
-        else:
-            if mine.interested_in(theirs):
-                members.append(neighbor_id)
+        elif diff & other:
+            members.append(neighbor_id)
     return members
+
+
+def optimistic_candidates(
+    donor: Peer, tracker: Tracker, *, targets: str = "starved"
+) -> List[int]:
+    """Neighbor ids eligible for the donor's optimistic unchoke.
+
+    ``"starved"`` targets are leechers that want a piece of the donor's
+    but hold nothing the donor lacks — the peers tit-for-tat alone can
+    never serve; ``"empty"`` targets are leechers holding no piece.
+    Ids come in sorted order: the caller indexes the list with an RNG
+    draw, so its order must survive checkpoint/restore.
+
+    Raises:
+        ParameterError: when a neighbor's bitfield covers another file.
+    """
+    eligible: List[int] = []
+    lookup = tracker.lookup
+    mine = donor.bitfield._mask
+    num_pieces = donor.bitfield.num_pieces
+    starved = targets != "empty"
+    for neighbor_id in sorted(donor.neighbors):
+        neighbor = lookup(neighbor_id)
+        if neighbor is None or neighbor.is_seed:
+            continue
+        theirs = neighbor.bitfield
+        if theirs.num_pieces != num_pieces:
+            raise universe_mismatch(num_pieces, theirs.num_pieces)
+        other = theirs._mask
+        if starved:
+            # Bitfield.mutual_interest's form: the neighbor wants from
+            # the donor (``diff & mine``) and offers nothing back.
+            diff = mine ^ other
+            if diff & mine and not diff & other:
+                eligible.append(neighbor_id)
+        elif not other:
+            eligible.append(neighbor_id)
+    return eligible
 
 
 def potential_set_sizes(

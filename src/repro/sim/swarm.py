@@ -50,6 +50,7 @@ from repro.runtime.profiler import RoundProfiler
 from repro.sim.peer_selection import (
     IncrementalPotentialSets,
     is_bootstrap_trapped,
+    optimistic_candidates,
 )
 from repro.sim.piece_selection import neighborhood_rarity, select_piece
 from repro.sim.seeds import plan_seed_uploads
@@ -332,7 +333,7 @@ class Swarm(CheckpointControl):
         self.instrumented_peers: List[Peer] = []
         #: Global replication counts, maintained incrementally.
         self.piece_counts = np.zeros(config.num_pieces, dtype=np.int64)
-        self._global_rarity: Optional[np.ndarray] = None
+        self._global_rarity: Optional[List[int]] = None
         self._rarity_round = -1
         #: Dirty-flag potential-set cache (subscribes to tracker
         #: mutations; bitfield/seed-flag changes are reported below).
@@ -588,15 +589,12 @@ class Swarm(CheckpointControl):
         # Global view: snapshot at most once per round (piece counts
         # move within a round, but rarest-first is a heuristic ranking;
         # the one-round-stale view is the standard fidelity/cost trade).
-        # The snapshot is the raw count array — O(B) copy instead of the
-        # old O(B) dict build — which select_piece indexes directly;
-        # every count matches the old ``{piece: count if count > 0}``
-        # view, so selections are bit-identical.
+        # The snapshot is the count array as a list of Python ints,
+        # which select_piece indexes per candidate and maps to weights
+        # through its count-indexed table.
         if self._rarity_round != self._rounds:
             self._rarity_round = self._rounds
-            snapshot = self.piece_counts.copy()
-            snapshot.setflags(write=False)
-            self._global_rarity = snapshot
+            self._global_rarity = self.piece_counts.tolist()
         return self._global_rarity
 
     def _grant_piece(self, receiver: Peer, piece: int, time: float) -> bool:
@@ -609,7 +607,7 @@ class Swarm(CheckpointControl):
         entire piece is received and its correctness is verified" — only
         once all blocks have arrived.
         """
-        if receiver.bitfield.has(piece):
+        if receiver.bitfield._mask >> piece & 1:
             return False
         blocks = self.config.blocks_per_piece
         if blocks > 1:
@@ -664,13 +662,15 @@ class Swarm(CheckpointControl):
         """
         config = self.config
         pairs: List[Tuple[Peer, Peer]] = []
+        lookup = self.tracker.lookup
         for peer in leechers:
             # Sorted partner order: pair order feeds the permutation
             # draw below and must not depend on set memory layout
             # (checkpoint restores rebuild these sets from scratch).
+            peer_id = peer.peer_id
             for partner_id in sorted(peer.partners):
-                if partner_id > peer.peer_id:
-                    partner = self.tracker.get(partner_id)
+                if partner_id > peer_id:
+                    partner = lookup(partner_id)
                     if partner is not None and not partner.is_seed:
                         pairs.append((peer, partner))
         if not pairs:
@@ -755,23 +755,9 @@ class Swarm(CheckpointControl):
                 continue
             if self.rng.random() >= config.optimistic_unchoke_prob:
                 continue
-            eligible = []
-            # Sorted neighbor order: ``eligible`` is indexed by an RNG
-            # draw, so its order must survive checkpoint/restore.
-            for nid in sorted(donor.neighbors):
-                neighbor = self.tracker.get(nid)
-                if neighbor is None or neighbor.is_seed:
-                    continue
-                if config.optimistic_targets == "empty":
-                    if neighbor.bitfield.is_empty:
-                        eligible.append(nid)
-                else:
-                    # Starved: wants something from the donor but has
-                    # nothing novel to trade back.
-                    if neighbor.bitfield.interested_in(
-                        donor.bitfield
-                    ) and not donor.bitfield.interested_in(neighbor.bitfield):
-                        eligible.append(nid)
+            eligible = optimistic_candidates(
+                donor, self.tracker, targets=config.optimistic_targets
+            )
             if not eligible:
                 continue
             receiver = self.tracker.get(

@@ -114,6 +114,13 @@ class Tracker:
     def get(self, peer_id: int) -> Optional[Peer]:
         return self._peers.get(peer_id)
 
+    @property
+    def lookup(self) -> Callable[[int], Optional[Peer]]:
+        """The registry's own ``dict.get``: :meth:`get` without the
+        Python call frame, for per-pair loops.  Bind it once per loop;
+        it stays valid while the registry is not replaced."""
+        return self._peers.get
+
     def __contains__(self, peer_id: int) -> bool:
         return peer_id in self._peers
 

@@ -28,23 +28,29 @@ def replication_degrees(
     """Count, per piece, how many of the given bitfields hold it.
 
     Returns an integer array ``d`` of length ``num_pieces`` with
-    ``d[p]`` = number of holders of piece ``p``.
+    ``d[p]`` = number of holders of piece ``p``.  The masks are packed
+    into one little-endian byte matrix and counted with a single
+    ``np.unpackbits`` and column sum.
     """
     if num_pieces < 1:
         raise ParameterError(f"num_pieces must be >= 1, got {num_pieces}")
-    degrees = np.zeros(num_pieces, dtype=np.int64)
+    width = (num_pieces + 7) // 8
+    rows = []
     for bitfield in bitfields:
         if bitfield.num_pieces != num_pieces:
             raise ParameterError(
                 f"bitfield covers {bitfield.num_pieces} pieces, "
                 f"expected {num_pieces}"
             )
-        if bitfield.is_complete:
-            degrees += 1
-            continue
-        for piece in bitfield.pieces():
-            degrees[piece] += 1
-    return degrees
+        rows.append(bitfield._mask.to_bytes(width, "little"))
+    if not rows:
+        return np.zeros(num_pieces, dtype=np.int64)
+    packed = np.frombuffer(b"".join(rows), dtype=np.uint8)
+    bits = np.unpackbits(
+        packed.reshape(len(rows), width), axis=1, count=num_pieces,
+        bitorder="little",
+    )
+    return bits.sum(axis=0, dtype=np.int64)
 
 
 def entropy(degrees: np.ndarray) -> float:

@@ -115,6 +115,7 @@ def run_stability_experiment(
     recovery_level: float = 0.5,
     entropy_every: int = 2,
     backend: str = "object",
+    profile: bool = False,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 0,
 ) -> StabilityRun:
@@ -128,6 +129,8 @@ def run_stability_experiment(
             counts as recovered.
         entropy_every: entropy sampling stride in rounds (entropy costs
             O(N * B) per sample).
+        profile: run the swarm with its per-stage round profiler; the
+            stage totals ride on ``result.round_profile``.
         checkpoint_path / checkpoint_every: when set (the executor
             injects them for checkpointable tasks), the swarm snapshots
             every ``checkpoint_every`` rounds and resumes from an
@@ -155,6 +158,7 @@ def run_stability_experiment(
                 entropy_includes_seeds=True,
             ),
             backend=backend,
+            profile=profile,
         )
         metrics = result.metrics
     else:
@@ -163,7 +167,9 @@ def run_stability_experiment(
             entropy_every=entropy_every,
             entropy_includes_seeds=True,
         )
-        swarm = Swarm(config, metrics=metrics, backend=backend)
+        swarm = Swarm(
+            config, metrics=metrics, backend=backend, profile=profile
+        )
         result = swarm.run()
 
     times, leech, seeds = metrics.population_arrays()

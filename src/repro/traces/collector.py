@@ -14,7 +14,7 @@ blocks their seed interaction, and converts the per-round logs into
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional
 
 from repro.errors import ParameterError
 from repro.sim.config import SimConfig
@@ -73,6 +73,7 @@ def collect_traces(
     *,
     avoid_seeds: bool = True,
     swarm_id: str = "sim-swarm",
+    round_profile: Optional[Dict[str, float]] = None,
 ) -> List[ClientTrace]:
     """Run a swarm with instrumented clients and return their traces.
 
@@ -83,6 +84,8 @@ def collect_traces(
         avoid_seeds: block seed uploads to the instrumented clients,
             matching the paper's strict-tit-for-tat measurement setup.
         swarm_id: label recorded on the traces.
+        round_profile: when given, the swarm runs with its per-stage
+            round profiler and adds its stage seconds into this dict.
     """
     if num_clients < 1:
         raise ParameterError(f"num_clients must be >= 1, got {num_clients}")
@@ -90,8 +93,12 @@ def collect_traces(
         config,
         instrument_first=num_clients,
         instrumented_avoid_seeds=avoid_seeds,
+        profile=round_profile is not None,
     )
     result = swarm.run()
+    if round_profile is not None:
+        for stage, seconds in result.round_profile.items():
+            round_profile[stage] = round_profile.get(stage, 0.0) + seconds
     return [
         trace_from_peer(
             peer,

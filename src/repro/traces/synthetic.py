@@ -181,13 +181,16 @@ def generate_archetype(
     *,
     seed: int = 0,
     max_attempts: int = 8,
+    round_profile: Optional[Dict[str, float]] = None,
 ) -> Tuple[ClientTrace, SimConfig]:
     """Generate one archetype trace, retrying seeds until it matches.
 
     Stochastic swarms do not produce the target phase signature on
     every seed (neither did the paper's live swarms — they *selected*
     the three shown instances); this retries successive seeds until the
-    phase segmentation labels the trace as expected.
+    phase segmentation labels the trace as expected.  A
+    ``round_profile`` dict collects the per-stage round seconds of every
+    attempt's swarm (see :func:`~repro.traces.collector.collect_traces`).
 
     Returns:
         ``(trace, config)`` for the first matching run.
@@ -205,7 +208,11 @@ def generate_archetype(
     for attempt in range(max_attempts):
         config = archetype_config(kind, seed=seed + attempt)
         traces = collect_traces(
-            config, 1, avoid_seeds=True, swarm_id=f"{kind}-{seed + attempt}"
+            config,
+            1,
+            avoid_seeds=True,
+            swarm_id=f"{kind}-{seed + attempt}",
+            round_profile=round_profile,
         )
         trace = traces[0]
         last_trace = trace

@@ -4,6 +4,8 @@ Each runner is exercised at reduced scale; assertions target the shape
 properties the paper's figures report, not absolute numbers.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,14 @@ from repro.experiments import (
     run_fig3bc,
     run_fig3d,
 )
+from repro.experiments.fig3a import sim_efficiency
+from repro.experiments.fig3d import mean_ttd_by_ordinal
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.errors import ParameterError
+from repro.runtime.profiler import STAGES
 from repro.runtime.seeding import derive_seed
+from repro.serialize import to_jsonable
+from repro.sim.config import SimConfig
 
 
 def _batch_options(method, runs, seed):
@@ -354,3 +361,58 @@ class TestRegistry:
         assert payload["experiment"] == "F2"
         assert result.timing is not None
         assert result.timing.tasks == 3
+
+
+#: Small runs of the object-engine figure runners that take ``profile``.
+PROFILED_RUNS = {
+    "F2": lambda **kw: run_fig2(seed=0, **kw),
+    "F3a": lambda **kw: run_fig3a(
+        k_values=(1, 2), num_pieces=30, seed=0,
+        sim_kwargs={"initial_leechers": 30, "max_time": 30.0}, **kw,
+    ),
+    "F3bc": lambda **kw: run_fig3bc(
+        piece_counts=(3,), initial_leechers=60, arrival_rate=5.0,
+        max_time=30.0, seed=0, **kw,
+    ),
+    "F3d": lambda **kw: run_fig3d(
+        num_pieces=30, window=4, initial_leechers=20, max_time=60.0,
+        seed=0, **kw,
+    ),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(PROFILED_RUNS))
+def test_profile_folds_round_stages_and_keeps_the_payload(figure):
+    """``profile=True`` (``repro-bt run --timing``) folds every swarm's
+    round-profile stages into the telemetry and changes no output."""
+    plain = PROFILED_RUNS[figure]()
+    profiled = PROFILED_RUNS[figure](profile=True)
+    assert plain.timing.round_profile == {}
+    assert set(profiled.timing.round_profile) == set(STAGES)
+    assert sum(profiled.timing.round_profile.values()) > 0
+    payloads = []
+    for result in (plain, profiled):
+        payload = to_jsonable(result.to_dict())
+        payload.pop("timing")
+        payloads.append(json.dumps(payload, sort_keys=True))
+    assert payloads[0] == payloads[1]
+
+
+def test_task_functions_end_with_the_round_profile():
+    """The per-task functions that callers use directly (the examples
+    unpack them) end their tuples with the round profile: the stage
+    seconds under ``profile=True``, None otherwise."""
+    eta, events, round_profile = sim_efficiency(
+        2, num_pieces=20, initial_leechers=20, max_time=20.0
+    )
+    assert 0.0 <= eta <= 1.0 and events > 0 and round_profile is None
+    config = SimConfig(
+        num_pieces=20, max_conns=3, ns_size=8, initial_leechers=20,
+        initial_distribution="uniform", initial_fill=0.5, num_seeds=1,
+        max_time=40.0, seed=0,
+    )
+    ordinals, mean, count, events, round_profile = mean_ttd_by_ordinal(
+        config, window=4, profile=True
+    )
+    assert list(ordinals) == [17, 18, 19, 20] and mean.shape == (4,)
+    assert events > 0 and set(round_profile) == set(STAGES)

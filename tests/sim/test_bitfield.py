@@ -108,11 +108,11 @@ class TestQueries:
         b = Bitfield.from_pieces(8, [0, 1])
         assert not a.mutual_interest(b)
 
-    def test_interested_in(self):
+    def test_exchangeable_from_is_one_directional(self):
         a = Bitfield.from_pieces(8, [0])
         b = Bitfield.from_pieces(8, [0, 1])
-        assert a.interested_in(b)
-        assert not b.interested_in(a)
+        assert a.exchangeable_from(b) == 0b10
+        assert b.exchangeable_from(a) == 0
 
     def test_incompatible_sizes(self):
         with pytest.raises(ParameterError):
@@ -138,7 +138,9 @@ class TestProperties:
     @given(a=bitfields(), b=bitfields())
     @settings(max_examples=80)
     def test_mutual_iff_both_interested(self, a, b):
-        assert a.mutual_interest(b) == (a.interested_in(b) and b.interested_in(a))
+        assert a.mutual_interest(b) == (
+            bool(a.exchangeable_from(b)) and bool(b.exchangeable_from(a))
+        )
 
     @given(a=bitfields(), b=bitfields())
     @settings(max_examples=80)

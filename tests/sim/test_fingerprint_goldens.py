@@ -1,4 +1,4 @@
-"""Mid-scale fingerprint goldens for the soa and sharded engines.
+"""Fingerprint goldens for the object, soa and sharded engines.
 
 The soa-equivalence and checkpoint suites compare engines and resumes
 with each other at a few hundred peers; this file pins absolute
@@ -13,6 +13,13 @@ every leecher starts with no piece, so the round skips most neighbor
 rows, and one case spreads each bitfield over two words.  The
 seed-announce case pins the tracker announce of seeds that already hold
 relations, which only migration reaches.
+
+The object cases pin the per-pair round of the object engine, one
+feature each: the two optimistic-donation target rules, loose
+tit-for-tat, the piece policies, the neighborhood rarity view, sub-piece
+blocks, bandwidth classes with super-seeding, a fault plan, and
+lingering seeds with aborts.  Their swarms are small (a few hundred
+peers at most) because that engine walks every pair in Python.
 
 ``soa_100k_seed1.sha256`` beside the goldens holds the fingerprint of
 ``perfbench/run.py --workload soa-100k --seed 1``; CI compares the
@@ -33,7 +40,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.sim.piece_selection as piece_selection
+import repro.sim.seeds as seeds_module
 import repro.sim.soa as soa_module
+import repro.sim.swarm as swarm_module
+from repro.faults.plan import FaultPlan, OutageWindow
 from repro.sim.config import SimConfig
 from repro.sim.soa import words_for
 from repro.sim.swarm import Swarm
@@ -152,7 +163,81 @@ def seed_announce_config() -> SimConfig:
     )
 
 
+def object_config(**changes) -> SimConfig:
+    """A small Poisson swarm for the object engine: half-filled initial
+    leechers, optimistic donations, connection churn and rarest-first.
+    Each object case changes one feature of it."""
+    base = SimConfig(
+        num_pieces=40,
+        max_conns=4,
+        ns_size=12,
+        arrival_process="poisson",
+        arrival_rate=3.0,
+        initial_leechers=80,
+        initial_distribution="uniform",
+        initial_fill=0.4,
+        num_seeds=2,
+        seed_upload_slots=2,
+        optimistic_unchoke_prob=0.5,
+        connection_setup_prob=0.9,
+        connection_failure_prob=0.05,
+        piece_selection="rarest",
+        max_time=60.0,
+        seed=5,
+    )
+    return base.with_changes(**changes)
+
+
+#: Churn, extra connection breaks, handshake timeouts and both tracker
+#: outage modes, drawn from the injector's own stream.
+OBJECT_FAULTS = FaultPlan(
+    churn_hazard=0.02,
+    connection_break_prob=0.05,
+    handshake_failure_prob=0.1,
+    outages=(OutageWindow(8.0, 12.0, "stale"), OutageWindow(20.0, 23.0)),
+)
+
+
+OBJECT_CASES = {
+    "object-starved": lambda: Swarm(object_config()),
+    "object-empty": lambda: Swarm(
+        object_config(optimistic_targets="empty", initial_distribution="empty")
+    ),
+    "object-loose-tft": lambda: Swarm(object_config(strict_tft=False)),
+    "object-strict-rarest": lambda: Swarm(
+        object_config(piece_selection="strict-rarest")
+    ),
+    "object-random": lambda: Swarm(object_config(piece_selection="random")),
+    "object-windowed": lambda: Swarm(
+        object_config(piece_selection="windowed")
+    ),
+    "object-neighborhood": lambda: Swarm(
+        object_config(), rarity_view="neighborhood"
+    ),
+    "object-blocks": lambda: Swarm(object_config(blocks_per_piece=2)),
+    "object-bandwidth-superseed": lambda: Swarm(
+        object_config(
+            bandwidth_classes=((0.5, 1), (0.5, 3)), super_seeding=True
+        )
+    ),
+    "object-faults": lambda: Swarm(object_config(), faults=OBJECT_FAULTS),
+    "object-lingering": lambda: Swarm(
+        object_config(
+            completed_become_seeds=3.0, abort_rate=0.02, shake_threshold=0.6
+        )
+    ),
+    # 160 pieces and empty arrivals: rarest-first draws over more than
+    # 128 candidates, the blocked branch of numpy's pairwise sum.
+    "object-wide": lambda: Swarm(
+        object_config(
+            num_pieces=160, initial_distribution="empty"
+        )
+    ),
+}
+
+
 CASES = {
+    **OBJECT_CASES,
     "soa-departing": lambda: Swarm(soa_departing_config(), backend="soa"),
     "soa-lingering": lambda: Swarm(soa_lingering_config(), backend="soa"),
     "sharded-2": lambda: Swarm(
@@ -238,6 +323,33 @@ def test_cases_exercise_their_departure_paths(results):
     sharded = results("sharded-2")
     assert sharded.comms["bytes_migrated"] > 0
     assert len(sharded.metrics.completed) > 0
+
+
+def test_object_cases_reach_their_features(monkeypatch, results):
+    """Guard the object goldens' coverage: faults churn and break
+    connections, lingering seeds depart and leechers abort, and the wide
+    case really draws rarest-first over more than 128 candidates."""
+    faults = results("object-faults")
+    assert len(faults.metrics.aborted) > 10
+    assert faults.fault_stats.connections_broken > 0
+    lingering = results("object-lingering")
+    assert len(lingering.metrics.aborted) > 10
+    seeds = [row[2] for row in lingering.tracker_population_log]
+    assert any(b < a for a, b in zip(seeds, seeds[1:]))
+    assert results("object-bandwidth-superseed").seed_upload_count > 0
+
+    widest = []
+    real = piece_selection.select_piece
+
+    def spy(receiver, sender, policy, rng, **kwargs):
+        if receiver.count >= kwargs.get("random_first_cutoff", 4):
+            widest.append(len(receiver.exchangeable_pieces_from(sender)))
+        return real(receiver, sender, policy, rng, **kwargs)
+
+    monkeypatch.setattr(swarm_module, "select_piece", spy)
+    monkeypatch.setattr(seeds_module, "select_piece", spy)
+    OBJECT_CASES["object-wide"]().run()
+    assert max(widest) > 128
 
 
 def test_flash_case_runs_through_the_bootstrap_phase(results):

@@ -439,8 +439,8 @@ def test_row_interest_matches_bitfield_reference(rows):
                 assert not give[row, col] and not take[row, col]
                 continue
             mine, theirs = fields[owner], fields[nbr[row, col]]
-            assert give[row, col] == theirs.interested_in(mine)
-            assert take[row, col] == mine.interested_in(theirs)
+            assert give[row, col] == bool(theirs.exchangeable_from(mine))
+            assert take[row, col] == bool(mine.exchangeable_from(theirs))
 
 
 def test_row_interest_masks_padding_not_the_wrapped_slot():
