@@ -53,7 +53,9 @@ def run_and_collect(name: str, overrides: dict):
                         piece_size_bytes=config.piece_size_bytes)
         for peer in result.instrumented
     ]
-    verdict = classify_swarm(result.tracker_population_log, resolution=15.0)
+    verdict = classify_swarm(
+        result.metrics.population_series, resolution=15.0
+    )
     return traces, verdict
 
 

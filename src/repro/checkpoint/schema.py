@@ -1,4 +1,4 @@
-"""Snapshot schema v2: full swarm state at a round boundary.
+"""Snapshot schema v3: full swarm state at a round boundary.
 
 The document captured here is everything a fresh process needs to
 continue a run so that the continuation is **bit-identical** to the
@@ -19,11 +19,13 @@ uninterrupted one — same RNG draws, same iteration orders, same
 * **Tracker** — registry in ascending-id order (the live dict's
   insertion order is ascending id and ``dict.pop`` preserves order, so
   rebuilding by ascending id reproduces announce candidate order),
-  id counter, bootstrap-trap set, population log.
+  id counter, bootstrap-trap set.
 * **Potential-set cache** — cached member lists and the dirty set, so
   the first resumed round recomputes exactly the peers the
   uninterrupted run would have recomputed.
-* **Metrics / counters** — every series the result fingerprint covers.
+* **Metrics / counters** — every series the result fingerprint covers;
+  the collector's ``population_series`` is the run's one population
+  log.
 
 Order-sensitive state is stored in JSON arrays, never in object key
 order, which lets the container serialize with ``sort_keys=True``.
@@ -70,7 +72,7 @@ __all__ = [
 
 #: Version of the snapshot document layout (independent of the on-disk
 #: container version in ``repro.checkpoint.format``).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _num(value):
@@ -189,9 +191,7 @@ def _snapshot_metrics(metrics: MetricsCollector) -> dict:
     return {
         "max_conns": metrics.max_conns,
         "entropy_every": metrics.entropy_every,
-        "entropy_includes_seeds": metrics.entropy_includes_seeds,
         "occupancy_warmup": metrics.occupancy_warmup,
-        "occupancy_scope": metrics.occupancy_scope,
         "population_series": _triples(metrics.population_series),
         "entropy_series": _pairs(metrics.entropy_series),
         "aborted": _pairs(metrics.aborted),
@@ -217,9 +217,7 @@ def _restore_metrics(doc: dict) -> MetricsCollector:
     metrics = MetricsCollector(
         int(doc["max_conns"]),
         entropy_every=int(doc["entropy_every"]),
-        entropy_includes_seeds=bool(doc["entropy_includes_seeds"]),
         occupancy_warmup=float(doc["occupancy_warmup"]),
-        occupancy_scope=str(doc["occupancy_scope"]),
     )
     metrics.population_series = [
         (float(t), int(le), int(se)) for t, le, se in doc["population_series"]
@@ -260,7 +258,7 @@ def _restore_metrics(doc: dict) -> MetricsCollector:
 # Swarm (top level)
 # ----------------------------------------------------------------------
 def snapshot_swarm(swarm: "Swarm") -> dict:
-    """Full snapshot document for ``swarm`` (schema v2).
+    """Full snapshot document for ``swarm`` (schema v3).
 
     Must be called at a round boundary (between engine events); the
     swarm's ``_maybe_checkpoint`` hook guarantees this.
@@ -305,7 +303,6 @@ def snapshot_swarm(swarm: "Swarm") -> dict:
         "tracker": {
             "next_id": tracker._next_id,
             "bootstrap_trapped": sorted(tracker._bootstrap_trapped),
-            "population_log": _triples(tracker.population_log),
         },
         "peers": alive,
         "departed_instrumented": departed,
@@ -359,12 +356,9 @@ def snapshot_soa_swarm(swarm) -> dict:
                 "attempts": swarm.connection_stats.attempts,
                 "formed": swarm.connection_stats.formed,
             },
-            "instrumented_start_empty": swarm.instrumented_start_empty,
-            "rarity_view": swarm.rarity_view,
             "next_id": swarm._next_id,
             "n_leech": swarm._n_leech,
             "n_seeds": swarm._n_seeds,
-            "population_log": _triples(swarm._population_log),
             "pending_announce": [int(s) for s in swarm._pending_announce],
             # Row order is deterministic state: maintenance and exchange
             # iterate pairs in storage order.
@@ -403,8 +397,6 @@ def _restore_soa_swarm(document: dict, swarm_cls=None, **swarm_kwargs):
 
     swarm = swarm_cls(
         config,
-        instrumented_start_empty=bool(sw["instrumented_start_empty"]),
-        rarity_view=str(sw["rarity_view"]),
         metrics=metrics,
         faults=plan,
         **swarm_kwargs,
@@ -426,9 +418,6 @@ def _restore_soa_swarm(document: dict, swarm_cls=None, **swarm_kwargs):
     swarm._next_id = int(sw["next_id"])
     swarm._n_leech = int(sw["n_leech"])
     swarm._n_seeds = int(sw["n_seeds"])
-    swarm._population_log = [
-        (float(t), int(le), int(se)) for t, le, se in sw["population_log"]
-    ]
     swarm._pending_announce = [int(s) for s in sw["pending_announce"]]
     swarm._alive_dirty = True
     swarm.piece_counts = np.asarray(sw["piece_counts"], dtype=np.int64)
@@ -532,10 +521,6 @@ def restore_swarm(document: dict, **swarm_kwargs) -> "Swarm":
         tracker._bootstrap_trapped = {
             int(pid) for pid in document["tracker"]["bootstrap_trapped"]
         }
-        tracker.population_log = [
-            (float(t), int(le), int(se))
-            for t, le, se in document["tracker"]["population_log"]
-        ]
 
         # Instrumented list: alive entries must alias the tracker's peer
         # objects (they keep accumulating stats); departed ones are

@@ -1,7 +1,8 @@
 """Swarm observers: every series the paper's figures are drawn from.
 
-The :class:`MetricsCollector` is invoked once per protocol round by the
-swarm orchestrator and accumulates:
+Every swarm engine (object, soa, sharded) hands the
+:class:`MetricsCollector` each round through its one round hook,
+:meth:`MetricsCollector.record_round`, which accumulates:
 
 * **population** — ``(time, leechers, seeds)``, Figure 3/4(b);
 * **entropy** — ``(time, E)``, Figure 3/4(c);
@@ -16,15 +17,14 @@ swarm orchestrator and accumulates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.efficiency.balance import efficiency_from_occupancy
 from repro.errors import ParameterError
 from repro.sim.peer import Peer, PeerStats
-from repro.sim.tracker import Tracker
-from repro.stability.entropy import entropy, replication_degrees
+from repro.stability.entropy import entropy
 
 __all__ = ["CompletedDownload", "MetricsCollector"]
 
@@ -58,20 +58,25 @@ class CompletedDownload:
 class MetricsCollector:
     """Accumulates swarm-level and per-peer series during a run.
 
+    The engines call :meth:`record_round` once per protocol round,
+    :meth:`record_abort` per abandoned download and
+    :meth:`on_peer_complete` per finished one.  :attr:`population_series`
+    is the run's one population log (the paper's tracker statistics).
+
+    Entropy is taken over the replication degrees of every live peer,
+    seeds included (the paper's "replication degree of the i-th piece
+    in the system").  The occupancy histogram counts the leechers in
+    the efficient download phase — holding at least one piece with a
+    non-empty potential set — which is exactly the population the
+    Section-5 connection chain models; the engines apply that filter.
+
     Args:
         max_conns: ``k`` (sizes the occupancy histogram).
-        entropy_every: sample entropy every this many rounds (entropy
-            costs O(N * B); 1 samples every round).
-        entropy_includes_seeds: count seeds in replication degrees.
+        entropy_every: sample entropy every this many rounds (1 samples
+            every round).
         occupancy_warmup: fraction of the run (by round count) discarded
             before occupancy/efficiency accumulation starts, so the
             cold-start transient does not bias the equilibrium estimate.
-        occupancy_scope: which leechers enter the occupancy histogram.
-            ``"trading"`` (default) counts peers in the efficient
-            download phase — holding at least one piece with a
-            non-empty potential set — which is exactly the population
-            the Section-5 connection chain models; ``"all"`` counts
-            every leecher (bootstrap and last-phase peers included).
     """
 
     def __init__(
@@ -79,9 +84,7 @@ class MetricsCollector:
         max_conns: int,
         *,
         entropy_every: int = 1,
-        entropy_includes_seeds: bool = True,
         occupancy_warmup: float = 0.25,
-        occupancy_scope: str = "trading",
     ):
         if max_conns < 1:
             raise ParameterError(f"max_conns must be >= 1, got {max_conns}")
@@ -91,15 +94,8 @@ class MetricsCollector:
             raise ParameterError(
                 f"occupancy_warmup must be in [0, 1), got {occupancy_warmup}"
             )
-        if occupancy_scope not in ("trading", "all"):
-            raise ParameterError(
-                f"occupancy_scope must be 'trading' or 'all', "
-                f"got {occupancy_scope!r}"
-            )
-        self.occupancy_scope = occupancy_scope
         self.max_conns = max_conns
         self.entropy_every = entropy_every
-        self.entropy_includes_seeds = entropy_includes_seeds
         self.occupancy_warmup = occupancy_warmup
 
         self.population_series: List[Tuple[float, int, int]] = []
@@ -131,46 +127,6 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # Hooks called by the swarm
     # ------------------------------------------------------------------
-    def on_round_end(
-        self,
-        time: float,
-        tracker: Tracker,
-        potential_sizes: Dict[int, int],
-    ) -> None:
-        """Record one round's swarm-level samples."""
-        self.rounds_observed += 1
-        leech, seeds = tracker.counts()
-        self.population_series.append((time, leech, seeds))
-
-        if self.rounds_observed % self.entropy_every == 0:
-            peers = (
-                tracker.peers()
-                if self.entropy_includes_seeds
-                else tracker.leechers()
-            )
-            bitfields = [p.bitfield for p in peers]
-            if bitfields:
-                degrees = replication_degrees(bitfields, bitfields[0].num_pieces)
-                self.entropy_series.append((time, entropy(degrees)))
-            else:
-                self.entropy_series.append((time, 1.0))
-
-        if self.rounds_observed > self._warmup_rounds:
-            histogram = np.zeros(self.max_conns + 1, dtype=np.float64)
-            total = 0
-            for peer in tracker.leechers():
-                if self.occupancy_scope == "trading":
-                    if peer.bitfield.count < 1:
-                        continue  # bootstrap: not yet in the connection chain
-                    if potential_sizes.get(peer.peer_id, 0) < 1:
-                        continue  # last phase: nobody to connect to
-                connections = min(len(peer.partners), self.max_conns)
-                histogram[connections] += 1
-                total += 1
-            if total > 0:
-                self._occupancy_sums += histogram / total
-                self._occupancy_rounds += 1
-
     def record_round(
         self,
         time: float,
@@ -180,20 +136,20 @@ class MetricsCollector:
         degrees: Optional[np.ndarray] = None,
         conn_counts: Optional[np.ndarray] = None,
     ) -> None:
-        """Array-native counterpart of :meth:`on_round_end`.
+        """Record one round's swarm-level samples.
 
-        Used by the soa backend, which has no :class:`Tracker` of peer
-        objects to iterate.  The caller supplies pre-aggregated arrays:
+        Every engine's round ends here; the caller supplies
+        pre-aggregated arrays.
 
         Args:
             time: round-end simulation time.
             leechers / seeds: live population counts.
-            degrees: per-piece replication degrees for the entropy
-                sample (respecting ``entropy_includes_seeds``); only
-                consulted on entropy-sampling rounds.
-            conn_counts: active-connection counts for the leechers in
-                the occupancy scope (the caller applies the ``trading``
-                filter); only consulted after the warmup.
+            degrees: per-piece replication degrees over every live peer,
+                seeds included, for the entropy sample; only consulted
+                on entropy-sampling rounds.
+            conn_counts: active-connection counts of the trading-scope
+                leechers (the caller applies the filter); only consulted
+                after the warmup.
         """
         self.rounds_observed += 1
         self.population_series.append((time, leechers, seeds))
@@ -214,12 +170,8 @@ class MetricsCollector:
                 self._occupancy_rounds += 1
 
     def record_abort(self, time: float, pieces_held: int) -> None:
-        """Array-native counterpart of :meth:`on_peer_abort`."""
-        self.aborted.append((time, pieces_held))
-
-    def on_peer_abort(self, peer: Peer, time: float) -> None:
         """Record a leecher abandoning its download (the fluid theta)."""
-        self.aborted.append((time, peer.bitfield.count))
+        self.aborted.append((time, pieces_held))
 
     def on_peer_complete(self, peer: Peer, time: float) -> None:
         """Record a finished download (called before the peer departs)."""

@@ -161,16 +161,16 @@ class ShardEngine(SoaSwarm):
     * arrivals are injected by the coordinator with explicit globally
       unique peer ids (the shard never draws arrival times itself);
     * every round emits a report (populations, replication counts,
-      trading-scope connection counts, completion/abort deltas) for
-      the coordinator's metrics collector.
+      trading-scope connection counts, the round's completion and abort
+      records) for the coordinator's metrics collector, which records
+      the round; the shard's own collector only gathers the round's
+      completion and abort records and hands them over, keeping none.
     """
 
     def __init__(self, config: SimConfig, **kwargs):
         super().__init__(config, **kwargs)
         self._global_counts: Optional[np.ndarray] = None
         self._round_report: Optional[dict] = None
-        self._completed_reported = 0
-        self._aborted_reported = 0
 
     # -- coordinator-facing hooks --------------------------------------
     def _rarity_snapshot(self) -> np.ndarray:
@@ -189,15 +189,15 @@ class ShardEngine(SoaSwarm):
             self.engine.schedule_at(next_time, Event("round"))
 
     def _log_round(self, time: float, pot_full: np.ndarray) -> None:
-        conn_counts = super()._log_round(time, pot_full)
+        metrics = self.metrics
         self._round_report = self.state_summary(
             time=time,
-            conn_counts=conn_counts,
-            completed=self.metrics.completed[self._completed_reported:],
-            aborted=self.metrics.aborted[self._aborted_reported:],
+            conn_counts=self._trading_conn_counts(pot_full),
+            completed=metrics.completed,
+            aborted=metrics.aborted,
         )
-        self._completed_reported = len(self.metrics.completed)
-        self._aborted_reported = len(self.metrics.aborted)
+        metrics.completed = []
+        metrics.aborted = []
 
     # -- cross-shard peer exchange -------------------------------------
     def spawn_arrivals(self, times: np.ndarray, ids: np.ndarray) -> None:
@@ -303,18 +303,6 @@ class ShardEngine(SoaSwarm):
         )
 
 
-def _shard_metrics(max_conns: int, opts: dict) -> MetricsCollector:
-    """A shard's local collector: an internal ledger, entropy disabled
-    (the coordinator computes global entropy from summed counts)."""
-    return MetricsCollector(
-        max_conns,
-        entropy_every=1_000_000_000,
-        entropy_includes_seeds=bool(opts["entropy_includes_seeds"]),
-        occupancy_warmup=float(opts["occupancy_warmup"]),
-        occupancy_scope=str(opts["occupancy_scope"]),
-    )
-
-
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
@@ -339,10 +327,6 @@ def _shard_worker(conn, shards: int) -> None:
                 if command == "init":
                     engine = ShardEngine(
                         payload["config"],
-                        metrics=_shard_metrics(
-                            payload["config"].max_conns,
-                            payload["metrics_opts"],
-                        ),
                         faults=payload["faults"],
                         profile=payload["profile"],
                     )
@@ -357,25 +341,15 @@ def _shard_worker(conn, shards: int) -> None:
                         swarm_cls=ShardEngine,
                         profile=payload["profile"],
                     )
-                    engine._completed_reported = len(engine.metrics.completed)
-                    engine._aborted_reported = len(engine.metrics.aborted)
                     conn.send(("ok", engine.state_summary()))
                 elif command == "adopt":
                     engine = ShardEngine(
                         payload["config"],
-                        metrics=_shard_metrics(
-                            payload["config"].max_conns,
-                            payload["metrics_opts"],
-                        ),
                         faults=payload["faults"],
                         profile=payload["profile"],
                     )
                     engine._setup_done = True
                     engine._rounds = payload["rounds"]
-                    engine.metrics.set_expected_rounds(
-                        int(payload["config"].max_time
-                            / payload["config"].piece_time)
-                    )
                     if payload["rows"] is not None:
                         engine.absorb_rows(payload["rows"])
                     engine.engine.schedule_at(
@@ -496,8 +470,6 @@ class ShardedSwarm(CheckpointControl):
         self.metrics = metrics or MetricsCollector(config.max_conns)
         self.fault_plan = faults
         self.profile = bool(profile)
-        self.instrumented_start_empty = instrumented_start_empty
-        self.rarity_view = rarity_view
         self.worker_restarts = 0
         self.shard_profiles: Optional[Dict[str, Dict[str, float]]] = None
 
@@ -524,7 +496,6 @@ class ShardedSwarm(CheckpointControl):
         )
         self._rounds = 0
         self._next_round_time = config.piece_time
-        self._population_log: List[Tuple[float, int, int]] = []
         self._global_next_id = 0
         self._next_arrival: Optional[float] = None
         self._pending_rows: List[Optional[dict]] = [None] * self.shards
@@ -576,13 +547,6 @@ class ShardedSwarm(CheckpointControl):
             arrival_rate=self.config.arrival_rate / self.shards,
             flash_size=0,
         )
-
-    def _metrics_opts(self) -> dict:
-        return {
-            "entropy_includes_seeds": self.metrics.entropy_includes_seeds,
-            "occupancy_warmup": self.metrics.occupancy_warmup,
-            "occupancy_scope": self.metrics.occupancy_scope,
-        }
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -679,7 +643,6 @@ class ShardedSwarm(CheckpointControl):
             for index in range(self.shards):
                 self._send(index, ("adopt", {
                     "config": self._adopt_config(index),
-                    "metrics_opts": self._metrics_opts(),
                     "faults": self.fault_plan,
                     "profile": self.profile,
                     "rows": self._adopt_rows[index],
@@ -692,7 +655,6 @@ class ShardedSwarm(CheckpointControl):
                 shard_config = self._shard_config(index)
                 self._send(index, ("init", {
                     "config": shard_config,
-                    "metrics_opts": self._metrics_opts(),
                     "faults": self.fault_plan,
                     "profile": self.profile,
                     "id_start": id_start,
@@ -850,20 +812,17 @@ class ShardedSwarm(CheckpointControl):
                 self.metrics.completed.append(record)
             for abort_time, pieces in report["aborted"]:
                 self.metrics.record_abort(abort_time, pieces)
-        metrics = self.metrics
-        degrees = None
-        if (metrics.rounds_observed + 1) % metrics.entropy_every == 0:
-            degrees = self._global_counts()
-            if not metrics.entropy_includes_seeds:
-                degrees = degrees - n_seeds
         conn_parts = [
             report["conn_counts"] for report in reports
             if report["conn_counts"] is not None
         ]
         conn_counts = np.concatenate(conn_parts) if conn_parts else None
-        self._population_log.append((time, n_leech, n_seeds))
-        metrics.record_round(
-            time, n_leech, n_seeds, degrees=degrees, conn_counts=conn_counts
+        self.metrics.record_round(
+            time,
+            n_leech,
+            n_seeds,
+            degrees=self._global_counts(),
+            conn_counts=conn_counts,
         )
         if prof is not None:
             prof.lap("bookkeeping")
@@ -925,10 +884,6 @@ class ShardedSwarm(CheckpointControl):
         self._tracker_rng.bit_generator.state = coord["rng"]
         self._rounds = int(coord["rounds"])
         self._next_round_time = float(coord["next_round_time"])
-        self._population_log = [
-            (float(t), int(le), int(se))
-            for t, le, se in coord["population_log"]
-        ]
         self._global_next_id = int(coord["global_next_id"])
         self._next_arrival = (
             None if coord["next_arrival"] is None
@@ -973,7 +928,6 @@ class ShardedSwarm(CheckpointControl):
             SCHEMA_VERSION,
             _sanitize_rng_state,
             _snapshot_metrics,
-            _triples,
         )
 
         self.setup()
@@ -996,7 +950,6 @@ class ShardedSwarm(CheckpointControl):
                 ),
                 "rounds": self._rounds,
                 "next_round_time": self._next_round_time,
-                "population_log": _triples(self._population_log),
                 "global_next_id": self._global_next_id,
                 "next_arrival": self._next_arrival,
                 "pending_rows": [
@@ -1108,7 +1061,6 @@ class ShardedSwarm(CheckpointControl):
             instrumented=[],
             final_leechers=n_leech,
             final_seeds=n_seeds,
-            tracker_population_log=list(self._population_log),
             connection_stats=stats,
             seed_upload_count=seed_uploads,
             events_processed=events,
@@ -1230,7 +1182,6 @@ def _sharded_document_from_soa(document: dict) -> dict:
             "rng": sw["rng"],
             "rounds": int(sw["rounds"]),
             "next_round_time": (int(sw["rounds"]) + 1) * piece_time,
-            "population_log": sw["population_log"],
             "global_next_id": int(sw["next_id"]),
             "next_arrival": min(arrivals) if arrivals else None,
             "pending_rows": [None],

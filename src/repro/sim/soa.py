@@ -929,11 +929,6 @@ class SoaSwarm(CheckpointControl):
         self.rng = np.random.default_rng(config.seed)
         self.engine = DiscreteEventEngine()
         self.metrics = metrics or MetricsCollector(config.max_conns)
-        self.instrument_first = 0
-        self.instrumented_avoid_seeds = instrumented_avoid_seeds
-        self.instrumented_start_empty = instrumented_start_empty
-        self.rarity_view = rarity_view
-        self.instrumented_peers: list = []
         self.piece_counts = np.zeros(config.num_pieces, dtype=np.int64)
         self.connection_stats = ConnectionStats()
         self.profiler: Optional[RoundProfiler] = (
@@ -970,7 +965,6 @@ class SoaSwarm(CheckpointControl):
         self._next_id = 0
         self._n_leech = 0
         self._n_seeds = 0
-        self._population_log: List[Tuple[float, int, int]] = []
         self._full_words = pack_mask(
             config.num_pieces, (1 << config.num_pieces) - 1
         )
@@ -2106,39 +2100,28 @@ class SoaSwarm(CheckpointControl):
         store.release(slots)
         self._alive_dirty = True
 
-    def _log_round(
-        self, time: float, pot_full: np.ndarray
+    def _trading_conn_counts(
+        self, pot_full: np.ndarray
     ) -> Optional[np.ndarray]:
-        """Record the round's metrics; returns the occupancy-scope
-        connection counts it recorded (None with no leechers)."""
+        """Partner counts of the leechers in the occupancy scope: those
+        holding a piece, with a non-empty potential set this round
+        (None with no leechers)."""
         store = self.store
-        metrics = self.metrics
-        self._population_log.append((time, self._n_leech, self._n_seeds))
-        degrees = None
-        if (metrics.rounds_observed + 1) % metrics.entropy_every == 0:
-            if metrics.entropy_includes_seeds:
-                degrees = self.piece_counts
-            else:
-                degrees = self.piece_counts - self._n_seeds
-        conn_counts = None
         leech_end = np.flatnonzero(store.alive & ~store.is_seed)
-        if leech_end.size:
-            partner_counts = self._partner_degrees()[leech_end]
-            if metrics.occupancy_scope == "trading":
-                in_scope = (store.counts[leech_end] >= 1) & (
-                    pot_full[leech_end] >= 1
-                )
-                conn_counts = partner_counts[in_scope]
-            else:
-                conn_counts = partner_counts
-        metrics.record_round(
+        if not leech_end.size:
+            return None
+        in_scope = (store.counts[leech_end] >= 1) & (pot_full[leech_end] >= 1)
+        return self._partner_degrees()[leech_end][in_scope]
+
+    def _log_round(self, time: float, pot_full: np.ndarray) -> None:
+        """Hand the round's samples to the metrics collector."""
+        self.metrics.record_round(
             time,
             self._n_leech,
             self._n_seeds,
-            degrees=degrees,
-            conn_counts=conn_counts,
+            degrees=self.piece_counts,
+            conn_counts=self._trading_conn_counts(pot_full),
         )
-        return conn_counts
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -2173,7 +2156,6 @@ class SoaSwarm(CheckpointControl):
             instrumented=[],
             final_leechers=self._n_leech,
             final_seeds=self._n_seeds,
-            tracker_population_log=list(self._population_log),
             connection_stats=self.connection_stats,
             seed_upload_count=self.seed_upload_count,
             events_processed=self.engine.processed_events,

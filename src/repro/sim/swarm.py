@@ -66,13 +66,13 @@ class SwarmResult:
 
     Attributes:
         config: the configuration that produced this result.
-        metrics: the collector with population/entropy/occupancy series.
+        metrics: the collector with population/entropy/occupancy series;
+            its ``population_series`` of (time, leechers, seeds) records
+            is the paper's "tracker statistics".
         instrumented: full :class:`Peer` objects of instrumented peers
             (their stats survive departure).
         total_rounds: protocol rounds executed.
         final_leechers / final_seeds: population at the horizon.
-        tracker_population_log: the tracker's (time, leechers, seeds)
-            records — the paper's "tracker statistics".
         connection_stats: accumulated connection survival/formation
             counts, whose ratios are the measured ``p_r`` and ``p_n``.
         seed_upload_count: total pieces granted by seeds over the run.
@@ -100,7 +100,6 @@ class SwarmResult:
     total_rounds: int
     final_leechers: int
     final_seeds: int
-    tracker_population_log: List[Tuple[float, int, int]]
     connection_stats: ConnectionStats
     seed_upload_count: int
     events_processed: int = 0
@@ -513,10 +512,14 @@ class Swarm(CheckpointControl):
             if profiler is not None:
                 profiler.lap("maintenance")
 
-        self.tracker.log_population(time)
-        self.metrics.on_round_end(time, self.tracker, {
-            pid: len(members) for pid, members in potential.items()
-        })
+        leech, seeds = self.tracker.counts()
+        self.metrics.record_round(
+            time,
+            leech,
+            seeds,
+            degrees=self.piece_counts,
+            conn_counts=self._trading_conn_counts(potential),
+        )
         if profiler is not None:
             profiler.lap("bookkeeping")
 
@@ -554,7 +557,7 @@ class Swarm(CheckpointControl):
         draws = self.rng.random(len(peers))
         for peer, u in zip(peers, draws):
             if u < rate:
-                self.metrics.on_peer_abort(peer, time)
+                self.metrics.record_abort(time, peer.bitfield.count)
                 self.tracker.deregister(peer.peer_id)
                 for piece in peer.bitfield.pieces():
                     self.piece_counts[piece] -= 1
@@ -577,7 +580,7 @@ class Swarm(CheckpointControl):
         mask = injector.churn_mask(len(peers))
         for peer, churned in zip(peers, mask):
             if churned:
-                self.metrics.on_peer_abort(peer, time)
+                self.metrics.record_abort(time, peer.bitfield.count)
                 self.tracker.deregister(peer.peer_id)
                 for piece in peer.bitfield.pieces():
                     self.piece_counts[piece] -= 1
@@ -792,6 +795,20 @@ class Swarm(CheckpointControl):
                     peer.peer_id, is_bootstrap_trapped(peer, size)
                 )
 
+    def _trading_conn_counts(
+        self, potential: Dict[int, List[int]]
+    ) -> np.ndarray:
+        """Partner counts of the leechers in the occupancy scope: those
+        holding a piece, with a non-empty potential set this round."""
+        return np.array(
+            [
+                len(peer.partners)
+                for peer in self.tracker.leechers()
+                if peer.bitfield.count and potential.get(peer.peer_id)
+            ],
+            dtype=np.int64,
+        )
+
     def _handle_completions(self, time: float) -> None:
         config = self.config
         for peer in list(self.tracker.leechers()):
@@ -838,7 +855,7 @@ class Swarm(CheckpointControl):
     # Checkpointing
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Full snapshot document (schema v2) of the current state.
+        """Full snapshot document (schema v3) of the current state.
 
         Valid between engine events — in practice, at round boundaries;
         the periodic ``checkpoint_every`` hook calls this at the end of
@@ -879,7 +896,6 @@ class Swarm(CheckpointControl):
             instrumented=self.instrumented_peers,
             final_leechers=leech,
             final_seeds=seeds,
-            tracker_population_log=list(self.tracker.population_log),
             connection_stats=self.connection_stats,
             seed_upload_count=self.seed_upload_count,
             events_processed=self.engine.processed_events,

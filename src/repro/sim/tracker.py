@@ -1,11 +1,13 @@
-"""Tracker: peer registry, neighbor-set handout, population statistics.
+"""Tracker: peer registry and neighbor-set handout.
 
 The tracker is the swarm's only centralised component, exactly as in
-BitTorrent: it knows who is present, hands random peer lists to
+BitTorrent: it knows who is present and hands random peer lists to
 announcing clients (which creates the *symmetric* neighbor relation the
-paper describes), and logs the swarm population over time — the
-"tracker statistics" the paper used to select stable swarms for its
-measurements.
+paper describes).  The population over time — the "tracker statistics"
+the paper used to select stable swarms for its measurements — is
+:attr:`MetricsCollector.population_series
+<repro.sim.metrics.MetricsCollector.population_series>`, fed from
+:meth:`Tracker.counts` every round.
 
 The optional *bootstrap bias* implements the Section 4.3 suggestion:
 "the tracker can bias new peer arrivals into the neighborhood of the
@@ -77,8 +79,6 @@ class Tracker:
         self._departure_listeners: List[Callable[[int], None]] = []
         #: Peer ids the swarm reported as stuck in the bootstrap phase.
         self._bootstrap_trapped: Set[int] = set()
-        #: ``(time, leechers, seeds)`` samples — the tracker statistics.
-        self.population_log: List[Tuple[float, int, int]] = []
 
     # ------------------------------------------------------------------
     # Registry
@@ -260,10 +260,3 @@ class Tracker:
     def bootstrap_trapped(self) -> Set[int]:
         """Read-only view of currently trapped peer ids."""
         return set(self._bootstrap_trapped)
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def log_population(self, time: float) -> None:
-        leech, seeds = self.counts()
-        self.population_log.append((time, leech, seeds))

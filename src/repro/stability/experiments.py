@@ -153,9 +153,7 @@ def run_stability_experiment(
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
             metrics=MetricsCollector(
-                config.max_conns,
-                entropy_every=entropy_every,
-                entropy_includes_seeds=True,
+                config.max_conns, entropy_every=entropy_every
             ),
             backend=backend,
             profile=profile,
@@ -163,9 +161,7 @@ def run_stability_experiment(
         metrics = result.metrics
     else:
         metrics = MetricsCollector(
-            config.max_conns,
-            entropy_every=entropy_every,
-            entropy_includes_seeds=True,
+            config.max_conns, entropy_every=entropy_every
         )
         swarm = Swarm(
             config, metrics=metrics, backend=backend, profile=profile

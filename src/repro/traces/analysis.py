@@ -193,7 +193,7 @@ def download_rate_series(
 
 
 def classify_swarm(
-    population_log: Sequence[Tuple[float, int, int]],
+    population_series: Sequence[Tuple[float, int, int]],
     *,
     resolution: float = 60.0,
     flash_ratio: float = 1.5,
@@ -208,7 +208,8 @@ def classify_swarm(
     of the final bucket against the first.
 
     Args:
-        population_log: tracker ``(time, leechers, seeds)`` records.
+        population_series: ``(time, leechers, seeds)`` records, such
+            as a run's ``metrics.population_series``.
         resolution: aggregation bucket width ("one hour" analogue).
         flash_ratio: final/initial population ratio at or above which
             the swarm is a flash crowd.
@@ -219,16 +220,16 @@ def classify_swarm(
         One of ``"flash_crowd"``, ``"dying"``, ``"stable"``, or
         ``"unknown"`` (fewer than two buckets of data).
     """
-    if not population_log:
+    if not population_series:
         return "unknown"
     if flash_ratio <= 1.0 or not 0.0 < dying_ratio < 1.0:
         raise ParameterError(
             f"need flash_ratio > 1 and 0 < dying_ratio < 1, got "
             f"{flash_ratio} / {dying_ratio}"
         )
-    times = np.asarray([row[0] for row in population_log], dtype=float)
+    times = np.asarray([row[0] for row in population_series], dtype=float)
     totals = np.asarray(
-        [row[1] + row[2] for row in population_log], dtype=float
+        [row[1] + row[2] for row in population_series], dtype=float
     )
     start, end = times[0], times[-1]
     if end - start < 2 * resolution:

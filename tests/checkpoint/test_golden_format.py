@@ -1,6 +1,6 @@
-"""Golden fixture for checkpoint format v2 + corrupt-file rejection.
+"""Golden fixture for checkpoint schema v3 + corrupt-file rejection.
 
-A committed binary ``.ckpt`` fixture (container v2, schema v2) pins the
+A committed binary ``.ckpt`` fixture (container v2, schema v3) pins the
 on-disk format: a build that changes the header layout, the canonical
 JSON encoding, or the snapshot schema fails loudly here and must bump
 the relevant version (and regenerate) rather than silently emitting
@@ -40,8 +40,8 @@ from repro.errors import CheckpointError
 from repro.sim.swarm import Swarm
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-GOLDEN_CKPT = GOLDEN_DIR / "checkpoint_v2.ckpt"
-GOLDEN_JSON = GOLDEN_DIR / "checkpoint_v2.json"
+GOLDEN_CKPT = GOLDEN_DIR / "checkpoint_v3.ckpt"
+GOLDEN_JSON = GOLDEN_DIR / "checkpoint_v3.json"
 REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 #: The fixture snapshot: round 10 of the replay swarm with the full
@@ -92,7 +92,7 @@ def test_current_schema_matches_committed_document(golden):
     """Schema drift fails loudly.
 
     The snapshot this build emits for the fixture scenario must equal
-    the committed v2 document *exactly* — any added, removed, renamed,
+    the committed v3 document *exactly* — any added, removed, renamed,
     or reordered field (or behavioural drift in the simulator itself)
     lands here, and the fix is a deliberate SCHEMA_VERSION bump plus
     regeneration, never a silent change.
@@ -171,6 +171,16 @@ def test_unsupported_schema_version_rejected(golden, tmp_path):
     document["schema_version"] = 999
     with pytest.raises(CheckpointError, match="schema version"):
         Swarm.resume(document)
+
+
+def test_schema_v2_container_is_refused_by_version(golden, tmp_path):
+    """A v2 snapshot is refused with its version named."""
+    document = read_checkpoint(GOLDEN_CKPT)
+    document["schema_version"] = 2
+    path = tmp_path / "v2.ckpt"
+    write_checkpoint(document, path)
+    with pytest.raises(CheckpointError, match="schema version 2 "):
+        Swarm.resume(read_checkpoint(path))
 
 
 def test_structurally_gutted_document_rejected(golden):

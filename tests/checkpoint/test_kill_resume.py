@@ -113,9 +113,7 @@ def test_sigkilled_sweep_process_resumes_on_relaunch(tmp_path):
         )
         swarm = Swarm(
             config,
-            metrics=MetricsCollector(
-                config.max_conns, entropy_every=4, entropy_includes_seeds=True
-            ),
+            metrics=MetricsCollector(config.max_conns, entropy_every=4),
             checkpoint_path={str(ckpt)!r},
             checkpoint_every=4,
         )

@@ -169,7 +169,9 @@ def test_tracker_registry_restored_in_live_iteration_order():
     ]
     assert back._next_id == live._next_id
     assert back._bootstrap_trapped == live._bootstrap_trapped
-    assert back.population_log == live.population_log
+    assert (
+        restored.metrics.population_series == swarm.metrics.population_series
+    )
     for mine, theirs in zip(live.peers(), back.peers()):
         assert theirs.bitfield.mask == mine.bitfield.mask
         assert theirs.neighbors == mine.neighbors

@@ -340,3 +340,25 @@ def test_restored_shard_stores_equal_their_documents_column_by_column():
             np.testing.assert_array_equal(
                 after["store"][name], before["store"][name], err_msg=name
             )
+
+
+def test_shard_documents_hold_no_completion_or_abort_records():
+    """Shards hand each round's completion and abort records to the
+    coordinator and keep none: the coordinator's metrics are the run's
+    one ledger, holding each completed download once."""
+    config = sharded_config(abort_rate=0.02)
+    swarm = Swarm(config, backend="sharded", shards=2, shard_mix=0.1)
+    while swarm.step_round():
+        pass
+    document = swarm.snapshot()
+    result = swarm.run()
+
+    coordinator = document["coordinator"]["metrics"]
+    completed = [c["peer_id"] for c in coordinator["completed"]]
+    assert completed and coordinator["aborted"]
+    assert len(set(completed)) == len(completed)
+    assert completed == [c.peer_id for c in result.metrics.completed]
+    for shard_doc in document["shard_docs"]:
+        shard = shard_doc["metrics"]
+        assert shard["completed"] == [] and shard["aborted"] == []
+        assert shard["population_series"] == []

@@ -156,7 +156,9 @@ def _swarm_summary(faults) -> dict:
         "final_seeds": result.final_seeds,
         "seed_uploads": result.seed_upload_count,
         "events_processed": result.events_processed,
-        "population_log": [list(row) for row in result.tracker_population_log],
+        "population_log": [
+            list(row) for row in result.metrics.population_series
+        ],
         "connection_stats": dict(stats.__dict__),
         "completed": len(result.metrics.completed),
         "efficiency": result.metrics.efficiency(),

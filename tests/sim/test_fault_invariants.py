@@ -160,7 +160,7 @@ def test_zero_intensity_plan_is_bit_identical_to_no_plan(config, salt):
             ),
             len(swarm.metrics.completed),
             swarm.connection_stats.__dict__.copy(),
-            list(swarm.tracker.population_log),
+            list(swarm.metrics.population_series),
         )
 
     assert run(None) == run(FaultPlan(salt=salt))

@@ -317,7 +317,7 @@ def test_cases_exercise_their_departure_paths(results):
     assert len(lingering.metrics.aborted) > 100
     assert any(c.shaken for c in lingering.metrics.completed)
     # Lingering seeds depart: the seed count falls between some rounds.
-    seeds = [row[2] for row in lingering.tracker_population_log]
+    seeds = [row[2] for row in lingering.metrics.population_series]
     assert any(b < a for a, b in zip(seeds, seeds[1:]))
 
     sharded = results("sharded-2")
@@ -334,7 +334,7 @@ def test_object_cases_reach_their_features(monkeypatch, results):
     assert faults.fault_stats.connections_broken > 0
     lingering = results("object-lingering")
     assert len(lingering.metrics.aborted) > 10
-    seeds = [row[2] for row in lingering.tracker_population_log]
+    seeds = [row[2] for row in lingering.metrics.population_series]
     assert any(b < a for a, b in zip(seeds, seeds[1:]))
     assert results("object-bandwidth-superseed").seed_upload_count > 0
 

@@ -9,16 +9,21 @@ structural invariants that must hold under *any* configuration:
   strict tit-for-tat;
 * piece holdings never decrease; completed peers are never registered
   leechers (with immediate departure);
-* metrics series stay within their domains.
+* metrics series stay within their domains;
+* after every round, the object engine's maintained ``piece_counts``
+  equal a recount of every live peer's bitfield — the round's entropy
+  sample reads ``piece_counts`` instead of recounting.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultPlan, OutageWindow
 from repro.sim.config import SimConfig
 from repro.sim.swarm import Swarm
-from repro.stability.entropy import replication_degrees
+from repro.stability.entropy import entropy, replication_degrees
 
 
 @st.composite
@@ -129,3 +134,92 @@ def test_runs_are_deterministic_per_seed(config):
         )
 
     assert run() == run()
+
+
+def assert_piece_counts_recount_every_round(swarm: Swarm) -> None:
+    """Step ``swarm`` to its end; after every round, ``piece_counts``
+    must equal a recount over every live peer (seeds included), and the
+    round's entropy sample must be the recount's."""
+    config = swarm.config
+    metrics = swarm.metrics
+    swarm.setup()
+    rounds = 0
+    while swarm.engine.step() is not None:
+        if swarm._rounds == rounds:
+            continue
+        rounds = swarm._rounds
+        recount = replication_degrees(
+            [p.bitfield for p in swarm.tracker.peers()], config.num_pieces
+        )
+        np.testing.assert_array_equal(
+            swarm.piece_counts, recount, err_msg=f"after round {rounds}"
+        )
+        expected = entropy(recount) if len(swarm.tracker) else 1.0
+        assert metrics.entropy_series[-1] == (
+            metrics.population_series[-1][0], expected
+        )
+    assert rounds == metrics.rounds_observed > 0
+
+
+def recount_config(**over) -> SimConfig:
+    base = dict(
+        num_pieces=12,
+        max_conns=3,
+        ns_size=8,
+        arrival_rate=1.5,
+        initial_leechers=20,
+        initial_distribution="uniform",
+        initial_fill=0.4,
+        num_seeds=1,
+        seed_upload_slots=2,
+        optimistic_unchoke_prob=0.5,
+        max_time=40.0,
+        seed=3,
+    )
+    base.update(over)
+    return SimConfig(**base)
+
+
+#: One case per way a peer's pieces enter or leave the swarm besides a
+#: plain grant and a completed departure.
+RECOUNT_CASES = {
+    "faults": (
+        recount_config(),
+        FaultPlan(
+            churn_hazard=0.05,
+            connection_break_prob=0.2,
+            handshake_failure_prob=0.2,
+            shake_failure_prob=0.5,
+            outages=(OutageWindow(5.0, 12.0, "stale"),),
+        ),
+    ),
+    "blocks": (recount_config(blocks_per_piece=2), None),
+    "lingering-aborts-shakes": (
+        recount_config(
+            completed_become_seeds=5.0,
+            abort_rate=0.05,
+            shake_threshold=0.8,
+        ),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECOUNT_CASES))
+def test_piece_counts_equal_a_recount_after_every_round(name):
+    config, plan = RECOUNT_CASES[name]
+    assert_piece_counts_recount_every_round(Swarm(config, faults=plan))
+
+
+@given(
+    config=swarm_configs(),
+    churn=st.sampled_from([0.0, 0.1]),
+)
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_piece_counts_equal_a_recount_under_random_configs(config, churn):
+    plan = FaultPlan(churn_hazard=churn) if churn else None
+    assert_piece_counts_recount_every_round(Swarm(config, faults=plan))

@@ -7,6 +7,7 @@ from repro.errors import ParameterError
 from repro.sim.bitfield import Bitfield
 from repro.sim.metrics import MetricsCollector
 from repro.sim.peer import Peer
+from repro.sim.swarm import Swarm
 from repro.sim.tracker import Tracker
 
 
@@ -32,42 +33,40 @@ class TestConstruction:
             MetricsCollector(2, entropy_every=0)
         with pytest.raises(ParameterError):
             MetricsCollector(2, occupancy_warmup=1.0)
-        with pytest.raises(ParameterError):
-            MetricsCollector(2, occupancy_scope="some")
+
+
+def counts(*values):
+    return np.array(values, dtype=np.int64)
 
 
 class TestPopulationAndEntropy:
-    def test_population_series(self, tracker):
+    def test_population_series(self):
         metrics = MetricsCollector(2)
-        spawn(tracker, [0])
-        spawn(tracker, [], is_seed=True)
-        metrics.on_round_end(1.0, tracker, {})
+        metrics.record_round(1.0, 1, 1, degrees=counts(2, 1, 1, 1, 1, 1))
         times, leech, seeds = metrics.population_arrays()
         assert times.tolist() == [1.0]
         assert leech.tolist() == [1]
         assert seeds.tolist() == [1]
 
-    def test_entropy_sampling_stride(self, tracker):
+    def test_entropy_sampling_stride(self):
         metrics = MetricsCollector(2, entropy_every=2)
-        spawn(tracker, [0])
         for t in (1.0, 2.0, 3.0, 4.0):
-            metrics.on_round_end(t, tracker, {})
+            metrics.record_round(t, 1, 0, degrees=counts(1, 0, 0, 0, 0, 0))
         times, values = metrics.entropy_arrays()
         assert times.tolist() == [2.0, 4.0]
 
-    def test_entropy_of_empty_swarm_is_one(self, tracker):
+    def test_entropy_of_empty_swarm_is_one(self):
         metrics = MetricsCollector(2)
-        metrics.on_round_end(1.0, tracker, {})
+        metrics.record_round(1.0, 0, 0, degrees=counts(0, 0, 0, 0, 0, 0))
         _times, values = metrics.entropy_arrays()
         assert values.tolist() == [1.0]
 
-    def test_entropy_excluding_seeds(self, tracker):
-        metrics = MetricsCollector(2, entropy_includes_seeds=False)
-        spawn(tracker, [0])  # piece 0 once, others zero
-        spawn(tracker, [], is_seed=True)
-        metrics.on_round_end(1.0, tracker, {})
+    def test_entropy_is_min_over_max_degree(self):
+        # A seed (every piece) and a leecher holding piece 0.
+        metrics = MetricsCollector(2)
+        metrics.record_round(1.0, 1, 1, degrees=counts(2, 1, 1, 1, 1, 1))
         _times, values = metrics.entropy_arrays()
-        assert values[0] == 0.0  # pieces 1..5 unreplicated among leechers
+        assert values.tolist() == [0.5]
 
     def test_empty_arrays_when_no_rounds(self):
         metrics = MetricsCollector(2)
@@ -78,36 +77,30 @@ class TestPopulationAndEntropy:
 
 
 class TestOccupancy:
-    def test_all_scope_counts_everyone(self, tracker):
-        metrics = MetricsCollector(2, occupancy_scope="all")
-        spawn(tracker, [0], partners={99})
-        spawn(tracker, [])
-        metrics.on_round_end(1.0, tracker, {})
-        occupancy = metrics.occupancy()
-        assert occupancy.tolist() == [0.5, 0.5, 0.0]
-
-    def test_trading_scope_filters(self, tracker):
-        metrics = MetricsCollector(2, occupancy_scope="trading")
+    def test_trading_scope_filters(self, small_config):
+        """The engine hands the collector the trading-scope leechers
+        only: a piece held and a non-empty potential set."""
+        swarm = Swarm(small_config.with_changes(num_pieces=6, max_conns=2))
+        tracker = swarm.tracker
         trading = spawn(tracker, [0], partners={99})
-        spawn(tracker, [])          # bootstrap: no pieces
+        spawn(tracker, [])             # bootstrap: no pieces
         starved = spawn(tracker, [1])  # last phase: empty potential set
-        metrics.on_round_end(
-            1.0, tracker,
-            {trading.peer_id: 3, starved.peer_id: 0},
+        spawn(tracker, [], is_seed=True)
+        conn_counts = swarm._trading_conn_counts(
+            {trading.peer_id: [5, 6, 7], starved.peer_id: []}
         )
-        occupancy = metrics.occupancy()
-        assert occupancy.tolist() == [0.0, 1.0, 0.0]
+        assert conn_counts.tolist() == [1]
+        swarm.metrics.record_round(1.0, 3, 1, conn_counts=conn_counts)
+        assert swarm.metrics.occupancy().tolist() == [0.0, 1.0, 0.0]
 
-    def test_warmup_discards_early_rounds(self, tracker):
-        metrics = MetricsCollector(2, occupancy_scope="all", occupancy_warmup=0.5)
+    def test_warmup_discards_early_rounds(self):
+        metrics = MetricsCollector(2, occupancy_warmup=0.5)
         metrics.set_expected_rounds(4)
-        peer = spawn(tracker, [0])
-        # Rounds 1-2 are warmup; connect the peer only afterwards.
-        metrics.on_round_end(1.0, tracker, {})
-        metrics.on_round_end(2.0, tracker, {})
-        peer.partners = {99, 98}
-        metrics.on_round_end(3.0, tracker, {})
-        metrics.on_round_end(4.0, tracker, {})
+        # Rounds 1-2 are warmup; the peer connects only afterwards.
+        metrics.record_round(1.0, 1, 0, conn_counts=counts(0))
+        metrics.record_round(2.0, 1, 0, conn_counts=counts(0))
+        metrics.record_round(3.0, 1, 0, conn_counts=counts(2))
+        metrics.record_round(4.0, 1, 0, conn_counts=counts(2))
         assert metrics.occupancy().tolist() == [0.0, 0.0, 1.0]
 
     def test_occupancy_without_samples_raises(self):
@@ -115,16 +108,21 @@ class TestOccupancy:
         with pytest.raises(ParameterError):
             metrics.occupancy()
 
-    def test_efficiency_value(self, tracker):
-        metrics = MetricsCollector(2, occupancy_scope="all")
-        spawn(tracker, [0], partners={7, 8})
-        metrics.on_round_end(1.0, tracker, {})
+    def test_round_without_trading_leechers_adds_no_sample(self):
+        metrics = MetricsCollector(2)
+        metrics.record_round(1.0, 0, 1, conn_counts=None)
+        metrics.record_round(2.0, 2, 1, conn_counts=counts())
+        with pytest.raises(ParameterError):
+            metrics.occupancy()
+
+    def test_efficiency_value(self):
+        metrics = MetricsCollector(2)
+        metrics.record_round(1.0, 1, 0, conn_counts=counts(2))
         assert metrics.efficiency() == pytest.approx(1.0)
 
-    def test_partner_overflow_clamped(self, tracker):
-        metrics = MetricsCollector(2, occupancy_scope="all")
-        spawn(tracker, [0], partners={1, 2, 3, 4})
-        metrics.on_round_end(1.0, tracker, {})
+    def test_partner_overflow_clamped(self):
+        metrics = MetricsCollector(2)
+        metrics.record_round(1.0, 1, 0, conn_counts=counts(4))
         assert metrics.occupancy()[2] == 1.0
 
 

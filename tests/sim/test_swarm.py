@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.checkpoint.fingerprint import result_summary
 from repro.errors import SimulationError
 from repro.runtime.profiler import SOA_STAGES, STAGES
 from repro.sim.config import SimConfig
@@ -44,9 +45,23 @@ class TestBasicRuns:
         with pytest.raises(SimulationError):
             swarm.setup()
 
-    def test_population_log_populated(self, small_config):
-        result = run_swarm(small_config)
-        assert len(result.tracker_population_log) == result.total_rounds
+    @pytest.mark.parametrize(
+        "backend, kwargs",
+        [("object", {}), ("soa", {}), ("sharded", {"shards": 2})],
+        ids=("object", "soa", "sharded"),
+    )
+    def test_population_series_is_the_one_log(
+        self, small_config, backend, kwargs
+    ):
+        """Every engine records each round through the collector, and
+        the fingerprint's population entry is that same series."""
+        result = run_swarm(small_config, backend=backend, **kwargs)
+        series = result.metrics.population_series
+        assert len(series) == result.total_rounds
+        assert result_summary(result)["tracker_population_log"] == [
+            list(row) for row in series
+        ]
+        assert series[-1][1:] == (result.final_leechers, result.final_seeds)
 
 
 class TestInvariants:

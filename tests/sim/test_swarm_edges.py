@@ -47,6 +47,25 @@ class TestBackendSelection:
             "repro-bt run --backend soa)"
         )
 
+    @pytest.mark.parametrize("backend", ("soa", "sharded"))
+    def test_array_engines_refuse_the_object_only_options(self, backend):
+        hint = "; use Swarm(config, backend='object') for this option"
+        with pytest.raises(ParameterError) as excinfo:
+            Swarm(base_config(), backend=backend, rarity_view="neighborhood")
+        assert str(excinfo.value) == (
+            "the soa backend supports rarity_view='global' only, "
+            "got 'neighborhood'" + hint
+        )
+        for option in (
+            {"instrument_first": 2}, {"instrumented_avoid_seeds": True}
+        ):
+            with pytest.raises(ParameterError) as excinfo:
+                Swarm(base_config(), backend=backend, **option)
+            assert str(excinfo.value) == (
+                "the soa backend does not support per-peer "
+                "instrumentation" + hint
+            )
+
 
 class TestPieceTimeScaling:
     def test_rounds_scale_with_piece_time(self):

@@ -163,11 +163,3 @@ class TestBootstrapBias:
         tracker.report_bootstrap_trapped(peer.peer_id, True)
         tracker.deregister(peer.peer_id)
         assert peer.peer_id not in tracker.bootstrap_trapped
-
-
-class TestPopulationLog:
-    def test_records_counts(self, tracker):
-        add_peer(tracker)
-        add_peer(tracker, is_seed=True)
-        tracker.log_population(5.0)
-        assert tracker.population_log == [(5.0, 1, 1)]
