@@ -4,7 +4,7 @@ The subsystem has four layers (see ``docs/CHECKPOINT.md``):
 
 * :mod:`repro.checkpoint.format` — the on-disk container (magic,
   version, CRC32, atomic write-rename);
-* :mod:`repro.checkpoint.schema` — snapshot schema v3: full simulation
+* :mod:`repro.checkpoint.schema` — snapshot schema v4: full simulation
   state at a round boundary (RNG streams, engine queue, peers, tracker,
   potential-set cache, metrics, fault injector);
 * :mod:`repro.checkpoint.store` — checkpoint directories keyed by

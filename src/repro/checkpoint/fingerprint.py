@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.sim.metrics import (
+    COMPLETION_COLUMNS,
+    CompletionTable,
+    phase_timeline,
+)
 from repro.sim.peer import PeerStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,6 +56,41 @@ def _stats_summary(stats: PeerStats) -> dict:
     }
 
 
+def _completed_summary(table: CompletionTable) -> list:
+    """One dict per completion-table row, read from the columns.  A row
+    without stats summarizes the compressed timeline its
+    :class:`~repro.sim.metrics.CompletedDownload` record would carry."""
+    stats = table.stats
+    rows = []
+    for index, (
+        peer_id, joined, completed, first, prelast, shaken_at, shaken,
+        capacity,
+    ) in enumerate(zip(*(
+        table.column(name).tolist() for name, _ in COMPLETION_COLUMNS
+    ))):
+        if stats:
+            stats_summary = _stats_summary(stats[index])
+        else:
+            stats_summary = {
+                "joined_at": joined,
+                "completed_at": completed,
+                "piece_times": phase_timeline(first, prelast, completed),
+                "piece_log": [],
+                "potential_series": [],
+                "connection_series": [],
+                "shaken_at": None if math.isnan(shaken_at) else shaken_at,
+            }
+        rows.append({
+            "peer_id": peer_id,
+            "joined_at": joined,
+            "completed_at": completed,
+            "shaken": shaken,
+            "upload_capacity": capacity if capacity >= 0 else None,
+            "stats": stats_summary,
+        })
+    return rows
+
+
 def result_summary(result: "SwarmResult") -> dict:
     """Canonical JSON-ready summary of every deterministic output."""
     metrics = result.metrics
@@ -76,17 +117,7 @@ def result_summary(result: "SwarmResult") -> dict:
             "rounds_observed": metrics.rounds_observed,
             "occupancy_sums": [float(v) for v in metrics._occupancy_sums],
             "occupancy_rounds": metrics._occupancy_rounds,
-            "completed": [
-                {
-                    "peer_id": c.peer_id,
-                    "joined_at": _num(c.joined_at),
-                    "completed_at": _num(c.completed_at),
-                    "shaken": c.shaken,
-                    "upload_capacity": _num(c.upload_capacity),
-                    "stats": _stats_summary(c.stats),
-                }
-                for c in metrics.completed
-            ],
+            "completed": _completed_summary(metrics.completions),
         },
         "instrumented": [
             {"peer_id": p.peer_id, "stats": _stats_summary(p.stats)}

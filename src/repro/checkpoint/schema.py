@@ -1,4 +1,4 @@
-"""Snapshot schema v3: full swarm state at a round boundary.
+"""Snapshot schema v4: full swarm state at a round boundary.
 
 The document captured here is everything a fresh process needs to
 continue a run so that the continuation is **bit-identical** to the
@@ -25,10 +25,15 @@ uninterrupted one — same RNG draws, same iteration orders, same
   uninterrupted run would have recomputed.
 * **Metrics / counters** — every series the result fingerprint covers;
   the collector's ``population_series`` is the run's one population
-  log.
+  log.  Its completion table (:class:`~repro.sim.metrics.CompletionTable`)
+  is the ``metrics.completed`` block: one array per column, each a
+  binary section of the container, plus a ``stats`` list that holds
+  one :class:`~repro.sim.peer.PeerStats` document per row for the
+  object engine and stays empty for the array engines.
 
-Order-sensitive state is stored in JSON arrays, never in object key
-order, which lets the container serialize with ``sort_keys=True``.
+Order-sensitive state is stored in JSON arrays or sections, never in
+object key order, which lets the container serialize with
+``sort_keys=True``.
 
 The soa backend (:mod:`repro.sim.soa`) writes a second document flavor
 under the same schema version, marked with a top-level
@@ -57,7 +62,7 @@ import numpy as np
 from repro.errors import CheckpointError
 from repro.sim.bitfield import Bitfield
 from repro.sim.config import SimConfig
-from repro.sim.metrics import CompletedDownload, MetricsCollector
+from repro.sim.metrics import CompletionTable, MetricsCollector
 from repro.sim.peer import Peer, PeerStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -72,7 +77,7 @@ __all__ = [
 
 #: Version of the snapshot document layout (independent of the on-disk
 #: container version in ``repro.checkpoint.format``).
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _num(value):
@@ -199,17 +204,11 @@ def _snapshot_metrics(metrics: MetricsCollector) -> dict:
         "occupancy_sums": [float(v) for v in metrics._occupancy_sums],
         "occupancy_rounds": metrics._occupancy_rounds,
         "expected_total_rounds": metrics._expected_total_rounds,
-        "completed": [
-            {
-                "peer_id": c.peer_id,
-                "joined_at": _num(c.joined_at),
-                "completed_at": _num(c.completed_at),
-                "stats": _snapshot_stats(c.stats),
-                "shaken": c.shaken,
-                "upload_capacity": _num(c.upload_capacity),
-            }
-            for c in metrics.completed
-        ],
+        # One section per column; only object-engine rows carry stats.
+        "completed": {
+            **metrics.completions.to_columns(),
+            "stats": [_snapshot_stats(s) for s in metrics.completions.stats],
+        },
     }
 
 
@@ -236,21 +235,10 @@ def _restore_metrics(doc: dict) -> MetricsCollector:
         if doc["expected_total_rounds"] is None
         else int(doc["expected_total_rounds"])
     )
-    metrics.completed = [
-        CompletedDownload(
-            peer_id=int(c["peer_id"]),
-            joined_at=float(c["joined_at"]),
-            completed_at=float(c["completed_at"]),
-            stats=_restore_stats(c["stats"]),
-            shaken=bool(c["shaken"]),
-            upload_capacity=(
-                None
-                if c["upload_capacity"] is None
-                else int(c["upload_capacity"])
-            ),
-        )
-        for c in doc["completed"]
-    ]
+    completed = doc["completed"]
+    metrics.completions = CompletionTable.from_columns(
+        completed, [_restore_stats(s) for s in completed["stats"]]
+    )
     return metrics
 
 
@@ -258,7 +246,7 @@ def _restore_metrics(doc: dict) -> MetricsCollector:
 # Swarm (top level)
 # ----------------------------------------------------------------------
 def snapshot_swarm(swarm: "Swarm") -> dict:
-    """Full snapshot document for ``swarm`` (schema v3).
+    """Full snapshot document for ``swarm`` (schema v4).
 
     Must be called at a round boundary (between engine events); the
     swarm's ``_maybe_checkpoint`` hook guarantees this.

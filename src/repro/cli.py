@@ -572,7 +572,7 @@ def _command_scenario(name: Optional[str], seed: int,
     print(format_table(
         ["metric", "value"],
         [
-            ["completed downloads", len(metrics.completed)],
+            ["completed downloads", len(metrics.completions)],
             ["mean download time", round(metrics.mean_download_duration(), 2)],
             ["aborted downloads", metrics.abort_count()],
             ["final leechers", result.final_leechers],

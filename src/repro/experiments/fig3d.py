@@ -114,11 +114,12 @@ def mean_ttd_by_ordinal(
     ordinals = np.arange(num_pieces - window + 1, num_pieces + 1)
     sums = np.zeros(window)
     count = 0
-    for download in result.metrics.completed:
-        times = download.stats.piece_times
+    table = result.metrics.completions
+    for joined, stats in zip(table.column("joined_at").tolist(), table.stats):
+        times = stats.piece_times
         if len(times) < num_pieces:
             continue
-        gaps = np.diff(np.concatenate([[download.joined_at], np.asarray(times)]))
+        gaps = np.diff(np.concatenate([[joined], np.asarray(times)]))
         sums += gaps[-window:] / config.piece_time
         count += 1
     mean = sums / count if count else np.full(window, np.nan)

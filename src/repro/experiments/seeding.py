@@ -97,19 +97,22 @@ def _measure(label: str, config: SimConfig, backend: str = "object") -> tuple:
     processed-event count for telemetry.
     """
     result = run_swarm(config, backend=backend)
-    completed = result.metrics.completed
-    durations = [c.duration for c in completed]
-    first_pieces = [
-        c.stats.piece_times[0] - c.joined_at
-        for c in completed
-        if c.stats.piece_times
-    ]
-    if durations:
+    table = result.metrics.completions
+    joined = table.column("joined_at")
+    durations = table.column("completed_at") - joined
+    # The first mark of each peer's piece timeline.  It is NaN only for
+    # an object-engine peer that finished without acquiring a piece
+    # (an array-engine peer is stamped when it first holds one).
+    first_pieces = table.column("first_piece_at") - joined
+    first_pieces = first_pieces[~np.isnan(first_pieces)]
+    if durations.size:
         mean_duration = float(np.mean(durations))
         p90 = float(np.percentile(durations, 90))
     else:
         mean_duration = p90 = float("nan")
-    mean_first = float(np.mean(first_pieces)) if first_pieces else float("nan")
+    mean_first = (
+        float(np.mean(first_pieces)) if first_pieces.size else float("nan")
+    )
     per_upload = (
         len(durations) / result.seed_upload_count
         if result.seed_upload_count

@@ -97,14 +97,15 @@ def _shard_record(
     *,
     time: Optional[float] = None,
     conn_counts: Optional[np.ndarray] = None,
-    completed: Optional[list] = None,
+    completed: Optional[dict] = None,
     aborted: Optional[list] = None,
 ) -> dict:
     """The coordinator's record of one shard: a round report, or (with
     the round-only fields left out) a summary of restored state.
 
     ``stats`` is the (survived, dropped, attempts, formed) connection
-    tally; ``completed``/``aborted`` are the round's new records.
+    tally; ``completed`` is the round's completion-table batch (one
+    array per column, or None) and ``aborted`` its abort records.
     """
     return {
         "time": time,
@@ -114,7 +115,7 @@ def _shard_record(
         "conn_counts": conn_counts,
         "stats": stats,
         "seed_uploads": seed_uploads,
-        "completed": list(completed or ()),
+        "completed": completed,
         "aborted": list(aborted or ()),
     }
 
@@ -161,16 +162,17 @@ class ShardEngine(SoaSwarm):
     * arrivals are injected by the coordinator with explicit globally
       unique peer ids (the shard never draws arrival times itself);
     * every round emits a report (populations, replication counts,
-      trading-scope connection counts, the round's completion and abort
-      records) for the coordinator's metrics collector, which records
-      the round; the shard's own collector only gathers the round's
-      completion and abort records and hands them over, keeping none.
+      trading-scope connection counts, the round's completion columns
+      and abort records) for the coordinator's metrics collector, which
+      records the round; the shard's own collector only gathers the
+      round's abort records and hands them over, keeping none.
     """
 
     def __init__(self, config: SimConfig, **kwargs):
         super().__init__(config, **kwargs)
         self._global_counts: Optional[np.ndarray] = None
         self._round_report: Optional[dict] = None
+        self._round_completed: Optional[dict] = None
 
     # -- coordinator-facing hooks --------------------------------------
     def _rarity_snapshot(self) -> np.ndarray:
@@ -188,15 +190,19 @@ class ShardEngine(SoaSwarm):
         if self.engine.pending_events == 0 and next_time <= self.config.max_time:
             self.engine.schedule_at(next_time, Event("round"))
 
+    def _record_completions(self, done: np.ndarray, time: float) -> None:
+        # The coordinator's collector records the round's batch.
+        self._round_completed = self._completion_columns(done)
+
     def _log_round(self, time: float, pot_full: np.ndarray) -> None:
         metrics = self.metrics
         self._round_report = self.state_summary(
             time=time,
             conn_counts=self._trading_conn_counts(pot_full),
-            completed=metrics.completed,
+            completed=self._round_completed,
             aborted=metrics.aborted,
         )
-        metrics.completed = []
+        self._round_completed = None
         metrics.aborted = []
 
     # -- cross-shard peer exchange -------------------------------------
@@ -808,8 +814,10 @@ class ShardedSwarm(CheckpointControl):
         n_leech = sum(report["n_leech"] for report in reports)
         n_seeds = sum(report["n_seeds"] for report in reports)
         for report in reports:
-            for record in report["completed"]:
-                self.metrics.completed.append(record)
+            if report["completed"] is not None:
+                self.metrics.record_completions(
+                    report["time"], **report["completed"]
+                )
             for abort_time, pieces in report["aborted"]:
                 self.metrics.record_abort(abort_time, pieces)
         conn_parts = [
@@ -870,7 +878,12 @@ class ShardedSwarm(CheckpointControl):
             self.checkpoints_written = checkpoints
             self._restore_docs = None
             self._adopt_rows = None
-            _reset_metrics_in_place(self.metrics)
+            metrics = self.metrics
+            metrics.mirror(MetricsCollector(
+                metrics.max_conns,
+                entropy_every=metrics.entropy_every,
+                occupancy_warmup=metrics.occupancy_warmup,
+            ))
         self._started = False
         self.setup()
 
@@ -916,8 +929,7 @@ class ShardedSwarm(CheckpointControl):
             None if coord["carried_faults"] is None
             else _fault_stats_from_dict(coord["carried_faults"])
         )
-        restored = _restore_metrics(coord["metrics"])
-        _copy_metrics_in_place(self.metrics, restored)
+        self.metrics.mirror(_restore_metrics(coord["metrics"]))
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -1078,32 +1090,6 @@ def _fault_stats_from_dict(doc: dict) -> FaultStats:
     return FaultStats(**{
         key: int(value) for key, value in doc.items() if key != "total"
     })
-
-
-def _copy_metrics_in_place(
-    target: MetricsCollector, source: MetricsCollector
-) -> None:
-    """Make ``target`` (a caller-held reference) mirror ``source``."""
-    target.population_series = source.population_series
-    target.entropy_series = source.entropy_series
-    target.aborted = source.aborted
-    target.completed = source.completed
-    target.rounds_observed = source.rounds_observed
-    target._occupancy_sums = source._occupancy_sums
-    target._occupancy_rounds = source._occupancy_rounds
-    target._expected_total_rounds = source._expected_total_rounds
-
-
-def _reset_metrics_in_place(metrics: MetricsCollector) -> None:
-    metrics.population_series = []
-    metrics.entropy_series = []
-    metrics.aborted = []
-    metrics.completed = []
-    metrics.rounds_observed = 0
-    metrics._occupancy_sums = np.zeros(
-        metrics.max_conns + 1, dtype=np.float64
-    )
-    metrics._occupancy_rounds = 0
 
 
 def restore_sharded_swarm(

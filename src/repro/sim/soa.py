@@ -50,7 +50,6 @@ back to ``backend="object"``.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
@@ -71,8 +70,7 @@ from repro.runtime.profiler import RoundProfiler, SOA_STAGES
 from repro.sim.choking import ConnectionStats
 from repro.sim.config import SimConfig
 from repro.sim.engine import DiscreteEventEngine, Event
-from repro.sim.metrics import CompletedDownload, MetricsCollector
-from repro.sim.peer import PeerStats
+from repro.sim.metrics import BATCH_COLUMNS, MetricsCollector
 from repro.sim.piece_selection import RARITY_EXPONENT
 from repro.sim.swarm import CheckpointControl, SwarmResult
 
@@ -1911,40 +1909,17 @@ class SoaSwarm(CheckpointControl):
         return landed.size
 
     # -- bookkeeping -------------------------------------------------------
-    def _record_completions(self, done: np.ndarray, time: float) -> None:
-        """One :class:`CompletedDownload` per slot of ``done``, in order;
-        each column is read once for the whole batch."""
+    def _completion_columns(self, done: np.ndarray) -> dict:
+        """The completion-table columns of the slots in ``done``."""
         store = self.store
-        completed = self.metrics.completed
-        for peer_id, joined, first, prelast, shaken_at, shaken, capacity in zip(
-            store.peer_id[done].tolist(),
-            store.joined_at[done].tolist(),
-            store.first_piece_at[done].tolist(),
-            store.prelast_at[done].tolist(),
-            store.shaken_at[done].tolist(),
-            store.shaken[done].tolist(),
-            store.upload_capacity[done].tolist(),
-        ):
-            stats = PeerStats(joined_at=joined)
-            stats.completed_at = time
-            # Compressed acquisition timeline: the phase boundaries the
-            # paper's analyses read (first piece = bootstrap exit, B-1
-            # pieces = last-phase entry, completion).
-            stats.piece_times = [
-                mark for mark in (first, prelast) if not math.isnan(mark)
-            ] + [time]
-            if not math.isnan(shaken_at):
-                stats.shaken_at = shaken_at
-            completed.append(
-                CompletedDownload(
-                    peer_id=peer_id,
-                    joined_at=joined,
-                    completed_at=time,
-                    stats=stats,
-                    shaken=shaken,
-                    upload_capacity=capacity if capacity >= 0 else None,
-                )
-            )
+        return {name: getattr(store, name)[done] for name in BATCH_COLUMNS}
+
+    def _record_completions(self, done: np.ndarray, time: float) -> None:
+        """Append the round's finished downloads, in slot order, to the
+        collector's completion table as one batch."""
+        self.metrics.record_completions(
+            time, **self._completion_columns(done)
+        )
 
     def _handle_completions(self, time: float) -> None:
         config = self.config

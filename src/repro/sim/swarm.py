@@ -809,12 +809,43 @@ class Swarm(CheckpointControl):
             dtype=np.int64,
         )
 
+    @staticmethod
+    def _completion_columns(done: List[Peer]) -> dict:
+        """The completion-table columns of the finished peers ``done``,
+        plus their stats (whose per-piece logs the table keeps)."""
+        nan = float("nan")
+        stats = [peer.stats for peer in done]
+        return {
+            "peer_id": [peer.peer_id for peer in done],
+            "joined_at": [s.joined_at for s in stats],
+            "first_piece_at": [
+                s.piece_times[0] if s.piece_times else nan for s in stats
+            ],
+            "prelast_at": [
+                s.piece_times[-2] if len(s.piece_times) > 1 else nan
+                for s in stats
+            ],
+            "shaken_at": [
+                nan if s.shaken_at is None else s.shaken_at for s in stats
+            ],
+            "shaken": [peer.shaken for peer in done],
+            "upload_capacity": [
+                -1 if peer.upload_capacity is None else peer.upload_capacity
+                for peer in done
+            ],
+            "stats": stats,
+        }
+
     def _handle_completions(self, time: float) -> None:
         config = self.config
-        for peer in list(self.tracker.leechers()):
-            if not peer.bitfield.is_complete:
-                continue
-            self.metrics.on_peer_complete(peer, time)
+        done = [
+            peer for peer in self.tracker.leechers()
+            if peer.bitfield.is_complete
+        ]
+        if not done:
+            return
+        self.metrics.record_completions(time, **self._completion_columns(done))
+        for peer in done:
             if config.completed_become_seeds > 0:
                 peer.is_seed = True
                 peer.seed_until = time + config.completed_become_seeds
@@ -855,7 +886,7 @@ class Swarm(CheckpointControl):
     # Checkpointing
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Full snapshot document (schema v3) of the current state.
+        """Full snapshot document (schema v4) of the current state.
 
         Valid between engine events — in practice, at round boundaries;
         the periodic ``checkpoint_every`` hook calls this at the end of

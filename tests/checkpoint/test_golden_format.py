@@ -1,11 +1,12 @@
-"""Golden fixture for checkpoint schema v3 + corrupt-file rejection.
+"""Golden fixture for checkpoint schema v4 + corrupt-file rejection.
 
-A committed binary ``.ckpt`` fixture (container v2, schema v3) pins the
+A committed binary ``.ckpt`` fixture (container v2, schema v4) pins the
 on-disk format: a build that changes the header layout, the canonical
 JSON encoding, or the snapshot schema fails loudly here and must bump
 the relevant version (and regenerate) rather than silently emitting
-checkpoints old readers mis-parse.  The object document holds no
-arrays, so its payload is a head with no sections.  Regenerate after an
+checkpoints old readers mis-parse.  The object document's only arrays
+are its completion-table columns, so its payload is a head plus one
+section per column.  Regenerate after an
 *intentional* format change with::
 
     REPRO_REGEN_GOLDENS=1 python -m pytest tests/checkpoint/test_golden_format.py
@@ -40,8 +41,8 @@ from repro.errors import CheckpointError
 from repro.sim.swarm import Swarm
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-GOLDEN_CKPT = GOLDEN_DIR / "checkpoint_v3.ckpt"
-GOLDEN_JSON = GOLDEN_DIR / "checkpoint_v3.json"
+GOLDEN_CKPT = GOLDEN_DIR / "checkpoint_v4.ckpt"
+GOLDEN_JSON = GOLDEN_DIR / "checkpoint_v4.json"
 REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 #: The fixture snapshot: round 10 of the replay swarm with the full
@@ -92,7 +93,7 @@ def test_current_schema_matches_committed_document(golden):
     """Schema drift fails loudly.
 
     The snapshot this build emits for the fixture scenario must equal
-    the committed v3 document *exactly* — any added, removed, renamed,
+    the committed v4 document *exactly* — any added, removed, renamed,
     or reordered field (or behavioural drift in the simulator itself)
     lands here, and the fix is a deliberate SCHEMA_VERSION bump plus
     regeneration, never a silent change.
@@ -101,8 +102,9 @@ def test_current_schema_matches_committed_document(golden):
 
 
 def test_committed_container_bytes_are_stable(golden):
-    """Re-encoding the committed document reproduces the file's bytes."""
-    payload = dumps_payload(golden["document"])
+    """Re-encoding the committed document reproduces the file's bytes
+    (its completion columns as sections, as they were read)."""
+    payload = dumps_payload(read_checkpoint(GOLDEN_CKPT))
     assert GOLDEN_CKPT.read_bytes()[_HEADER.size:] == payload
 
 
@@ -180,6 +182,17 @@ def test_schema_v2_container_is_refused_by_version(golden, tmp_path):
     path = tmp_path / "v2.ckpt"
     write_checkpoint(document, path)
     with pytest.raises(CheckpointError, match="schema version 2 "):
+        Swarm.resume(read_checkpoint(path))
+
+
+def test_schema_v3_container_is_refused_by_version(golden, tmp_path):
+    """A v3 snapshot (completed downloads as per-row JSON dicts) is
+    refused with its version named."""
+    document = read_checkpoint(GOLDEN_CKPT)
+    document["schema_version"] = 3
+    path = tmp_path / "v3.ckpt"
+    write_checkpoint(document, path)
+    with pytest.raises(CheckpointError, match="schema version 3 "):
         Swarm.resume(read_checkpoint(path))
 
 

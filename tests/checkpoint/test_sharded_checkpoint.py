@@ -354,11 +354,12 @@ def test_shard_documents_hold_no_completion_or_abort_records():
     result = swarm.run()
 
     coordinator = document["coordinator"]["metrics"]
-    completed = [c["peer_id"] for c in coordinator["completed"]]
+    completed = coordinator["completed"]["peer_id"].tolist()
     assert completed and coordinator["aborted"]
     assert len(set(completed)) == len(completed)
     assert completed == [c.peer_id for c in result.metrics.completed]
     for shard_doc in document["shard_docs"]:
         shard = shard_doc["metrics"]
-        assert shard["completed"] == [] and shard["aborted"] == []
+        assert shard["completed"]["peer_id"].size == 0
+        assert shard["completed"]["stats"] == [] and shard["aborted"] == []
         assert shard["population_series"] == []

@@ -1,4 +1,4 @@
-"""Golden fixture for the soa flavor of checkpoint schema v3.
+"""Golden fixture for the soa flavor of checkpoint schema v4.
 
 The object document is pinned by ``test_golden_format.py``; this file
 pins the soa document, whose ``store`` block is the peer-row column
@@ -33,8 +33,8 @@ from repro.checkpoint.schema import restore_swarm
 from test_soa_checkpoint import soa_replay_config, soa_snapshot_at_round
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-GOLDEN_CKPT = GOLDEN_DIR / "soa_checkpoint_v3.ckpt"
-GOLDEN_JSON = GOLDEN_DIR / "soa_checkpoint_v3.json"
+GOLDEN_CKPT = GOLDEN_DIR / "soa_checkpoint_v4.ckpt"
+GOLDEN_JSON = GOLDEN_DIR / "soa_checkpoint_v4.json"
 REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 #: Round 10 of the 70-piece replay swarm: two bitfield words, bit 63

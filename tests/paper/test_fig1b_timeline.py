@@ -46,6 +46,26 @@ def test_fig1b_timeline():
     if np.isfinite(sim_small) and np.isfinite(sim_large):
         assert sim_large < sim_small
 
+    # Which way the small-peer-set mismatch goes: the simulated swarm
+    # finishes well before the chain predicts (seed 0: 20.0 rounds
+    # against 34.1 for the exact model and 32.7 for the batch curve), so
+    # at PSS = 5 the model over-states the stalls the simulator shows.
+    exact = run_fig1b(
+        pss_values=(SMALL_PSS,),
+        num_pieces=NUM_PIECES,
+        max_conns=MAX_CONNS,
+        sim_instrument=6,
+        max_time=600.0,
+        seed=0,
+        method="exact",
+    )
+    print(f"PSS={SMALL_PSS} totals: sim {sim_small:.1f}, batch model "
+          f"{result.model[SMALL_PSS][-1]:.1f}, exact model "
+          f"{exact.model[SMALL_PSS][-1]:.1f}")
+    assert np.isfinite(sim_small)
+    assert sim_small < exact.model[SMALL_PSS][-1]
+    assert sim_small < result.model[SMALL_PSS][-1]
+
     # Model-vs-sim agreement at the large peer set (the paper's
     # "high accuracy for higher values of the peer set size").
     sim = result.sim[LARGE_PSS]

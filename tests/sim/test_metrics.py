@@ -126,23 +126,29 @@ class TestOccupancy:
         assert metrics.occupancy()[2] == 1.0
 
 
+def complete(metrics, peer, time):
+    """Record ``peer`` as the one finished download of a round."""
+    metrics.record_completions(time, **Swarm._completion_columns([peer]))
+
+
 class TestCompletedDownloads:
     def test_records_download(self, tracker):
         metrics = MetricsCollector(2)
         peer = spawn(tracker, [0])
         peer.stats.joined_at = 1.0
-        metrics.on_peer_complete(peer, 9.0)
+        complete(metrics, peer, 9.0)
         assert len(metrics.completed) == 1
         record = metrics.completed[0]
         assert record.duration == pytest.approx(8.0)
         assert record.peer_id == peer.peer_id
+        assert record.stats is peer.stats
 
     def test_mean_duration(self, tracker):
         metrics = MetricsCollector(2)
         for finish in (5.0, 7.0):
             peer = spawn(tracker, [0])
             peer.stats.joined_at = 1.0
-            metrics.on_peer_complete(peer, finish)
+            complete(metrics, peer, finish)
         assert metrics.mean_download_duration() == pytest.approx(5.0)
 
     def test_mean_duration_nan_when_empty(self):
