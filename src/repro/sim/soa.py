@@ -13,9 +13,9 @@ the same protocol round as flat numpy arrays:
   can trade — a peer holding no piece (the bootstrap phase) or every
   piece joins no mutual-interest edge — then reused for potential-set
   sizes and slot-filling proposals;
-* **noisy-rarest selection** is a row-wise inverse-transform draw: a
-  weight matrix over unpacked candidates, a row cumsum, one pooled
-  uniform per transfer;
+* **noisy-rarest selection** is a piece-major inverse-transform draw: a
+  weight matrix over unpacked candidates, one row per piece, cumulated
+  one piece row at a time, one pooled uniform per transfer;
 * **matching and capacity limits** (slot filling, seed upload slots,
   bandwidth caps) use a rank filter — random priorities, per-endpoint
   group ranks, accept while rank < open capacity;
@@ -92,7 +92,7 @@ __all__ = [
     "group_ranks",
     "occurrence_ranks",
     "first_pairs",
-    "weighted_pick_rows",
+    "weighted_pick_columns",
     "row_columns",
     "partner_cells",
     "entries_in",
@@ -393,22 +393,30 @@ def first_pairs(
     return keep
 
 
-def weighted_pick_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One weighted draw per row, from the row's uniform ``u``; -1 for
-    all-zero rows.
+def weighted_pick_columns(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One weighted draw per column of the piece-major ``weights``, from
+    the column's uniform ``u``; -1 for all-zero columns.
 
-    The row-wise inverse transform mirrors the scalar
-    :func:`~repro.sim.piece_selection.select_piece` draw: cumsum the
-    weights, scale the row's uniform by the row total, count the
-    entries at or below it.  The uniforms are drawn by the caller, so
-    row blocks can pick on threads that share no generator.
+    ``weights`` holds one row per piece and one column per transfer.
+    The inverse transform mirrors the scalar
+    :func:`~repro.sim.piece_selection.select_piece` draw: cumulate the
+    weights, scale the uniform by the total, count the entries at or
+    below it.  The cumulation is one ``np.add`` of each piece row into
+    the next, in place, so every transfer still sums its weights in
+    piece order (the doubles a row-wise ``cumsum`` gives) while each
+    add runs over a whole contiguous row; ``weights`` is left holding
+    the cdf.  The count sums the comparison's bytes in the narrowest
+    unsigned type that holds the piece count.  The uniforms are drawn
+    by the caller, so blocks of transfers can pick on threads that
+    share no generator.
     """
-    if weights.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    cdf = np.cumsum(weights, axis=1)
-    total = cdf[:, -1]
-    idx = (cdf <= (u * total)[:, None]).sum(axis=1).astype(np.int64)
-    np.minimum(idx, weights.shape[1] - 1, out=idx)
+    pieces = weights.shape[0]
+    for k in range(1, pieces):
+        np.add(weights[k - 1], weights[k], out=weights[k])
+    total = weights[-1]
+    reached = (weights <= u * total).view(np.uint8)
+    idx = reached.sum(axis=0, dtype=np.min_scalar_type(pieces)).astype(np.int64)
+    np.minimum(idx, pieces - 1, out=idx)
     idx[total <= 0.0] = -1
     return idx
 
@@ -858,7 +866,8 @@ class ScratchArena:
     slab.  ``created`` counts (re)allocations — the reuse test pins it
     flat across steady-state rounds.
 
-    Values are always explicitly reset on take, so arena reuse is
+    Values are always explicitly reset, on take or, for a ``blank``
+    buffer, by its user before the next take, so arena reuse is
     bit-invisible to the simulation.
     """
 
@@ -886,6 +895,20 @@ class ScratchArena:
     def full(self, name: str, size: int, fill, dtype=np.int64) -> np.ndarray:
         view = self.take(name, size, dtype)
         view.fill(fill)
+        return view
+
+    def blank(self, name: str, size: int, fill, dtype=np.int64) -> np.ndarray:
+        """A length-``size`` view of buffer ``name`` that holds ``fill``
+        in every cell, filled only when the buffer is (re)allocated.
+
+        The caller must restore ``fill`` in every cell it writes before
+        it next asks for ``name``, so a use that touches few cells costs
+        those cells, not ``size``.  Use a name with ``blank`` only.
+        """
+        created = self.created
+        view = self.take(name, size, dtype)
+        if self.created != created:
+            self._buffers[name].fill(fill)
         return view
 
 
@@ -1179,7 +1202,6 @@ class SoaSwarm(CheckpointControl):
         candidate role.
         """
         store = self.store
-        cap = store.capacity
         oversample = np.maximum((3 * need) // 2, 4)
         prop_ann = np.repeat(ann, oversample)
         cand = alive[self.rng.integers(0, alive.size, size=prop_ann.size)]
@@ -1208,28 +1230,40 @@ class SoaSwarm(CheckpointControl):
         idx = np.flatnonzero(ok)
         p_ann = prop_ann[idx]
         p_cand = cand[idx]
-        # Announce quota: the first ``need`` surviving draws per group.
-        quota = self.scratch.zeros("announce_quota", cap)
-        quota[ann] = need
-        cols = _contiguous_ranks(p_ann)
-        admit = cols < quota[p_ann]
-        p_ann, p_cand, cols = p_ann[admit], p_cand[admit], cols[admit]
-        # Keep the earliest draw of each unordered pair, like the
-        # tracker's walk visiting each peer once.  A duplicate inside
-        # the quota window wastes its slot — the next pass redraws it.
-        row_of = self.scratch.full("announce_row", cap, -1)
+        # ``row_of`` maps an announcer to its position in ``ann`` and
+        # every other slot to -1.  The pass writes only the announcers'
+        # cells and resets them before it returns, so the capacity-sized
+        # buffer is filled once, not once a pass.
+        row_of = self.scratch.blank("announce_row", store.capacity, -1)
         row_of[ann] = np.arange(ann.size)
-        first = first_pairs(p_ann, p_cand, cols, row_of)
-        p_ann, p_cand = p_ann[first], p_cand[first]
-        # Candidate-role row space: capacity left after this pass's own
-        # announcer-role additions.  A candidate keeps its first
-        # ``space`` proposals, a prefix, so the kept ranks stay exact.
-        space = self.scratch.take("announce_space", cap)
-        np.subtract(self._accept_cap, store.nbr_deg, out=space)
-        space[store.is_seed] = np.iinfo(np.int64).max
-        space -= np.bincount(p_ann, minlength=cap)
-        rank = occurrence_ranks(p_cand)
-        keep = rank < space[p_cand]
+        try:
+            # Announce quota: the first ``need`` surviving draws per group.
+            cols = _contiguous_ranks(p_ann)
+            admit = cols < need[row_of[p_ann]]
+            p_ann, p_cand, cols = p_ann[admit], p_cand[admit], cols[admit]
+            # Keep the earliest draw of each unordered pair, like the
+            # tracker's walk visiting each peer once.  A duplicate inside
+            # the quota window wastes its slot — the next pass redraws it.
+            first = first_pairs(p_ann, p_cand, cols, row_of)
+            p_ann, p_cand = p_ann[first], p_cand[first]
+            # Ranked first, so that no row-space array is alive beside
+            # the sort's temporaries.
+            rank = occurrence_ranks(p_cand)
+            # This pass's announcer-role additions per announcer; the
+            # spare last cell stays 0 for candidates that do not
+            # announce (their ``row_of`` is -1).
+            added = np.bincount(row_of[p_ann], minlength=ann.size + 1)
+            space = added[row_of[p_cand]]
+        finally:
+            row_of[ann] = -1
+        # Candidate-role row space, ``accept_cap - nbr_deg - added``:
+        # capacity left after this pass's own announcer-role additions,
+        # unbounded for a seed.  A candidate keeps its first ``space``
+        # proposals, a prefix, so the kept ranks stay exact.
+        np.subtract(self._accept_cap, space, out=space)
+        space -= store.nbr_deg[p_cand]
+        space[store.is_seed[p_cand]] = np.iinfo(np.int64).max
+        keep = rank < space
         p_ann, p_cand, rank = p_ann[keep], p_cand[keep], rank[keep]
         self._append_relations(p_ann, p_cand, _contiguous_ranks(p_ann))
         self._append_relations(p_cand, p_ann, rank)
@@ -1469,15 +1503,21 @@ class SoaSwarm(CheckpointControl):
         """Blind bilateral matching over the mutual-interest cells.
 
         ``nbr`` holds the neighbor rows of the leechers ``trade`` and
-        ``mutual`` their mutual-interest cells (cleared of current
-        partners in place).  Each leecher proposes one uniformly drawn
-        potential partner per open slot; proposals then pass a
-        handshake/setup gate and a two-sided rank filter that admits at
-        most ``open`` new connections per endpoint (an endpoint whose
-        earlier-priority proposal fails elsewhere simply under-fills,
-        exactly like the object backend's busy-candidate waste).  Every
-        candidate is itself a trading leecher, so only ``trade`` rows
-        carry capacity.
+        ``mutual`` their mutual-interest cells.  Each leecher proposes
+        one uniformly drawn potential partner per open slot; proposals
+        then pass a handshake/setup gate and a two-sided rank filter
+        that admits at most ``open`` new connections per endpoint (an
+        endpoint whose earlier-priority proposal fails elsewhere simply
+        under-fills, exactly like the object backend's busy-candidate
+        waste).  Every candidate is itself a trading leecher, so only
+        ``trade`` rows carry capacity.
+
+        Only the rows with an open slot propose, so the candidate pools
+        (partner exclusion, gather and counts) are built from copies of
+        those rows alone, O(open rows x width); the draws, the sweep and
+        the admitted pairs are those of the all-rows pools.  When every
+        row is open (as in the first round) nothing is copied and
+        ``mutual`` is cleared of partners in place.
         """
         if not mutual.any():
             return
@@ -1485,6 +1525,13 @@ class SoaSwarm(CheckpointControl):
         cap = self.store.capacity
         degrees = self._partner_degrees()
         open_slots = config.max_conns - degrees[trade]
+        # A full row neither proposes nor takes a proposal (its
+        # ``remaining`` stays 0), so only the open rows are kept.
+        open_rows = np.flatnonzero(open_slots > 0)
+        if open_rows.size < trade.size:
+            trade, open_slots = trade[open_rows], open_slots[open_rows]
+            nbr = np.take(nbr, open_rows, axis=0)
+            mutual = np.take(mutual, open_rows, axis=0)
         # Candidate pool per proposer = potential minus current partners
         # (the object backend's ``candidates`` list): each pair is an
         # entry in its trading endpoints' rows, cleared by row lookup.
@@ -1496,11 +1543,10 @@ class SoaSwarm(CheckpointControl):
         # several times faster than boolean indexing does.
         m_dst = np.compress(mutual.ravel(), nbr.ravel())
         avail = mutual.sum(axis=1)
-        proposing = (avail > 0) & (open_slots > 0)
-        if not proposing.any():
+        rows = np.flatnonzero(avail)
+        if rows.size == 0:
             return
         starts = np.cumsum(avail) - avail
-        rows = np.flatnonzero(proposing)
         prop_row = np.repeat(rows, open_slots[rows])
         n_prop = prop_row.size
         self.connection_stats.attempts += n_prop
@@ -1633,8 +1679,11 @@ class SoaSwarm(CheckpointControl):
         receiver lacks; the policy weights mirror
         :func:`~repro.sim.piece_selection.select_piece` — uniform below
         the random-first cutoff, ``(count + 1) ** -RARITY_EXPONENT``
-        for noisy rarest, argmin-mask for strict rarest.  Returns -1
-        for transfers with no candidates.
+        for noisy rarest, argmin-mask for strict rarest.  Each block
+        lays its candidates out piece-major, one row per piece and one
+        column per transfer, so the weighting, the cumulation and the
+        count of :func:`weighted_pick_columns` all run along contiguous
+        piece rows.  Returns -1 for transfers with no candidates.
         """
         config = self.config
         store = self.store
@@ -1655,32 +1704,32 @@ class SoaSwarm(CheckpointControl):
             else:
                 offered = np.take(store.bits, send[lo:hi], axis=0)
             cand_words = offered & ~np.take(store.bits, recv[lo:hi], axis=0)
-            cand = unpack_rows(cand_words, num_pieces)
-            if policy == "random":
-                weights = cand.astype(np.float64)
-            elif policy == "rarest":
-                weights = cand * rarity_w[None, :]
-                below = (
-                    store.counts[recv[lo:hi]]
-                    < config.random_first_cutoff
-                )
-                if below.any():
-                    weights[below] = cand[below]
-            else:  # strict-rarest
+            # ``held`` is a transposed, piece-major view of the unpacked
+            # candidates; the weights are built from it in C order, so
+            # each piece's row is contiguous.
+            held = np.unpackbits(
+                cand_words.view(np.uint8).reshape(hi - lo, -1),
+                axis=1, bitorder="little", count=num_pieces,
+            ).T
+            if policy == "strict-rarest":
                 masked = np.where(
-                    cand, counts_snap[None, :], np.iinfo(np.int64).max
+                    held, counts_snap[:, None], np.iinfo(np.int64).max
                 )
-                row_min = masked.min(axis=1)
                 weights = (
-                    (masked == row_min[:, None]) & cand
-                ).astype(np.float64)
+                    (masked == masked.min(axis=0)) & held.view(bool)
+                ).astype(np.float64, order="C")
+            else:
+                weights = held.astype(np.float64, order="C")
+                if policy == "rarest":
+                    weights *= rarity_w[:, None]
+            if policy != "random":
                 below = (
                     store.counts[recv[lo:hi]]
                     < config.random_first_cutoff
                 )
                 if below.any():
-                    weights[below] = cand[below]
-            out[lo:hi] = weighted_pick_rows(weights, u[lo:hi])
+                    weights[:, below] = held[:, below]
+            out[lo:hi] = weighted_pick_columns(weights, u[lo:hi])
 
         _blocks(n, num_pieces, block)
         return out

@@ -14,6 +14,12 @@ rows, and one case spreads each bitfield over two words.  The
 seed-announce case pins the tracker announce of seeds that already hold
 relations, which only migration reaches.
 
+The soa policy cases pin the piece draw beyond rarest-first: uniform
+(``soa-random``) and argmin (``soa-strict-rarest``) draws, the
+super-seeding offer of pieces a seed has not injected yet beside
+bandwidth classes (``soa-superseed``), and a 300-piece swarm whose draws
+count past 255 candidates (``soa-wide``).
+
 The object cases pin the per-pair round of the object engine, one
 feature each: the two optimistic-donation target rules, loose
 tit-for-tat, the piece policies, the neighborhood rarity view, sub-piece
@@ -70,6 +76,19 @@ def soa_departing_config() -> SimConfig:
         piece_selection="rarest",
         max_time=12.0,
         seed=1,
+    )
+
+
+def soa_wide_config() -> SimConfig:
+    """soa-departing's swarm at 2k peers over 300 pieces: five words a
+    bitfield, and rarest-first draws that count past 255 candidates."""
+    peers = 2_000
+    return soa_departing_config().with_changes(
+        num_pieces=300,
+        arrival_rate=3.0 * peers / 100.0,
+        initial_leechers=peers,
+        num_seeds=peers // 100,
+        max_time=40.0,
     )
 
 
@@ -240,6 +259,22 @@ CASES = {
     **OBJECT_CASES,
     "soa-departing": lambda: Swarm(soa_departing_config(), backend="soa"),
     "soa-lingering": lambda: Swarm(soa_lingering_config(), backend="soa"),
+    "soa-random": lambda: Swarm(
+        soa_departing_config().with_changes(piece_selection="random"),
+        backend="soa",
+    ),
+    "soa-strict-rarest": lambda: Swarm(
+        soa_departing_config().with_changes(piece_selection="strict-rarest"),
+        backend="soa",
+    ),
+    # Seeds offer only the pieces they have not injected yet.
+    "soa-superseed": lambda: Swarm(
+        soa_departing_config().with_changes(
+            bandwidth_classes=((0.5, 1), (0.5, 3)), super_seeding=True
+        ),
+        backend="soa",
+    ),
+    "soa-wide": lambda: Swarm(soa_wide_config(), backend="soa"),
     "sharded-2": lambda: Swarm(
         sharded_config(), backend="sharded", shards=2, shard_mix=0.05
     ),
@@ -350,6 +385,39 @@ def test_object_cases_reach_their_features(monkeypatch, results):
     monkeypatch.setattr(seeds_module, "select_piece", spy)
     OBJECT_CASES["object-wide"]().run()
     assert max(widest) > 128
+
+
+def test_soa_policy_cases_reach_their_paths(monkeypatch):
+    """Guard the soa policy goldens' coverage: every policy case draws
+    pieces above and below the random-first cutoff, the super-seeding
+    case lands offered pieces, and the wide case picks pieces past 255."""
+    drawn = Counter()
+    real = soa_module.SoaSwarm._select_pieces
+
+    def spy(self, recv, send=None, offer_words=None):
+        picks = real(self, recv, send, offer_words)
+        below = self.store.counts[recv] < self.config.random_first_cutoff
+        name = self.config.piece_selection
+        drawn[name, "below"] += int((picks[below] >= 0).sum())
+        drawn[name, "above"] += int((picks[~below] >= 0).sum())
+        if offer_words is not None:
+            drawn["offered"] += int((picks >= 0).sum())
+        drawn["past 255"] += int((picks > 255).sum())
+        return picks
+
+    monkeypatch.setattr(soa_module.SoaSwarm, "_select_pieces", spy)
+    for name in ("soa-random", "soa-strict-rarest", "soa-superseed"):
+        assert len(CASES[name]().run().metrics.completed) > 500
+    assert all(
+        drawn[policy, side] > 0
+        for policy in ("random", "strict-rarest", "rarest")
+        for side in ("below", "above")
+    ), drawn
+    assert drawn["offered"] > 0
+    drawn.clear()
+    CASES["soa-wide"]().run()
+    assert drawn["past 255"] > 0
+    assert words_for(soa_wide_config().num_pieces) == 5
 
 
 def test_flash_case_runs_through_the_bootstrap_phase(results):

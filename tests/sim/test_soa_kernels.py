@@ -5,7 +5,9 @@ Each kernel is checked against a straightforward scalar reference
 lexsort), including the fast paths that bypass the general code.
 """
 
+import dataclasses
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ import repro.sim.soa as soa_module
 from repro.errors import SimulationError
 from repro.sim.bitfield import Bitfield
 from repro.sim.config import SimConfig
+from repro.sim.piece_selection import RARITY_EXPONENT
 from repro.sim.soa import (
     PEER_COLUMNS,
     PeerStore,
@@ -34,7 +37,7 @@ from repro.sim.soa import (
     popcount_rows,
     row_interest,
     unpack_rows,
-    weighted_pick_rows,
+    weighted_pick_columns,
     words_for,
 )
 
@@ -355,24 +358,203 @@ def test_first_pairs_signature_collisions_still_look_up_the_row():
     assert first_pairs(*grouped_pairs([3], [[]], 5)).size == 0
 
 
-def test_weighted_pick_rows_zero_rows_and_point_masses():
+def row_wise_pick(weights, u):
+    """The row-major draw that piece-major picking replaced: a row
+    cumsum per transfer, counted against the row's scaled uniform."""
+    if weights.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    cdf = np.cumsum(weights, axis=1)
+    total = cdf[:, -1]
+    idx = (cdf <= (u * total)[:, None]).sum(axis=1).astype(np.int64)
+    np.minimum(idx, weights.shape[1] - 1, out=idx)
+    idx[total <= 0.0] = -1
+    return idx
+
+
+def pick_columns(weights, u):
+    """``weighted_pick_columns`` of transfer-major ``weights`` (one row
+    per transfer), on a piece-major copy."""
+    return weighted_pick_columns(weights.T.copy(), u)
+
+
+#: Piece counts around each boundary of the pick's count dtype and of
+#: a 64-bit word.
+PICK_WIDTHS = [1, 7, 60, 64, 65, 255, 256, 300]
+
+#: Just below 1: the largest uniform ``Generator.random`` can return.
+ALMOST_ONE = np.nextafter(1.0, 0.0)
+
+
+@st.composite
+def pick_cases(draw):
+    """Transfer-major weights and uniforms, one transfer of one kind per
+    row: no candidate, a point mass, equal weights on a subset (with a
+    uniform that lands exactly on a cdf entry), rarity weights that
+    span many orders of magnitude, or one tiny last weight drawn with a
+    uniform just below 1."""
+    pieces = draw(st.sampled_from(PICK_WIDTHS))
+    rows = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.zeros((rows, pieces))
+    u = rng.random(rows)
+    for row in range(rows):
+        kind = draw(st.sampled_from(
+            ["empty", "point", "equal", "rarity", "tiny-last"]
+        ))
+        if kind == "point":
+            weights[row, rng.integers(pieces)] = rng.random() + 0.5
+        elif kind == "equal":
+            held = rng.random(pieces) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+            weights[row] = held
+            # 2**k equal weights: ``u * total`` is exactly the cdf entry
+            # ``u * 2**k`` whenever ``u`` is a multiple of 2**-k.
+            k = int(np.log2(max(held.sum(), 1)))
+            if held.sum() == 2**k:
+                u[row] = rng.integers(2**k + 1) / 2**k
+        elif kind == "rarity":
+            counts = rng.integers(0, 10**5, pieces)
+            weights[row] = (
+                (rng.random(pieces) < 0.6) * (counts + 1.0) ** -RARITY_EXPONENT
+            )
+        elif kind == "tiny-last":
+            weights[row, 0] = 1.0
+            weights[row, -1] += 1e-12
+            u[row] = ALMOST_ONE
+    return weights, u
+
+
+@settings(**KERNEL_SETTINGS)
+@given(case=pick_cases())
+def test_weighted_pick_columns_matches_row_wise_reference(case):
+    weights, u = case
+    np.testing.assert_array_equal(
+        pick_columns(weights, u), row_wise_pick(weights, u)
+    )
+
+
+@pytest.mark.parametrize("pieces", PICK_WIDTHS)
+def test_weighted_pick_columns_boundary_uniforms(pieces):
+    """Draws that sit on the cdf's edges, at every width: ``u`` = 0 skips
+    leading zero weights, ``u`` just below 1 reaches a tiny last weight
+    that a float32 cdf would round away, ``u * total`` equal to a cdf
+    entry counts that entry (``<=``), and an all-candidate row counts
+    up to the last piece."""
+    weights = np.zeros((5, pieces))
+    weights[0, -1] = 1.0                        # only the last piece
+    weights[1, 0] = 1.0
+    weights[1, -1] = 1e-12                      # tiny last weight
+    weights[2, :] = 1.0                         # every piece
+    weights[3, : min(pieces, 4)] = 1.0          # 4 equal weights
+    u = np.array([0.0, ALMOST_ONE, ALMOST_ONE, 0.5, 0.0])
+    picks = pick_columns(weights, u)
+    np.testing.assert_array_equal(picks, row_wise_pick(weights, u))
+    assert picks[0] == pieces - 1
+    assert picks[1] == (pieces - 1 if pieces > 1 else 0)
+    assert picks[2] == pieces - 1
+    assert picks[3] == min(2, min(pieces, 4) - 1)
+    assert picks[4] == -1
+
+
+def test_weighted_pick_columns_zero_columns_and_point_masses():
     rng = np.random.default_rng(10)
     weights = np.zeros((4, 6))
-    weights[1, 3] = 2.5           # point mass -> always column 3
+    weights[1, 3] = 2.5           # point mass -> always piece 3
     weights[3, 0] = 1.0
-    picks = weighted_pick_rows(weights, rng.random(4))
+    picks = pick_columns(weights, rng.random(4))
     assert picks[0] == -1 and picks[2] == -1
     assert picks[1] == 3 and picks[3] == 0
-    assert weighted_pick_rows(np.zeros((0, 5)), rng.random(0)).size == 0
+    assert weighted_pick_columns(np.zeros((5, 0)), rng.random(0)).size == 0
 
 
-def test_weighted_pick_rows_frequencies_track_weights():
+def test_weighted_pick_columns_frequencies_track_weights():
     """The inverse-transform draw reproduces the weight distribution."""
     rng = np.random.default_rng(12)
-    weights = np.tile(np.array([1.0, 2.0, 5.0]), (30_000, 1))
-    picks = weighted_pick_rows(weights, rng.random(weights.shape[0]))
+    weights = np.tile(np.array([[1.0], [2.0], [5.0]]), (1, 30_000))
+    picks = weighted_pick_columns(weights, rng.random(weights.shape[1]))
     freq = np.bincount(picks, minlength=3) / picks.size
     np.testing.assert_allclose(freq, np.array([1, 2, 5]) / 8.0, atol=0.02)
+
+
+def row_wise_select(swarm, recv, send, offer_words, u):
+    """``SoaSwarm._select_pieces`` as it was before piece-major picking:
+    row-major candidates and weights, then :func:`row_wise_pick`."""
+    config, store = swarm.config, swarm.store
+    counts_snap = swarm._rarity_snapshot()
+    offered = store.bits[send] if offer_words is None else offer_words
+    cand = unpack_rows(offered & ~store.bits[recv], config.num_pieces)
+    below = store.counts[recv] < config.random_first_cutoff
+    if config.piece_selection == "random":
+        weights = cand.astype(np.float64)
+    elif config.piece_selection == "rarest":
+        weights = cand * ((counts_snap + 1.0) ** -RARITY_EXPONENT)[None, :]
+        weights[below] = cand[below]
+    else:
+        masked = np.where(cand, counts_snap[None, :], np.iinfo(np.int64).max)
+        weights = (
+            (masked == masked.min(axis=1)[:, None]) & cand
+        ).astype(np.float64)
+        weights[below] = cand[below]
+    return row_wise_pick(weights, u)
+
+
+@st.composite
+def selection_cases(draw):
+    """A swarm of a few dozen peers with drawn bitfields (some empty,
+    some complete) and replication counts, a policy, a random-first
+    cutoff, and transfers that read either the senders' bitfields or
+    explicit offers."""
+    pieces = draw(st.sampled_from(PICK_WIDTHS))
+    policy = draw(st.sampled_from(["rarest", "strict-rarest", "random"]))
+    cutoff = draw(st.sampled_from([0, 4, pieces // 2 + 1]))
+    transfers = draw(st.integers(1, 60))
+    offers = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return pieces, policy, cutoff, transfers, offers, seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=selection_cases())
+def test_select_pieces_matches_row_wise_reference(case):
+    """Every policy, rows below and above the random-first cutoff, and
+    super-seeding offers pick what the row-major block picked, from the
+    same uniforms, leaving the generator in the same state."""
+    pieces, policy, cutoff, transfers, offers, seed = case
+    swarm = SoaSwarm(SimConfig(
+        num_pieces=pieces,
+        max_conns=2,
+        ns_size=4,
+        initial_leechers=30,
+        initial_distribution="uniform",
+        initial_fill=0.5,
+        num_seeds=2,
+        piece_selection=policy,
+        random_first_cutoff=cutoff,
+        seed=1,
+    ))
+    swarm.setup()
+    store = swarm.store
+    rng = np.random.default_rng(seed)
+    slots = np.flatnonzero(store.alive)
+    fill = rng.choice([0.0, 0.05, 0.5, 0.95, 1.0], slots.size)
+    held = rng.random((slots.size, pieces)) < fill[:, None]
+    store.bits[slots] = pack_rows(held)
+    store.counts[slots] = held.sum(axis=1)
+    swarm.piece_counts = rng.integers(0, 40, pieces)
+    recv = rng.choice(slots, transfers)
+    send = rng.choice(slots, transfers)
+    offer = None
+    if offers:
+        offer = pack_rows(rng.random((transfers, pieces)) < 0.5)
+    swarm.rng = np.random.default_rng(seed)
+    picks = swarm._select_pieces(
+        recv, send=None if offers else send, offer_words=offer
+    )
+    reference = np.random.default_rng(seed)
+    expected = row_wise_select(
+        swarm, recv, send, offer, reference.random(transfers)
+    )
+    np.testing.assert_array_equal(picks, expected)
+    assert swarm.rng.bit_generator.state == reference.bit_generator.state
 
 
 # ----------------------------------------------------------------------
@@ -877,6 +1059,255 @@ def test_soa_steady_state_rounds_allocate_no_new_scratch():
     assert swarm.scratch.created == warm
 
 
+def test_scratch_arena_blank_fills_only_on_allocation():
+    arena = ScratchArena()
+    row = arena.blank("r", 6, -1)
+    assert row.tolist() == [-1] * 6
+    assert arena.created == 1
+    row[2] = 5
+    row[2] = -1  # the caller restores every cell it wrote
+    again = arena.blank("r", 4, -1)
+    assert arena.created == 1
+    assert np.shares_memory(row, again)
+    # A reused buffer is not refilled: what the caller left stays.
+    again[1] = 9
+    assert arena.blank("r", 4, -1)[1] == 9
+    grown = arena.blank("r", 20, -1)
+    assert arena.created == 2
+    assert grown.tolist() == [-1] * 20
+
+
+def test_announce_passes_leave_their_row_map_blank(monkeypatch):
+    """Each announce pass writes only its announcers' cells of the
+    slot-to-announcer map and resets them, so the map is all -1 after
+    every pass, the slab's growth included."""
+    real = SoaSwarm._announce_pass
+    passes = []
+
+    def spy(self, ann, need, alive):
+        added = real(self, ann, need, alive)
+        row_of = self.scratch.blank("announce_row", self.store.capacity, -1)
+        assert (row_of == -1).all()
+        passes.append(ann.size)
+        return added
+
+    monkeypatch.setattr(SoaSwarm, "_announce_pass", spy)
+    config = SimConfig(
+        num_pieces=16,
+        max_conns=2,
+        ns_size=8,
+        arrival_process="poisson",
+        arrival_rate=20.0,
+        initial_leechers=40,
+        initial_distribution="uniform",
+        initial_fill=0.5,
+        num_seeds=2,
+        max_time=15.0,
+        seed=8,
+    )
+    swarm = SoaSwarm(config)
+    swarm.run()
+    assert len(passes) > 10
+    assert swarm.store.capacity > 64
+
+
+def all_rows_fill_slots(self, trade, nbr, mutual):
+    """``SoaSwarm._fill_slots`` as it was before matching read only the
+    rows with an open slot: partner exclusion, the candidate gather and
+    the pool counts run over every trading row."""
+    if not mutual.any():
+        return
+    config = self.config
+    cap = self.store.capacity
+    degrees = self._partner_degrees()
+    open_slots = config.max_conns - degrees[trade]
+    # Candidate pool per proposer = potential minus current partners
+    # (the object backend's ``candidates`` list): each pair is an
+    # entry in its trading endpoints' rows, cleared by row lookup.
+    if self._pairs.shape[0]:
+        row_of = self.scratch.full("leech_row", cap, -1)
+        row_of[trade] = np.arange(trade.size)
+        mutual[partner_cells(nbr, row_of, self._pairs)] = False
+    # ``nbr[mutual]``; ``compress`` gathers a scattered mask's cells
+    # several times faster than boolean indexing does.
+    m_dst = np.compress(mutual.ravel(), nbr.ravel())
+    avail = mutual.sum(axis=1)
+    proposing = (avail > 0) & (open_slots > 0)
+    if not proposing.any():
+        return
+    starts = np.cumsum(avail) - avail
+    rows = np.flatnonzero(proposing)
+    prop_row = np.repeat(rows, open_slots[rows])
+    n_prop = prop_row.size
+    self.connection_stats.attempts += n_prop
+    u = self.rng.random(n_prop)
+    span = avail[prop_row]
+    pick = starts[prop_row] + np.minimum(
+        (u * span).astype(np.int64), span - 1
+    )
+    candidate = m_dst[pick]
+    proposer = trade[prop_row]
+    # Per-peer sweep positions (the object backend's random
+    # processing order); a proposal's priority is its owner's turn,
+    # slots within the turn in draw order.
+    sweep = self.scratch.full("sweep", cap, -1)
+    sweep[trade[rows]] = self.rng.permutation(rows.size)
+    priority = (
+        sweep[proposer] * config.max_conns
+        + _contiguous_ranks(prop_row)
+    )
+
+    key = (
+        np.minimum(proposer, candidate) * cap
+        + np.maximum(proposer, candidate)
+    )
+    ok = np.ones(n_prop, dtype=bool)
+    if config.connection_setup_prob < 1.0:
+        idx = np.flatnonzero(ok)
+        keep = (
+            self.rng.random(idx.size) < config.connection_setup_prob
+        )
+        ok[idx[~keep]] = False
+    injector = self.fault_injector
+    if (
+        injector is not None
+        and injector.plan.handshake_failure_prob > 0.0
+    ):
+        idx = np.flatnonzero(ok)
+        failed = injector.handshake_mask(idx.size)
+        if failed.any():
+            ok[idx[failed]] = False
+    ok_idx = np.flatnonzero(ok)
+    if ok_idx.size == 0:
+        return
+    # Dedupe duplicate proposals of the same unordered pair, keeping
+    # the earliest sweep turn (the object backend's repeat draws of
+    # a formed partner are wasted attempts, so they stay counted).
+    keep = group_ranks(key[ok_idx], priority[ok_idx]) == 0
+    keep_idx = ok_idx[keep]
+    end_a = proposer[keep_idx]
+    end_b = candidate[keep_idx]
+    remaining = self.scratch.zeros("remaining", cap)
+    remaining[trade] = open_slots
+    priority = priority[keep_idx]
+    # Iterated two-sided rank filter: each pass admits proposals
+    # ranked inside both endpoints' residual capacity, then charges
+    # the accepted ones and retries the rest — converging on the
+    # sequential walk's fill level without its O(N) loop.
+    accept = np.zeros(keep_idx.size, dtype=bool)
+    pending = np.arange(keep_idx.size)
+    for _ in range(3):
+        if pending.size == 0:
+            break
+        pr = priority[pending]
+        # Rank both endpoint roles in one group per slot: a peer
+        # proposing while also being proposed to spends the same
+        # open slots either way (the object backend's busy check
+        # counts total partners, not per-role).
+        ends = np.concatenate([end_a[pending], end_b[pending]])
+        ranks = group_ranks(ends, np.concatenate([pr, pr]))
+        n_pend = pending.size
+        admitted = (ranks[:n_pend] < remaining[end_a[pending]]) & (
+            ranks[n_pend:] < remaining[end_b[pending]]
+        )
+        if not admitted.any():
+            break
+        taken = pending[admitted]
+        accept[taken] = True
+        np.subtract.at(remaining, end_a[taken], 1)
+        np.subtract.at(remaining, end_b[taken], 1)
+        pending = pending[~admitted]
+        if pending.size:
+            # A failed attempt is wasted, not queued: proposals
+            # whose endpoint ran out of slots can never be admitted
+            # and must stop occupying ranks ahead of later-priority
+            # proposals (the object backend's busy-candidate waste
+            # does not reserve the proposer's own slot either).
+            live = (remaining[end_a[pending]] > 0) & (
+                remaining[end_b[pending]] > 0
+            )
+            pending = pending[live]
+    formed = int(accept.sum())
+    if formed:
+        # Sequential-sweep attempt accounting: a formed connection
+        # consumes one of the candidate's open slots *before its
+        # own turn* when the candidate proposes later, so that slot
+        # never becomes an attempt in the object backend.
+        acc = np.flatnonzero(accept)
+        later = (sweep[end_b[acc]] >= 0) & (
+            sweep[end_b[acc]] > sweep[end_a[acc]]
+        )
+        self.connection_stats.attempts -= int(later.sum())
+    if formed:
+        new_pairs = np.stack(
+            [
+                np.minimum(end_a, end_b)[accept],
+                np.maximum(end_a, end_b)[accept],
+            ],
+            axis=1,
+        )
+        self._pairs = np.concatenate([self._pairs, new_pairs], axis=0)
+    self.connection_stats.formed += formed
+
+
+def test_fill_slots_on_open_rows_matches_all_rows_body(monkeypatch):
+    """Matching that builds its candidate pools from the rows with an
+    open slot forms the pairs, counts the attempts and consumes the
+    generator exactly as matching over every trading row did, call by
+    call, in rounds where full rows hold mutual cells and open rows
+    hold partners whose cells must be excluded."""
+    seen = Counter()
+    real = SoaSwarm._fill_slots
+
+    def both(self, trade, nbr, mutual):
+        degrees = self._partner_degrees()[trade]
+        full = degrees >= self.config.max_conns
+        seen["full rows with mutual cells"] += int(mutual[full].any(axis=1).sum())
+        seen["open rows with partners"] += int(((degrees > 0) & ~full).sum())
+        stats = self.connection_stats
+        saved = (
+            self.rng.bit_generator.state,
+            self._pairs.copy(),
+            dataclasses.asdict(stats),
+        )
+        all_rows_fill_slots(self, trade, nbr, mutual.copy())
+        want = (
+            self.rng.bit_generator.state,
+            self._pairs,
+            dataclasses.asdict(stats),
+        )
+        self.rng.bit_generator.state = saved[0]
+        self._pairs = saved[1]
+        for name, value in saved[2].items():
+            setattr(stats, name, value)
+        real(self, trade, nbr, mutual)
+        assert self.rng.bit_generator.state == want[0]
+        np.testing.assert_array_equal(self._pairs, want[1])
+        assert dataclasses.asdict(stats) == want[2]
+        seen["formed"] += self._pairs.shape[0] - saved[1].shape[0]
+
+    monkeypatch.setattr(SoaSwarm, "_fill_slots", both)
+    config = SimConfig(
+        num_pieces=30,
+        max_conns=2,
+        ns_size=12,
+        arrival_process="poisson",
+        arrival_rate=5.0,
+        initial_leechers=300,
+        initial_distribution="uniform",
+        initial_fill=0.3,
+        num_seeds=3,
+        connection_setup_prob=0.9,
+        piece_selection="rarest",
+        max_time=15.0,
+        seed=7,
+    )
+    SoaSwarm(config).run()
+    assert seen["full rows with mutual cells"] > 100, seen
+    assert seen["open rows with partners"] > 100, seen
+    assert seen["formed"] > 100, seen
+
+
 # ----------------------------------------------------------------------
 # Threaded blocks: the thread count must not change any kernel's output
 # ----------------------------------------------------------------------
@@ -997,19 +1428,20 @@ def test_threaded_select_pieces_matches_one_thread(
     assert states[1] == states[0]
 
 
-def test_pre_drawn_weighted_pick_rows_equals_per_block_draws():
-    """One draw of a uniform per row, taken before the blocks, yields
-    the picks that one draw per block used to."""
+def test_pre_drawn_weighted_pick_columns_equals_per_block_draws():
+    """One draw of a uniform per transfer, taken before the blocks,
+    yields the picks that one draw per block used to."""
     rng = np.random.default_rng(24)
-    weights = rng.random((1_000, 7)) * (rng.random((1_000, 7)) < 0.6)
+    weights = rng.random((7, 1_000)) * (rng.random((7, 1_000)) < 0.6)
     one = np.random.default_rng(9)
-    whole = weighted_pick_rows(weights, one.random(weights.shape[0]))
+    whole = weighted_pick_columns(weights.copy(), one.random(weights.shape[1]))
     per_block = np.random.default_rng(9)
     blocks = np.concatenate([
-        weighted_pick_rows(
-            weights[lo:lo + 64], per_block.random(weights[lo:lo + 64].shape[0])
+        weighted_pick_columns(
+            weights[:, lo:lo + 64].copy(),
+            per_block.random(weights[:, lo:lo + 64].shape[1]),
         )
-        for lo in range(0, weights.shape[0], 64)
+        for lo in range(0, weights.shape[1], 64)
     ])
     np.testing.assert_array_equal(whole, blocks)
     assert one.bit_generator.state == per_block.bit_generator.state
